@@ -7,8 +7,7 @@ the preset catalog carries every shipped presentation.
 """
 
 from .scalars import (CycloRational, PoleError, QJ, QJPoly, J, J2, ONE, Q,
-                      ZERO, jpow, normalize, qpow, rational, scalar_str,
-                      specialize_q)
+                      ZERO, jpow, qpow, rational, scalar_str, specialize_q)
 from .freealg import (GeneratorInfo, NCPolynomial, Word, apply_hom, fa_str,
                       poly_mul, word_grade)
 from .rewrite import (BudgetExceeded, LocalizeError, OrientationError,

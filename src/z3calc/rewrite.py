@@ -193,8 +193,9 @@ class Presentation:
                         continue
                     seen.add(tag)
                     out.append(self._pair_entry(word, r1, 0, r2, len(l1) - k, budget))
-                # l2 properly contained in l1
-                if i1 != i2 and len(l2) < len(l1):
+                # l2 inside l1; two rules with one lhs are a single
+                # inclusion ambiguity, examined once
+                if len(l2) < len(l1) or (len(l2) == len(l1) and i1 < i2):
                     for p in range(len(l1) - len(l2) + 1):
                         if l1[p:p + len(l2)] != l2:
                             continue

@@ -12,6 +12,13 @@ All three are immutable and canonical, so == is structural equality and
 values can key dictionaries.  q never becomes a float: evaluation at a
 rational point happens only through specialize_q, which raises PoleError
 when the denominator vanishes there.
+
+Almost every coefficient that rewriting produces is an integer combination
+of 1 and j, so QJ keeps integral components as plain ints: int arithmetic
+is several times cheaper than Fraction arithmetic, which otherwise dominates
+reduction with symbolic q.  A component is an int exactly when it is
+integral, so the form stays unique; int and Fraction compare, hash and print
+alike, so nothing outside QJ sees the difference.
 """
 
 from __future__ import annotations
@@ -27,14 +34,26 @@ class PoleError(ArithmeticError):
 # Q(j)
 
 
+def _canon(x):
+    """x as an int when integral, else as a Fraction with denominator > 1."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class QJ:
-    """a + b*j with a, b exact rationals; j*j = -1 - j."""
+    """a + b*j with a, b exact rationals; j*j = -1 - j.
+
+    Invariant: each of a, b is an int, or a Fraction whose denominator is
+    above 1.  Sums and products of ints stay ints; anything else passes
+    through _canon, which keeps the representation unique.
+    """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
+        self.a = a if type(a) is int else _canon(a)
+        self.b = b if type(b) is int else _canon(b)
 
     def is_zero(self):
         return not self.a and not self.b
@@ -67,7 +86,7 @@ class QJ:
         n = self.a * self.a - self.a * self.b + self.b * self.b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(j)")
-        return QJ((self.a - self.b) / n, -self.b / n)
+        return QJ(Fraction(self.a - self.b, n), Fraction(-self.b, n))
 
     def __repr__(self):
         return "QJ(%s, %s)" % (self.a, self.b)
@@ -319,11 +338,6 @@ def _reduce(num, den):
     return num, den
 
 
-def normalize(num, den=P_ONE):
-    """Public constructor from an unreduced fraction of j-polynomials."""
-    return CycloRational(num, den)
-
-
 def specialize_q(s, q0):
     """Value of s at q = q0 (exact rational), j kept symbolic."""
     q0 = Fraction(q0)
@@ -347,12 +361,7 @@ MINUS_ONE = CycloRational(QJPoly((QJ(-1, 0),)), P_ONE, _canonical=True)
 
 def rational(x):
     """Embed an int or Fraction."""
-    return CycloRational(QJPoly.const(QJ(Fraction(x), 0)))
-
-
-def qj_scalar(a, b=0):
-    """Embed a + b*j."""
-    return CycloRational(QJPoly.const(QJ(Fraction(a), Fraction(b))))
+    return CycloRational(QJPoly.const(QJ(x)))
 
 
 def jpow(k):

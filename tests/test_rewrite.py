@@ -81,6 +81,23 @@ def test_pair_census_reports_unjoinable():
     assert entry["word"] and entry["rules"] and entry["difference"] != "0"
 
 
+def test_critical_pairs_same_lhs_is_an_ambiguity():
+    # two rules with one lhs are an inclusion ambiguity (Bergman 1978);
+    # skipping it would report a false "confluent"
+    order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
+    gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
+    ab = NCPolynomial.word(("a", "b"))
+    rules = [orient(("b", "a"), ab, order, "plain"),
+             orient(("b", "a"), ab.scale(J), order, "twisted")]
+    census = Presentation("dup", gens, rules, order).pair_census()
+    assert census["pairs"] == 1
+    assert census["joinable"] == 0
+    [entry] = census["unjoinable"]
+    assert entry["word"] == ["b", "a"]
+    assert entry["rules"] == ["plain", "twisted"]
+    assert entry["difference"] == "(1 - j)*a*b"
+
+
 def test_homogeneity_and_termination_checks():
     for name in presets.PRESETS:
         P = presets.build(name)

@@ -1,0 +1,115 @@
+"""Property tests for Q(j)(q): field axioms, q-specialisation, representation."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from z3calc.scalars import (QJ, ONE, ZERO, PoleError, jpow, qpow,  # noqa: E402
+                            rational, specialize_q)
+
+# deterministic and small: these run inside the tier-1 suite
+quick = settings(max_examples=60, deadline=None, derandomize=True)
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+leaves = st.one_of(
+    small.map(rational),
+    st.integers(0, 2).map(jpow),
+    st.integers(-3, 3).map(qpow),
+)
+
+
+def _combine(children):
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.map(lambda t: t[0] + t[1]),
+        pair.map(lambda t: t[0] - t[1]),
+        pair.map(lambda t: t[0] * t[1]),
+        children.filter(lambda x: not x.is_zero()).map(lambda x: x.inv()),
+    )
+
+
+scalars = st.recursive(leaves, _combine, max_leaves=5)
+points = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _canonical_component(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _canonical(s):
+    return all(_canonical_component(v.a) and _canonical_component(v.b)
+               for p in (s.num, s.den) for v in p.c)
+
+
+def _specialize(s, q0):
+    try:
+        return specialize_q(s, q0)
+    except PoleError:
+        assume(False)
+
+
+@quick
+@given(scalars, scalars, scalars)
+def test_ring_axioms(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a
+    assert (a - a).is_zero()
+    assert (a - b) + b == a
+
+
+@quick
+@given(scalars)
+def test_multiplicative_inverse(a):
+    assume(not a.is_zero())
+    assert a * a.inv() == ONE
+    assert a.inv().inv() == a
+
+
+@quick
+@given(scalars, scalars, points)
+def test_specialize_commutes_with_add_and_mul(a, b, q0):
+    sa, sb = _specialize(a, q0), _specialize(b, q0)
+    assert specialize_q(a + b, q0) == sa + sb
+    assert specialize_q(a * b, q0) == sa * sb
+
+
+@quick
+@given(scalars, points)
+def test_specialize_commutes_with_inv(a, q0):
+    sa = _specialize(a, q0)
+    assume(not sa.is_zero())
+    assert specialize_q(a.inv(), q0) == sa.inv()
+
+
+@quick
+@given(scalars, scalars)
+def test_components_are_int_exactly_when_integral(a, b):
+    for s in (a, b, a + b, a - b, a * b):
+        assert _canonical(s)
+    if not b.is_zero():
+        assert _canonical(a * b.inv())
+    # one value reached two ways: equal and equal hashes
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+
+
+@quick
+@given(small, small)
+def test_qj_components(x, y):
+    v = QJ(x, y)
+    assert _canonical_component(v.a) and _canonical_component(v.b)
+    assert (v.a, v.b) == (x, y)
+    w = QJ(Fraction(x), Fraction(y))
+    assert v == w and hash(v) == hash(w)
+    if not v.is_zero():
+        assert _canonical_component(v.inv().a)
+        assert v * v.inv() == QJ(1, 0)
