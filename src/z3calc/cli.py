@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and all checks passing for verify/supergroup),
 1 a verification reported failures, 2 bad input (unknown preset or
-suite, parse error, pole at the requested q), 3 step budget exceeded.
+suite, parse error, pole at the requested q, malformed preset JSON),
+3 step budget exceeded.
 The reduction budget can be raised with Z3CALC_STEP_BUDGET.
 """
 

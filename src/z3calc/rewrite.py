@@ -6,6 +6,15 @@ strictly smaller words.  Reduction replaces the leftmost, first-declared
 match and recurses with memoisation; the engine never completes a
 presentation behind the caller's back, it only reports critical pairs.
 
+Matching walks one trie over the rule left sides from each position of
+the word.  Every trie node carries the first-declared rule among the
+left sides that are prefixes of its path, so the deepest node the word
+reaches names the rule to apply there; a left side that has an earlier
+rule's left side as a prefix can never fire and is left out.  After a
+rewrite at position i the result is scanned from i - (maxlen - 1),
+maxlen being the longest left side: a match further left would lie
+inside the unchanged prefix and would already have matched there.
+
 The term order compares (total weight, length, leftmost precedence
 index) with weight ascending, length DESCENDING, then lex.  Longer
 words losing ties keeps substitution rules like v*vinv -> 1 oriented,
@@ -33,9 +42,15 @@ class OrientationError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, word):
-        super().__init__("step budget exceeded while reducing %r" % (word,))
+    """Reduction of word ran out of budget after steps rewrite steps;
+    rule is the ref of the rule that fired last (None if none did)."""
+
+    def __init__(self, word, steps, rule):
+        super().__init__("step budget exceeded after %d steps while reducing "
+                         "%r (last rule fired: %s)" % (steps, word, rule))
         self.word = word
+        self.steps = steps
+        self.rule = rule
 
 
 class LocalizeError(RuntimeError):
@@ -62,9 +77,6 @@ class TermOrder:
         idx = self._idx
         return (self.word_weight(word), -len(word), tuple(idx[g] for g in word))
 
-    def less(self, u, v):
-        return self.key(u) < self.key(v)
-
     def index(self, g):
         return self._idx[g]
 
@@ -88,19 +100,48 @@ def orient(lhs, rhs, order, ref=""):
     return RewriteRule(lhs, rhs, ref)
 
 
+def _lhs_trie(rules):
+    """Trie over the left sides: letter -> [children, rule].
+
+    rule is the first-declared rule whose left side is a prefix of the
+    node's path, or None.
+    """
+    root = {}
+    for r in rules:
+        children, node = root, None
+        for g in r.lhs:
+            node = children.get(g)
+            if node is None:
+                node = children[g] = [{}, None]
+            elif node[1] is not None:
+                break  # an earlier rule matches wherever this one does
+            children = node[0]
+        else:
+            node[1] = r
+
+    def inherit(children, rule):
+        for node in children.values():
+            if node[1] is None:
+                node[1] = rule
+            inherit(node[0], node[1])
+
+    inherit(root, None)
+    return root
+
+
 class Presentation:
-    def __init__(self, name, generators, rules, order, q="symbolic",
-                 orientation_checked=True):
+    def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
         self.generators = list(generators)
         self.rules = list(rules)
         self.order = order
         self.q = q  # "symbolic" or a Fraction
-        self.orientation_checked = orientation_checked
         self.gens = {g.name: g for g in self.generators}
-        self._by_first = {}
         for r in self.rules:
-            self._by_first.setdefault(r.lhs[0], []).append(r)
+            if not r.lhs:
+                raise ValueError("rule %s has an empty lhs" % (r.ref or "?"))
+        self._trie = _lhs_trie(self.rules)
+        self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
         self._memo = {}
 
     # -- sanity -------------------------------------------------------------
@@ -127,27 +168,42 @@ class Presentation:
 
     # -- reduction ----------------------------------------------------------
 
-    def _nf_word(self, word, state):
+    def _nf_word(self, word, state, start=0):
+        # state is [budget left, ref of the last rule fired, budget];
+        # no match starts left of start
         memo = self._memo
         hit = memo.get(word)
         if hit is not None:
             return hit
-        by_first = self._by_first
+        trie = self._trie
         n = len(word)
-        for i in range(n):
-            for rule in by_first.get(word[i], ()):
-                L = rule.lhs
-                if word[i:i + len(L)] == L:
-                    state[0] -= 1
-                    if state[0] < 0:
-                        raise BudgetExceeded(word)
-                    prefix = word[:i]
-                    suffix = word[i + len(L):]
-                    acc = NCPolynomial.zero()
-                    for rw, rc in rule.rhs.t.items():
-                        acc = acc + self._nf_word(prefix + rw + suffix, state).scale(rc)
-                    memo[word] = acc
-                    return acc
+        for i in range(start, n):
+            node = trie.get(word[i])
+            if node is None:
+                continue
+            j = i + 1
+            while j < n:
+                deeper = node[0].get(word[j])
+                if deeper is None:
+                    break
+                node = deeper
+                j += 1
+            rule = node[1]
+            if rule is None:
+                continue
+            state[0] -= 1
+            if state[0] < 0:
+                raise BudgetExceeded(word, max(state[2], 0), state[1])
+            state[1] = rule.ref
+            prefix = word[:i]
+            suffix = word[i + len(rule.lhs):]
+            restart = max(0, i - self._maxlen + 1)
+            acc = NCPolynomial.zero()
+            for rw, rc in rule.rhs.t.items():
+                acc = acc + self._nf_word(prefix + rw + suffix, state,
+                                          restart).scale(rc)
+            memo[word] = acc
+            return acc
         acc = NCPolynomial.word(word)
         memo[word] = acc
         return acc
@@ -155,7 +211,7 @@ class Presentation:
     def normal_form(self, p, budget=None):
         if budget is None:
             budget = int(os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET))
-        state = [budget]
+        state = [budget, None, budget]
         out = NCPolynomial.zero()
         for word, c in p.t.items():
             out = out + self._nf_word(word, state).scale(c)
@@ -163,9 +219,6 @@ class Presentation:
 
     def nf_word(self, word, budget=None):
         return self.normal_form(NCPolynomial.word(word), budget)
-
-    def reduces_to_zero(self, p, budget=None):
-        return self.normal_form(p, budget).is_zero()
 
     # -- critical pairs -----------------------------------------------------
 
@@ -176,34 +229,39 @@ class Presentation:
         refs, both normal forms, and whether they agree.  No completion
         is attempted.
         """
-        out = []
         rules = self.rules
-        seen = set()
+        by_prefix = {}  # proper prefix of a lhs -> indices of its rules
+        by_lhs = {}
+        for i, r in enumerate(rules):
+            by_lhs.setdefault(r.lhs, []).append(i)
+            for k in range(1, len(r.lhs)):
+                by_prefix.setdefault(r.lhs[:k], []).append(i)
+        out = []
         for i1, r1 in enumerate(rules):
-            for i2, r2 in enumerate(rules):
-                l1, l2 = r1.lhs, r2.lhs
-                # suffix of l1 overlaps prefix of l2
-                kmax = min(len(l1), len(l2)) - 1
-                for k in range(1, kmax + 1):
-                    if l1[-k:] != l2[:k]:
-                        continue
-                    word = l1 + l2[k:]
-                    tag = (i1, i2, "ov", len(l1) - k)
-                    if tag in seen:
-                        continue
-                    seen.add(tag)
-                    out.append(self._pair_entry(word, r1, 0, r2, len(l1) - k, budget))
-                # l2 inside l1; two rules with one lhs are a single
-                # inclusion ambiguity, examined once
-                if len(l2) < len(l1) or (len(l2) == len(l1) and i1 < i2):
-                    for p in range(len(l1) - len(l2) + 1):
-                        if l1[p:p + len(l2)] != l2:
-                            continue
-                        tag = (i1, i2, "in", p)
-                        if tag in seen:
-                            continue
-                        seen.add(tag)
-                        out.append(self._pair_entry(l1, r1, 0, r2, p, budget))
+            l1 = r1.lhs
+            n1 = len(l1)
+            # (i2, 0, k): a suffix of length k of l1 is a prefix of l2;
+            # (i2, 1, p): l2 sits inside l1 at p.  Sorting gives the order
+            # of a loop over i2, overlaps before inclusions.
+            found = []
+            for k in range(1, n1):
+                for i2 in by_prefix.get(l1[-k:], ()):
+                    found.append((i2, 0, k))
+            for p in range(n1):
+                for m in range(1, n1 - p + 1):
+                    for i2 in by_lhs.get(l1[p:p + m], ()):
+                        # two rules with one lhs are a single inclusion
+                        # ambiguity, examined once
+                        if m < n1 or i1 < i2:
+                            found.append((i2, 1, p))
+            found.sort()
+            for i2, inside, x in found:
+                r2 = rules[i2]
+                if inside:
+                    out.append(self._pair_entry(l1, r1, 0, r2, x, budget))
+                else:
+                    out.append(self._pair_entry(l1 + r2.lhs[x:], r1, 0, r2,
+                                                n1 - x, budget))
         return out
 
     def _pair_entry(self, word, r1, p1, r2, p2, budget):
@@ -256,8 +314,7 @@ class Presentation:
         for r in self.rules:
             rhs = NCPolynomial({w: specialize_q(c, q0) for w, c in r.rhs.t.items()})
             rules.append(RewriteRule(r.lhs, rhs, r.ref))
-        return Presentation(self.name, gens, rules, self.order, q=q0,
-                            orientation_checked=self.orientation_checked)
+        return Presentation(self.name, gens, rules, self.order, q=q0)
 
     # -- serialisation --------------------------------------------------------
 
@@ -292,25 +349,73 @@ class Presentation:
 
     @staticmethod
     def from_json(doc):
+        """Inverse of to_json; a malformed document raises ValueError."""
         from .parser import parse_scalar
 
+        if not (isinstance(doc, dict) and "name" in doc
+                and isinstance(doc.get("generators"), list)
+                and isinstance(doc.get("rules"), list)
+                and isinstance(doc.get("order"), dict)):
+            raise ValueError("a preset is a JSON object with name, generators "
+                             "and rules lists, and an order object")
         gens = []
-        for d in doc["generators"]:
+        for n, d in enumerate(doc["generators"]):
+            if not (isinstance(d, dict) and isinstance(d.get("name"), str)
+                    and isinstance(d.get("grade"), int)
+                    and isinstance(d.get("weight"), int)
+                    and isinstance(d.get("d_passage", ""), str)):
+                raise ValueError("generator #%d needs a name, integer grade "
+                                 "and weight, and a string d_passage if any" % n)
             gens.append(GeneratorInfo(
                 d["name"], d["grade"], d["weight"], d.get("nilpotency"),
                 d.get("d_image"),
                 parse_scalar(d["d_passage"]) if "d_passage" in d else None,
             ))
-        order = TermOrder(doc["order"]["weights"], doc["order"]["precedence"])
-        rules = []
-        for rd in doc["rules"]:
+        names = {g.name for g in gens}
+        od = doc["order"]
+        prec = od.get("precedence")
+        if not (isinstance(od.get("weights"), dict) and isinstance(prec, list)
+                and sorted(prec, key=str) == sorted(names, key=str)):
+            raise ValueError("order needs weights and a precedence that lists "
+                             "each generator once")
+        order = TermOrder(od["weights"], prec)
+
+        def word(w, tag):
+            if not (isinstance(w, list)
+                    and all(isinstance(g, str) and g in names for g in w)):
+                raise ValueError("rule %s: %r is not a word in the generators"
+                                 % (tag, w))
+            return tuple(w)
+
+        rules, owner = [], {}
+        for n, rd in enumerate(doc["rules"]):
+            if not (isinstance(rd, dict) and "lhs" in rd
+                    and isinstance(rd.get("rhs"), list)):
+                raise ValueError("rule #%d needs an lhs and an rhs list" % n)
+            tag = rd.get("ref") or "#%d" % n
+            lhs = word(rd["lhs"], tag)
+            if not lhs:
+                raise ValueError("rule %s has an empty lhs" % tag)
+            if lhs in owner:
+                raise ValueError("rule %s repeats the lhs of rule %s"
+                                 % (tag, owner[lhs]))
+            owner[lhs] = tag
             rhs = NCPolynomial.zero()
             for t in rd["rhs"]:
-                rhs = rhs + NCPolynomial.word(tuple(t["word"]), parse_scalar(t["coeff"]))
-            rules.append(RewriteRule(tuple(rd["lhs"]), rhs, rd.get("ref", "")))
+                if not (isinstance(t, dict) and isinstance(t.get("coeff"), str)
+                        and "word" in t):
+                    raise ValueError("rule %s: rhs term %r needs a coeff string "
+                                     "and a word" % (tag, t))
+                rhs = rhs + NCPolynomial.word(word(t["word"], tag),
+                                              parse_scalar(t["coeff"]))
+            rules.append(RewriteRule(lhs, rhs, rd.get("ref", "")))
         q = doc.get("q", "symbolic")
         if q != "symbolic":
-            q = Fraction(q)
+            try:
+                q = Fraction(str(q))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("q must be \"symbolic\" or a rational, not %r"
+                                 % (q,)) from None
         return Presentation(doc["name"], gens, rules, order, q=q)
 
     def dumps(self):
@@ -337,13 +442,13 @@ def saturate(pres, max_sweeps=8, skip=None, name=None):
     until nothing admissible is left.  skip filters candidate left sides:
     a system whose completion grows without bound passes a predicate that
     cuts off the runaway families and accepts partial saturation instead
-    of confluence.  The result is never marked orientation-checked.
+    of confluence.
     """
     rules = list(pres.rules)
     seen = {r.lhs for r in rules}
     for _ in range(max_sweeps):
         trial = Presentation("_sat", pres.generators, rules, pres.order,
-                             q=pres.q, orientation_checked=False)
+                             q=pres.q)
         added = False
         for cp in trial.critical_pairs():
             d = cp["nf1"] - cp["nf2"]
@@ -360,7 +465,7 @@ def saturate(pres, max_sweeps=8, skip=None, name=None):
         if not added:
             break
     return Presentation(name or pres.name, pres.generators, rules, pres.order,
-                        q=pres.q, orientation_checked=False)
+                        q=pres.q)
 
 
 def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
@@ -437,7 +542,7 @@ def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
                 base_rules + extra + inv_rules
                 + [RewriteRule(lhs, rhs, "derived:%s*%s" % lhs)
                    for lhs, rhs in candidates.items()],
-                order, q=pres.q, orientation_checked=False)
+                order, q=pres.q)
             changed = False
             for lhs, base, case in targets:
                 if case == 1:
@@ -468,9 +573,7 @@ def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
 
         final = Presentation(name or (pres.name + "_loc_" + v), generators,
                              base_rules + extra + inv_rules + derived, order,
-                             q=pres.q,
-                             orientation_checked=pres.orientation_checked
-                             and check_orientation and not extra)
+                             q=pres.q)
 
         # multiply-back check: v * (vinv*g) == g and (g*vinv) * v == g
         bad = []

@@ -68,8 +68,7 @@ _MUTATION_GROUPS = ("gl:ab", "gl:ag", "gl:dTb", "gl:dTg", "gl:b3", "gl:g3",
 def _drop(pres, ref):
     return Presentation(pres.name + "~" + ref, pres.generators,
                         [r for r in pres.rules if r.ref != ref],
-                        pres.order, q=pres.q,
-                        orientation_checked=pres.orientation_checked)
+                        pres.order, q=pres.q)
 
 
 def verify_comodule(mutations=True):

@@ -188,3 +188,21 @@ def test_cli_exit_code_budget():
     r = run_cli("reduce", "--preset", "qjh_calculus", "th*th*dx*dx*x",
                 env={"Z3CALC_STEP_BUDGET": "2"})
     assert r.returncode == 3
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"name": "bad", "generators": [{"name": "a", "grade": 0, "weight": 1}],
+      "rules": [{"lhs": [], "rhs": [], "ref": "empty"}],
+      "order": {"weights": {"a": 1}, "precedence": ["a"]}}, "empty"),
+    (["not", "a", "preset"], "JSON object"),
+    ({"name": "bad", "generators": [{"name": "a", "grade": 0, "weight": 1}],
+      "rules": [{"lhs": ["a", "zz"], "rhs": [], "ref": "stray"}],
+      "order": {"weights": {"a": 1}, "precedence": ["a"]}}, "stray"),
+])
+def test_cli_presets_import_rejects_malformed(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("presets", "import", str(path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr

@@ -1,14 +1,15 @@
 """Term orders, reduction, critical pairs, saturation, localization."""
 
 import json
+import random
 
 import pytest
 
 from z3calc import presets
 from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
 from z3calc.rewrite import (BudgetExceeded, LocalizeError, OrientationError,
-                            Presentation, TermOrder, localize, orient,
-                            saturate)
+                            Presentation, RewriteRule, TermOrder, localize,
+                            orient, saturate)
 from z3calc.scalars import J, ONE
 
 
@@ -62,8 +63,15 @@ def test_reduction_respects_order():
 
 def test_budget_exceeded():
     P = presets.build("h_plane")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         P.nf_word(("x",) * 3 + ("th",) * 2, budget=2)
+    e = info.value
+    assert e.steps == 2
+    assert e.rule in {r.ref for r in P.rules}
+    assert "after 2 steps" in str(e) and e.rule in str(e)
+    with pytest.raises(BudgetExceeded) as info:
+        P.nf_word(("x", "th"), budget=0)
+    assert info.value.steps == 0 and info.value.rule is None
 
 
 def test_critical_pairs_joinable_on_confluent_preset():
@@ -171,3 +179,127 @@ def test_specialize_binds_q():
     P1 = P.specialize(1)
     assert P1.q == 1
     assert P1.same_rules(presets.build("hj_calculus"))
+
+
+def test_empty_lhs_rejected():
+    order = TermOrder({"a": 1}, ["a"])
+    gens = [GeneratorInfo("a", 0, 1)]
+    with pytest.raises(ValueError, match="empty"):
+        Presentation("bad", gens, [RewriteRule((), NCPolynomial.zero(), "e")],
+                     order)
+
+
+def _malformed(edit):
+    doc = json.loads(presets.build("h_plane").dumps())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["rules"][0].update(lhs=[]), "empty lhs"),
+    (lambda d: d["rules"][0].update(lhs=["x", "zz"]), "zz"),
+    (lambda d: d["rules"][0]["rhs"][0].update(word=["zz"]), "zz"),
+    (lambda d: d["rules"].append(dict(d["rules"][0], ref="again")),
+     "repeats the lhs"),
+    (lambda d: d.pop("order"), "JSON object"),
+    (lambda d: d["order"]["precedence"].pop(), "precedence"),
+    (lambda d: d["rules"][0]["rhs"][0].update(coeff=1), "coeff string"),
+    (lambda d: d["generators"][0].update(weight="1"), "integer"),
+    (lambda d: d["generators"][0].update(d_passage=5), "d_passage"),
+    (lambda d: d.update(q=[1]), "rational"),
+    (lambda d: d.update(q="1/0"), "rational"),
+])
+def test_from_json_rejects_malformed(edit, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation.from_json(_malformed(edit))
+
+
+# ---------------------------------------------------------------------------
+# the trie index against the scans it replaced
+
+def reference_nf(P, word):
+    """Leftmost match, first-declared rule: scan from 0, no memo."""
+    by_first = {}
+    for r in P.rules:
+        by_first.setdefault(r.lhs[0], []).append(r)
+
+    def nf(word):
+        for i in range(len(word)):
+            for rule in by_first.get(word[i], ()):
+                L = rule.lhs
+                if word[i:i + len(L)] == L:
+                    acc = NCPolynomial.zero()
+                    for rw, rc in rule.rhs.t.items():
+                        acc = acc + nf(word[:i] + rw + word[i + len(L):]).scale(rc)
+                    return acc
+        return NCPolynomial.word(word)
+
+    return nf(word)
+
+
+def reference_pairs(P):
+    """The ambiguities in the order of the nested loops over rule pairs."""
+    out = []
+    for i1, r1 in enumerate(P.rules):
+        for i2, r2 in enumerate(P.rules):
+            l1, l2 = r1.lhs, r2.lhs
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] == l2[:k]:
+                    out.append(P._pair_entry(l1 + l2[k:], r1, 0, r2,
+                                             len(l1) - k, None))
+            if len(l2) < len(l1) or (len(l2) == len(l1) and i1 < i2):
+                for p in range(len(l1) - len(l2) + 1):
+                    if l1[p:p + len(l2)] == l2:
+                        out.append(P._pair_entry(l1, r1, 0, r2, p, None))
+    return out
+
+
+@pytest.mark.parametrize("name", list(presets.PRESETS))
+def test_normal_form_matches_reference_scan(name):
+    P = presets.build(name)
+    letters = [g.name for g in P.generators]
+    rng = random.Random(name)
+    for _ in range(25):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        assert P.nf_word(w) == reference_nf(P, w), w
+
+
+@pytest.mark.parametrize("name", list(presets.PRESETS))
+def test_critical_pairs_match_reference_loops(name):
+    P = presets.build(name)
+    assert P.critical_pairs() == reference_pairs(P)
+
+
+def _toy(*rules):
+    letters = "abcde"
+    order = TermOrder({g: 1 for g in letters}, list(letters))
+    gens = [GeneratorInfo(g, 0, 1) for g in letters]
+    return Presentation("toy", gens, [
+        RewriteRule(tuple(lhs), NCPolynomial.word(tuple(rhs)), "".join(lhs))
+        for lhs, rhs in rules], order)
+
+
+def test_critical_pairs_order_on_mixed_ambiguities():
+    # ab overlaps aba (word abab) and sits inside it: overlap first;
+    # the duplicate lhs ab is one inclusion ambiguity
+    for P in (_toy(("aba", "c"), ("ab", "d")),
+              _toy(("ab", "c"), ("ba", "e"), ("ab", "d"))):
+        assert P.critical_pairs() == reference_pairs(P)
+
+
+def test_first_declared_wins_over_length():
+    word = NCPolynomial.word(tuple("abc"))
+    short_first = _toy(("ab", "d"), ("abc", "e"))
+    assert short_first.normal_form(word) == NCPolynomial.word(tuple("dc"))
+    long_first = _toy(("abc", "e"), ("ab", "d"))
+    assert long_first.normal_form(word) == NCPolynomial.word(("e",))
+    for P in (short_first, long_first):
+        assert P.normal_form(word) == reference_nf(P, tuple("abc"))
+
+
+def test_rewrite_creates_match_to_its_left():
+    # cc -> d at position 2 makes abd, whose match starts at
+    # 2 - (maxlen - 1) = 0, the far edge of the restart window
+    P = _toy(("cc", "d"), ("abd", "e"))
+    assert P.nf_word(tuple("abcc")) == NCPolynomial.word(("e",))
+    assert P.nf_word(tuple("eabcc")) == NCPolynomial.word(("e", "e"))
