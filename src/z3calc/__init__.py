@@ -8,14 +8,12 @@ the preset catalog carries every shipped presentation.
 
 from .scalars import (CycloRational, PoleError, QJ, QJPoly, J, J2, ONE, Q,
                       ZERO, jpow, qpow, rational, scalar_str, specialize_q)
-from .freealg import (GeneratorInfo, NCPolynomial, Word, apply_hom, fa_str,
-                      poly_mul, word_grade)
+from .freealg import GeneratorInfo, NCPolynomial, apply_hom, fa_str, word_grade
 from .rewrite import (BudgetExceeded, LocalizeError, OrientationError,
                       Presentation, RewriteRule, TermOrder, localize, orient)
-from .presets import PRESETS, BuildError, build, specialize, verify_contraction
-from .calculus import (DifferentialOperator, PartialOperator, apply_d,
-                       apply_partial, cartan_forms, cartan_verify, replay,
-                       verify_df_decomposition)
+from .presets import PRESETS, BuildError, build, verify_contraction
+from .calculus import (DifferentialOperator, PartialOperator, cartan_forms,
+                       cartan_verify, replay, verify_df_decomposition)
 from .supergroup import (SuperMatrix, coact_dual, coact_plane, sdet,
                          t_inverse, verify_comodule)
 

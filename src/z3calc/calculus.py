@@ -21,12 +21,11 @@ weyl preset cross-checks.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
-from .scalars import (CycloRational, ONE, ZERO, J, J2, Q, MINUS_ONE, jpow,
-                      qpow, rational, specialize_q)
-from .freealg import NCPolynomial, fa_str, word_grade
+from .scalars import (ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational,
+                      specialize_q)
+from .freealg import NCPolynomial, apply_hom, fa_str, word_grade
 from . import presets as _presets
 
 _QI = qpow(-1)
@@ -60,10 +59,6 @@ class DifferentialOperator:
                     out = out + pre * img * NCPolynomial.word(word[i + 1:])
                 wsum += gens[name].weight
         return self.preset.normal_form(out) if reduce else out
-
-
-def apply_d(preset, p, images=None, reduce=True):
-    return DifferentialOperator(preset, images)(p, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +124,6 @@ class PartialOperator:
         return self.preset.normal_form(out) if reduce else out
 
 
-def apply_partial(preset, axis, p, q0=None, reduce=True):
-    return PartialOperator(preset, q0)(axis, p, reduce)
-
-
 def verify_df_decomposition(preset, f):
     """d f  ==  dx (d_x f) + dth (d_th f), reduced."""
     d = DifferentialOperator(preset)
@@ -184,24 +175,30 @@ def monomial_basis(amax=2, bmax=2, cmax=6):
 
 
 # ---------------------------------------------------------------------------
-# replay suites
+# report entries, shared with the supergroup checks
 
-def _check(name, preset, poly, witness_hint=None):
-    nf = preset.normal_form(poly)
-    entry = {"name": name, "status": "pass" if nf.is_zero() else "fail"}
-    if not nf.is_zero():
-        entry["witness"] = fa_str(nf, preset.order.key)
-    elif witness_hint:
-        entry["witness"] = witness_hint
-    return entry
-
-
-def _flag(name, ok, witness=None):
+def flag(name, ok, witness=None):
+    """One report entry: name, pass or fail, and the witness if not empty."""
     entry = {"name": name, "status": "pass" if ok else "fail"}
     if witness:
         entry["witness"] = witness
     return entry
 
+
+def zero_entry(name, preset, poly):
+    """Passes when poly reduces to zero; otherwise its normal form is the
+    witness."""
+    nf = preset.normal_form(poly)
+    ok = nf.is_zero()
+    return flag(name, ok, None if ok else fa_str(nf, preset.order.key))
+
+
+def all_pass(entries):
+    return all(e["status"] == "pass" for e in entries)
+
+
+# ---------------------------------------------------------------------------
+# replay suites
 
 def _word(w, c=ONE):
     return NCPolynomial.word(w, c)
@@ -220,7 +217,7 @@ def _suite_d_stability():
         ("d_dtheta_h_passage",
          _word(("dth", "h")) - _word(("h", "dth"), Q * J2)),
     ]
-    checks = [_check(n, P, d(r, reduce=False)) for n, r in rels]
+    checks = [zero_entry(n, P, d(r, reduce=False)) for n, r in rels]
     return {"suite": "d_stability", "checks": checks}
 
 
@@ -264,21 +261,9 @@ def _d_suite(suite, rels):
     d = DifferentialOperator(P)
     checks = []
     for n, r in rels:
-        checks.append(_check("relation_" + n, P, r))
-        checks.append(_check("d_" + n, P, d(r, reduce=False)))
+        checks.append(zero_entry("relation_" + n, P, r))
+        checks.append(zero_entry("d_" + n, P, d(r, reduce=False)))
     return {"suite": suite, "checks": checks}
-
-
-def _suite_first_forms():
-    return _d_suite("first_forms", _first_form_relations())
-
-
-def _suite_second_forms():
-    return _d_suite("second_forms", _second_form_relations())
-
-
-def _suite_form_tower():
-    return _d_suite("form_tower", _form_tower_relations())
 
 
 _PARTIAL_LETTERS = {"x", "th", "h", "dx", "dth"}
@@ -322,8 +307,8 @@ def _suite_partials():
                 diff = _partial_residual(P, part, axis, r, tail)
                 if not (diff.is_zero() or _h2_truncated(diff)):
                     bad.append("%s|%s" % (r.ref, "*".join(tail) or "1"))
-        checks.append(_flag("partial_%s_well_defined" % axis, not bad,
-                            witness=", ".join(bad[:4]) if bad else None))
+        checks.append(flag("partial_%s_well_defined" % axis, not bad,
+                           ", ".join(bad[:4])))
     # Flipping the sign of either h-term in the form rows leaves residuals
     # with a single h, which no truncation explains.  Pin that so the signs
     # cannot silently regress.
@@ -333,8 +318,8 @@ def _suite_partials():
     flipped = PartialOperator(P, rows=rows)
     r_thdx = next(r for r in P.rules if r.ref == "mixed:thdx")
     diff = _partial_residual(P, flipped, "x", r_thdx, ())
-    checks.append(_flag("form_row_h_signs_pinned",
-                        not diff.is_zero() and not _h2_truncated(diff)))
+    checks.append(flag("form_row_h_signs_pinned",
+                       not diff.is_zero() and not _h2_truncated(diff)))
     bad = []
     for m in monomial_basis():
         f = NCPolynomial.word(m)
@@ -342,21 +327,18 @@ def _suite_partials():
         rhs = part("th", part("x", f, reduce=False), reduce=False).scale(J * Q)
         if not P.normal_form(lhs - rhs).is_zero():
             bad.append("*".join(m) or "1")
-    checks.append(_flag("px_pth_exchange", not bad,
-                        witness=", ".join(bad[:4]) if bad else None))
+    checks.append(flag("px_pth_exchange", not bad, ", ".join(bad[:4])))
     bad = []
     for m in monomial_basis():
         f = NCPolynomial.word(m)
         if not part("th", part("th", part("th", f))).is_zero():
             bad.append("*".join(m) or "1")
-    checks.append(_flag("pth_cube_zero", not bad,
-                        witness=", ".join(bad[:4]) if bad else None))
+    checks.append(flag("pth_cube_zero", not bad, ", ".join(bad[:4])))
     bad = []
     for m in monomial_basis(amax=1, bmax=2, cmax=4):
         if not verify_df_decomposition(P, NCPolynomial.word(m)):
             bad.append("*".join(m) or "1")
-    checks.append(_flag("df_decomposition", not bad,
-                        witness=", ".join(bad[:4]) if bad else None))
+    checks.append(flag("df_decomposition", not bad, ", ".join(bad[:4])))
     return {"suite": "partials", "checks": checks}
 
 
@@ -379,8 +361,8 @@ def _suite_weyl():
                                         * NCPolynomial.word(m)))
             if lhs != part(axis, NCPolynomial.word(m)):
                 bad.append("*".join(m) or "1")
-        checks.append(_flag("weyl_%s_matches_partial" % letter, not bad,
-                            witness=", ".join(bad[:4]) if bad else None))
+        checks.append(flag("weyl_%s_matches_partial" % letter, not bad,
+                           ", ".join(bad[:4])))
     return {"suite": "weyl", "checks": checks}
 
 
@@ -420,19 +402,17 @@ def cartan_verify():
     forms = cartan_forms()
     sub = {g.name: NCPolynomial.gen(g.name) for g in C.generators}
     sub.update(forms)
-    from .freealg import apply_hom
-
     checks = []
     for r in C.rules:
         if not r.ref.startswith("cartan:"):
             continue
         diff = apply_hom(sub, NCPolynomial.word(r.lhs) - r.rhs)
-        checks.append(_check("substituted_" + r.ref.split(":")[1], C, diff))
+        checks.append(zero_entry("substituted_" + r.ref.split(":")[1], C, diff))
 
     d = DifferentialOperator(
         C, images={"xinv": _word(("xinv", "dx", "xinv"), MINUS_ONE)})
-    checks.append(_check("d2_w_vanishes", C, d(d(forms["w"]), reduce=False)))
-    checks.append(_check("d2_u_vanishes", C, d(d(forms["u"]), reduce=False)))
+    checks.append(zero_entry("d2_w_vanishes", C, d(d(forms["w"]), reduce=False)))
+    checks.append(zero_entry("d2_u_vanishes", C, d(d(forms["u"]), reduce=False)))
 
     C1 = C.specialize(1)
     by_ref = {r.ref: r for r in C1.rules}
@@ -443,15 +423,14 @@ def cartan_verify():
             want = want + NCPolynomial.word(w, c)
         if by_ref[ref].rhs != want:
             bad.append(ref)
-    checks.append(_flag("q1_bullet_forms", not bad,
-                        witness=", ".join(bad) if bad else None))
+    checks.append(flag("q1_bullet_forms", not bad, ", ".join(bad)))
 
     # the printed q->1 list doubles the -h dx u term of u*dth; confirm
     # the doubled variant differs from the specialized rule
     printed = (_word(("dth", "u")) + _word(("th", "xinv", "dx", "u"), ONE - J)
                + _word(("h", "dx", "u"), rational(-2)))
     diff = by_ref["cartan:udth"].rhs - printed
-    checks.append(_flag(
+    checks.append(flag(
         "q1_printed_udth_differs", diff == _word(("h", "dx", "u")),
         witness="printed form double-counts the h dx u term"))
 
@@ -459,25 +438,21 @@ def cartan_verify():
     # substitution rules that variant out (see substituted_wdth above)
     variant = _word(("dth", "w"), J) + _word(("th", "xinv", "dx", "w"), ONE - J)
     diff = by_ref["cartan:wdth"].rhs - variant
-    checks.append(_flag(
+    checks.append(flag(
         "q1_wdth_coefficient_pinned",
         diff == _word(("th", "xinv", "dx", "w"), J - J2),
         witness="th coefficient must be 1 - j^2, not 1 - j"))
     return {"suite": "cartan", "checks": checks}
 
 
-def _suite_cartan():
-    return cartan_verify()
-
-
 _SUITES = {
     "d_stability": _suite_d_stability,
-    "first_forms": _suite_first_forms,
-    "second_forms": _suite_second_forms,
-    "form_tower": _suite_form_tower,
+    "first_forms": lambda: _d_suite("first_forms", _first_form_relations()),
+    "second_forms": lambda: _d_suite("second_forms", _second_form_relations()),
+    "form_tower": lambda: _d_suite("form_tower", _form_tower_relations()),
     "partials": _suite_partials,
     "weyl": _suite_weyl,
-    "cartan": _suite_cartan,
+    "cartan": cartan_verify,
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
@@ -496,5 +471,5 @@ def replay(suite):
         out = _SUITES[suite]()
     else:
         raise KeyError("unknown suite %r" % suite)
-    out["ok"] = all(c["status"] == "pass" for c in out["checks"])
+    out["ok"] = all_pass(out["checks"])
     return out

@@ -4,7 +4,9 @@ Exit codes: 0 success (and all checks passing for verify/supergroup),
 1 a verification reported failures, 2 bad input (unknown preset or
 suite, parse error, pole at the requested q, malformed preset JSON),
 3 step budget exceeded.
-The reduction budget can be raised with Z3CALC_STEP_BUDGET.
+Z3CALC_STEP_BUDGET (default 10**6 rewrite steps) caps every reduction a
+command makes: reduce, the pair census, the supergroup and sdet checks,
+and the saturate/localize builds of cartan and glhj_localized.
 """
 
 from __future__ import annotations

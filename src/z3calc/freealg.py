@@ -20,10 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import CycloRational, ONE, jpow, scalar_factor
-
-
-Word = tuple
+from .scalars import CycloRational, ONE, scalar_factor
 
 
 @dataclass(frozen=True)
@@ -33,10 +30,6 @@ class GeneratorInfo:
     weight: int  # effective Z3 commutation weight
     nilpotency: int | None = None
     d_image: str | None = None  # generator name, "zero", or None (d undefined)
-    d_passage: CycloRational | None = None  # factor d acquires moving past this
-
-    def passage(self):
-        return self.d_passage if self.d_passage is not None else jpow(self.weight)
 
 
 def word_grade(word, gens):
@@ -145,17 +138,8 @@ class NCPolynomial:
 
         return self.t.get(tuple(word), ZERO)
 
-    def grades(self, gens):
-        """Set of grades of the support words."""
-        return {word_grade(w, gens) for w in self.t}
-
     def __repr__(self):
         return "NCPolynomial(%s)" % (fa_str(self) or "0")
-
-
-def poly_mul(p, r):
-    """Bilinear extension of word concatenation; no reduction."""
-    return p * r
 
 
 def apply_hom(sigma, p):

@@ -10,15 +10,21 @@ Grammar (left associative, ^ binds tightest):
 
 NAME is q, j, or a generator of the active preset.  Division requires a
 scalar divisor, negative exponents a scalar base.  Errors carry the
-byte offset of the offending token.
+byte offset of the offending token.  Powers are expanded by repeated
+multiplication, so exponents above MAX_EXPONENT are refused, and so is
+nesting (parentheses or signs) deeper than MAX_DEPTH, which would
+otherwise exhaust the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-from .scalars import CycloRational, ONE, J, Q, rational
+from .scalars import ONE, J, Q, rational
 from .freealg import NCPolynomial
 
 _GREEK = {"θ": "th", "β": "b", "γ": "g", "φ": "phi"}
+
+MAX_EXPONENT = 5000
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -64,6 +70,7 @@ class _Parser:
     def __init__(self, text, alphabet):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.alphabet = alphabet  # set of generator names, or None for scalar-only
 
     def peek(self):
@@ -105,11 +112,17 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError("nested deeper than %d" % MAX_DEPTH, tok[2])
         if tok[0] in "+-":
             self.take()
             p = self.unary()
-            return -p if tok[0] == "-" else p
-        return self.power()
+            p = -p if tok[0] == "-" else p
+        else:
+            p = self.power()
+        self.depth -= 1
+        return p
 
     def power(self):
         p = self.atom()
@@ -120,7 +133,10 @@ class _Parser:
         if self.peek()[0] == "-":
             self.take()
             neg = True
-        k = int(self.take("num")[1])
+        _, digits, at = self.take("num")
+        k = int(digits)
+        if k > MAX_EXPONENT:
+            raise ParseError("exponent above %d" % MAX_EXPONENT, at)
         if neg:
             s = self._scalar_of(p, off)
             return NCPolynomial.unit(_scalar_pow(s.inv(), k))

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (CycloRational, ZERO, ONE, J, J2, Q, MINUS_ONE, jpow,
-                      qpow, rational)
+from .scalars import ZERO, ONE, J, J2, Q, MINUS_ONE, qpow, rational
 from .freealg import GeneratorInfo, NCPolynomial
 from .rewrite import Presentation, TermOrder, localize, orient, saturate
 
@@ -463,7 +462,7 @@ class BuildError(RuntimeError):
     pass
 
 
-def build(name, census=False):
+def build(name):
     try:
         factory = PRESETS[name]
     except KeyError:
@@ -475,13 +474,7 @@ def build(name, census=False):
     bad = pres.check_termination()
     if bad:
         raise BuildError("%s: unoriented rules: %r" % (name, bad))
-    if census:
-        pres.census = pres.pair_census()
     return pres
-
-
-def specialize(pres, q0):
-    return pres.specialize(q0)
 
 
 # ---------------------------------------------------------------------------

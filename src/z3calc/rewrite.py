@@ -29,12 +29,17 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CycloRational, ONE, ZERO, specialize_q, scalar_str
+from .scalars import specialize_q, scalar_str
 from .freealg import GeneratorInfo, NCPolynomial, word_grade, fa_str
 
 sys.setrecursionlimit(100000)
 
+# Every reduction may take at most Z3CALC_STEP_BUDGET rewrite steps, this
+# many when the variable is unset; only normal_form and nf_word accept an
+# explicit budget instead.
 DEFAULT_BUDGET = 10**6
+# sweeps of saturate, and of each fixpoint loop of localize
+MAX_SWEEPS = 8
 
 
 class OrientationError(ValueError):
@@ -88,16 +93,28 @@ class RewriteRule:
     ref: str = ""
 
 
+def _not_below(lhs, rhs, order):
+    """The rhs words that are not below lhs in the term order."""
+    lk = order.key(lhs)
+    return [w for w in rhs.support() if not order.key(w) < lk]
+
+
 def orient(lhs, rhs, order, ref=""):
     """Build a rule after checking every rhs word is below lhs."""
     lhs = tuple(lhs)
-    lk = order.key(lhs)
-    for w in rhs.support():
-        if not order.key(w) < lk:
-            raise OrientationError(
-                "rule %s: rhs word %r not below lhs %r" % (ref or "?", w, lhs)
-            )
+    bad = _not_below(lhs, rhs, order)
+    if bad:
+        raise OrientationError(
+            "rule %s: rhs word %r not below lhs %r" % (ref or "?", bad[0], lhs))
     return RewriteRule(lhs, rhs, ref)
+
+
+def _solve_for(d, lead):
+    """The rule lead -> ... that the identity d = 0 gives, lead being the
+    leading word of the nonzero d, so every other word lies below it."""
+    c = d.coeff(lead)
+    rhs = (d - NCPolynomial.word(lead, c)).scale(-(c.inv()))
+    return RewriteRule(lead, rhs, "derived:" + ".".join(lead))
 
 
 def _lhs_trie(rules):
@@ -148,13 +165,8 @@ class Presentation:
 
     def check_termination(self):
         """Re-run the orientation test on every rule; list violations."""
-        bad = []
-        for r in self.rules:
-            lk = self.order.key(r.lhs)
-            for w in r.rhs.support():
-                if not self.order.key(w) < lk:
-                    bad.append((r.ref, r.lhs, w))
-        return bad
+        return [(r.ref, r.lhs, w) for r in self.rules
+                for w in _not_below(r.lhs, r.rhs, self.order)]
 
     def check_homogeneity(self):
         """Rules must preserve the effective Z3 grade."""
@@ -222,7 +234,7 @@ class Presentation:
 
     # -- critical pairs -----------------------------------------------------
 
-    def critical_pairs(self, budget=None):
+    def critical_pairs(self):
         """All overlap and containment ambiguities, each reduced both ways.
 
         Returns a list of dicts with the ambiguous word, the two rule
@@ -258,15 +270,15 @@ class Presentation:
             for i2, inside, x in found:
                 r2 = rules[i2]
                 if inside:
-                    out.append(self._pair_entry(l1, r1, 0, r2, x, budget))
+                    out.append(self._pair_entry(l1, r1, 0, r2, x))
                 else:
                     out.append(self._pair_entry(l1 + r2.lhs[x:], r1, 0, r2,
-                                                n1 - x, budget))
+                                                n1 - x))
         return out
 
-    def _pair_entry(self, word, r1, p1, r2, p2, budget):
-        nf1 = self._reduce_at(word, r1, p1, budget)
-        nf2 = self._reduce_at(word, r2, p2, budget)
+    def _pair_entry(self, word, r1, p1, r2, p2):
+        nf1 = self._reduce_at(word, r1, p1)
+        nf2 = self._reduce_at(word, r2, p2)
         return {
             "word": word,
             "rules": (r1.ref, r2.ref),
@@ -275,15 +287,15 @@ class Presentation:
             "joinable": nf1 == nf2,
         }
 
-    def _reduce_at(self, word, rule, pos, budget):
+    def _reduce_at(self, word, rule, pos):
         prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
         step = NCPolynomial.zero()
         for rw, rc in rule.rhs.t.items():
             step = step + NCPolynomial.word(prefix + rw + suffix, rc)
-        return self.normal_form(step, budget)
+        return self.normal_form(step)
 
-    def pair_census(self, budget=None):
-        pairs = self.critical_pairs(budget)
+    def pair_census(self):
+        pairs = self.critical_pairs()
         bad = [p for p in pairs if not p["joinable"]]
         return {
             "preset": self.name,
@@ -303,18 +315,12 @@ class Presentation:
 
     def specialize(self, q0):
         q0 = Fraction(q0)
-        gens = [
-            GeneratorInfo(
-                g.name, g.grade, g.weight, g.nilpotency, g.d_image,
-                specialize_q(g.d_passage, q0) if g.d_passage is not None else None,
-            )
-            for g in self.generators
-        ]
         rules = []
         for r in self.rules:
             rhs = NCPolynomial({w: specialize_q(c, q0) for w, c in r.rhs.t.items()})
             rules.append(RewriteRule(r.lhs, rhs, r.ref))
-        return Presentation(self.name, gens, rules, self.order, q=q0)
+        return Presentation(self.name, self.generators, rules, self.order,
+                            q=q0)
 
     # -- serialisation --------------------------------------------------------
 
@@ -326,8 +332,6 @@ class Presentation:
                 d["nilpotency"] = g.nilpotency
             if g.d_image is not None:
                 d["d_image"] = g.d_image
-            if g.d_passage is not None:
-                d["d_passage"] = scalar_str(g.d_passage)
             gens.append(d)
         rules = []
         for r in self.rules:
@@ -362,15 +366,11 @@ class Presentation:
         for n, d in enumerate(doc["generators"]):
             if not (isinstance(d, dict) and isinstance(d.get("name"), str)
                     and isinstance(d.get("grade"), int)
-                    and isinstance(d.get("weight"), int)
-                    and isinstance(d.get("d_passage", ""), str)):
-                raise ValueError("generator #%d needs a name, integer grade "
-                                 "and weight, and a string d_passage if any" % n)
-            gens.append(GeneratorInfo(
-                d["name"], d["grade"], d["weight"], d.get("nilpotency"),
-                d.get("d_image"),
-                parse_scalar(d["d_passage"]) if "d_passage" in d else None,
-            ))
+                    and isinstance(d.get("weight"), int)):
+                raise ValueError("generator #%d needs a name and an integer "
+                                 "grade and weight" % n)
+            gens.append(GeneratorInfo(d["name"], d["grade"], d["weight"],
+                                      d.get("nilpotency"), d.get("d_image")))
         names = {g.name for g in gens}
         od = doc["order"]
         prec = od.get("precedence")
@@ -434,7 +434,7 @@ class Presentation:
 # ---------------------------------------------------------------------------
 # saturation and localization
 
-def saturate(pres, max_sweeps=8, skip=None, name=None):
+def saturate(pres, skip=None, name=None):
     """Append oriented critical-pair differences as derived rules.
 
     Each sweep reduces every ambiguity both ways and turns any nonzero
@@ -446,7 +446,7 @@ def saturate(pres, max_sweeps=8, skip=None, name=None):
     """
     rules = list(pres.rules)
     seen = {r.lhs for r in rules}
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         trial = Presentation("_sat", pres.generators, rules, pres.order,
                              q=pres.q)
         added = False
@@ -457,10 +457,8 @@ def saturate(pres, max_sweeps=8, skip=None, name=None):
             lead = max(d.support(), key=pres.order.key)
             if lead in seen or (skip is not None and skip(lead)):
                 continue
-            c = d.coeff(lead)
-            rhs = (d - NCPolynomial.word(lead, c)).scale(-(c.inv()))
             seen.add(lead)
-            rules.append(RewriteRule(lead, rhs, "derived:" + ".".join(lead)))
+            rules.append(_solve_for(d, lead))
             added = True
         if not added:
             break
@@ -468,8 +466,7 @@ def saturate(pres, max_sweeps=8, skip=None, name=None):
                         q=pres.q)
 
 
-def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
-             budget=200000):
+def localize(pres, v, vinv, name=None, check_orientation=True):
     """Adjoin a two-sided inverse vinv for the generator v.
 
     Passage rules for vinv are solved from the passage rules of v by a
@@ -478,23 +475,21 @@ def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
     the nilpotent corrections guarantee.  Every derived rule is then
     verified by multiplying back.  A nonzero multiply-back residual is
     itself a valid identity of the localized ring (the candidate equals
-    vinv*g there by construction), so residuals are oriented into extra
-    rules and the solve repeats; this absorbs relations that only appear
-    once v can be cancelled.  With check_orientation the derived rules
-    must be compatible with the term order; callers that know the system
-    cannot be oriented pass False and lose the termination guarantee
-    (reduction is still budget-guarded).
+    vinv*g there by construction), so residuals are solved for their
+    leading words as extra rules and the solve repeats; this absorbs
+    relations that only appear once v can be cancelled.  With
+    check_orientation the derived rules must be compatible with the term
+    order; callers that know the system cannot be oriented pass False and
+    lose the termination guarantee (reduction is still budget-guarded).
     """
     gv = pres.gens[v]
-    winv = (3 - gv.weight) % 3
-    ginv = GeneratorInfo(vinv, (3 - gv.grade) % 3, winv)
-    generators = list(pres.generators) + [ginv]
+    generators = list(pres.generators) + [
+        GeneratorInfo(vinv, (3 - gv.grade) % 3, (3 - gv.weight) % 3)]
 
     weights = dict(pres.order.weights)
     weights[vinv] = weights[v]
     precedence = list(pres.order.precedence)
-    pos_v = precedence.index(v)
-    precedence.insert(pos_v, vinv)  # vinv just below v
+    precedence.insert(precedence.index(v), vinv)  # vinv just below v
     order = TermOrder(weights, precedence)
 
     base_rules = list(pres.rules)
@@ -502,41 +497,31 @@ def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
         RewriteRule((v, vinv), NCPolynomial.unit(), "inv:%s" % v),
         RewriteRule((vinv, v), NCPolynomial.unit(), "inv:%s" % vinv),
     ]
+    base_by_pair = {r.lhs: r for r in base_rules if len(r.lhs) == 2}
 
-    idx = order.index
-    base_by_pair = {}
-    for r in base_rules:
-        if len(r.lhs) == 2:
-            base_by_pair[r.lhs] = r
-
-    # targets: (lhs pair, base rule, case)
+    # (lhs, c0, rest, g, left): lhs is vinv*g if left, else g*vinv, and
+    # the passage rule of v*g (or g*v) reads c0 * g*v + rest (c0 * v*g + rest)
     targets = []
     for g in order.precedence:
         if g in (v, vinv):
             continue
-        if idx(g) < idx(vinv):
-            base = base_by_pair.get((v, g))
-            if base is None:
-                raise LocalizeError("no passage rule for (%s, %s)" % (v, g))
-            targets.append(((vinv, g), base, 1))
-        elif idx(g) > idx(v):
-            base = base_by_pair.get((g, v))
-            if base is None:
-                raise LocalizeError("no passage rule for (%s, %s)" % (g, v))
-            targets.append(((g, vinv), base, 2))
-
-    def split(base, main_word):
-        c0 = base.rhs.t.get(main_word)
+        left = order.index(g) < order.index(vinv)
+        pair = (v, g) if left else (g, v)
+        base = base_by_pair.get(pair)
+        if base is None:
+            raise LocalizeError("no passage rule for (%s, %s)" % pair)
+        c0 = base.rhs.t.get(pair[::-1])
         if c0 is None:
-            raise LocalizeError("passage rule %r has no %r term" % (base.lhs, main_word))
-        rest = base.rhs - NCPolynomial.word(main_word, c0)
-        return c0, rest
+            raise LocalizeError("passage rule %r has no %r term"
+                                % (pair, pair[::-1]))
+        rest = base.rhs - NCPolynomial.word(pair[::-1], c0)
+        targets.append(((vinv, g) if left else (g, vinv), c0, rest, g, left))
 
     candidates = {}
     extra = []
     seen_extra = set()
-    for outer in range(max_sweeps):
-        for sweep in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
+        for _ in range(MAX_SWEEPS):
             trial = Presentation(
                 "_loc", generators,
                 base_rules + extra + inv_rules
@@ -544,19 +529,13 @@ def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
                    for lhs, rhs in candidates.items()],
                 order, q=pres.q)
             changed = False
-            for lhs, base, case in targets:
-                if case == 1:
-                    vinv_, g = lhs
-                    c0, rest = split(base, (g, v))
-                    main = NCPolynomial.word((g, vinv))
-                else:
-                    g, vinv_ = lhs
-                    c0, rest = split(base, (v, g))
-                    main = NCPolynomial.word((vinv, g))
+            for lhs, c0, rest, g, left in targets:
+                # vinv*g = (g*vinv - vinv*rest*vinv) / c0, and mirrored
                 wrapped = NCPolynomial.zero()
                 for w, c in rest.t.items():
                     wrapped = wrapped + NCPolynomial.word((vinv,) + w + (vinv,), c)
-                x = (main - trial.normal_form(wrapped, budget)).scale(c0.inv())
+                x = (NCPolynomial.word(lhs[::-1])
+                     - trial.normal_form(wrapped)).scale(c0.inv())
                 if candidates.get(lhs) != x:
                     candidates[lhs] = x
                     changed = True
@@ -577,14 +556,10 @@ def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
 
         # multiply-back check: v * (vinv*g) == g and (g*vinv) * v == g
         bad = []
-        for lhs, base, case in targets:
+        for lhs, c0, rest, g, left in targets:
             x = candidates[lhs]
-            g = lhs[1] if case == 1 else lhs[0]
-            if case == 1:
-                prod = NCPolynomial.gen(v) * x
-            else:
-                prod = x * NCPolynomial.gen(v)
-            res = final.normal_form(prod, budget) - final.nf_word((g,), budget)
+            prod = NCPolynomial.gen(v) * x if left else x * NCPolynomial.gen(v)
+            res = final.normal_form(prod) - final.nf_word((g,))
             if not res.is_zero():
                 bad.append((lhs, res))
         if not bad:
@@ -593,10 +568,6 @@ def localize(pres, v, vinv, name=None, max_sweeps=8, check_orientation=True,
             lead = max(res.support(), key=order.key)
             if lead in seen_extra:
                 raise LocalizeError("derived rule for %r fails multiply-back" % (lhs,))
-            c = res.coeff(lead)
-            rhs = (res - NCPolynomial.word(lead, c)).scale(-(c.inv()))
-            if check_orientation:
-                orient(lead, rhs, order, "derived:" + ".".join(lead))
             seen_extra.add(lead)
-            extra.append(RewriteRule(lead, rhs, "derived:" + ".".join(lead)))
+            extra.append(_solve_for(res, lead))
     raise LocalizeError("localization of %s did not stabilise" % v)

@@ -258,9 +258,6 @@ class CycloRational:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_one(self):
-        return self.num == P_ONE and self.den == P_ONE
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -295,9 +292,6 @@ class CycloRational:
         if self.den == P_ONE and other.den == P_ONE:
             return CycloRational(self.num * other.num, P_ONE)
         return CycloRational(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        return self * other.inv()
 
     def inv(self):
         if self.num.is_zero():
@@ -385,10 +379,6 @@ def qpow(k):
 # smaller magnitude, ties to {1, j}.
 
 
-def _frac_str(f):
-    return str(f)
-
-
 def _qj_factor(v):
     a, b = v.a, v.b
     if abs(a - b) < abs(a):
@@ -403,17 +393,17 @@ def _qj_factor(v):
         sign = 1 if r > 0 else -1
         m = abs(r)
         if not tag:
-            return sign, _frac_str(m), False
+            return sign, str(m), False
         if m == 1:
             return sign, tag, False
-        return sign, _frac_str(m) + "*" + tag, False
+        return sign, str(m) + "*" + tag, False
     (r0, _), (r1, tag1) = parts
     sign = 1 if r0 > 0 else -1
     r0, r1 = r0 * sign, r1 * sign
-    head = _frac_str(r0)
+    head = str(r0)
     op = " + " if r1 > 0 else " - "
     m = abs(r1)
-    tail = tag1 if m == 1 else _frac_str(m) + "*" + tag1
+    tail = tag1 if m == 1 else str(m) + "*" + tag1
     return sign, head + op + tail, True
 
 

@@ -9,9 +9,10 @@ rather than termination-checked.
 
 from __future__ import annotations
 
-from .scalars import ONE, J, J2, MINUS_ONE, rational
+from .scalars import J, J2
 from .freealg import NCPolynomial, apply_hom, fa_str
 from .rewrite import Presentation
+from .calculus import all_pass, flag, zero_entry
 from . import presets as _presets
 
 
@@ -46,11 +47,9 @@ def coact_dual(p):
 
 
 def _comodule_checks(Pp, Pd):
-    xt = _m("a", "x") + _m("b", "th")
-    tt = _m("g", "x") + _m("dT", "th")
-    pt = dual_coaction()["phi"]
-    yt = dual_coaction()["y"]
-    h = _m("h")
+    pc, dc = plane_coaction(), dual_coaction()
+    xt, tt, h = pc["x"], pc["th"], pc["h"]
+    pt, yt = dc["phi"], dc["y"]
     return {
         "plane_relation": Pp.normal_form(
             xt * tt - tt * xt - h * xt * xt).is_zero(),
@@ -76,20 +75,16 @@ def verify_comodule(mutations=True):
     matrix-entry relation is necessary for that."""
     Pp = _presets.coaction_plane()
     Pd = _presets.coaction_dual()
-    items = []
-    for name, ok in _comodule_checks(Pp, Pd).items():
-        items.append({"name": name, "status": "pass" if ok else "fail"})
+    items = [flag(name, ok) for name, ok in _comodule_checks(Pp, Pd).items()]
     if mutations:
         for ref in _MUTATION_GROUPS:
             res = _comodule_checks(_drop(Pp, ref), _drop(Pd, ref))
             broke = sorted(k for k, v in res.items() if not v)
-            entry = {"name": "necessity_" + ref.split(":")[1],
-                     "status": "pass" if broke else "fail"}
-            if broke:
-                entry["witness"] = "deleting %s breaks %s" % (ref, ", ".join(broke))
-            items.append(entry)
-    return {"check": "comodule", "items": items,
-            "ok": all(i["status"] == "pass" for i in items)}
+            items.append(flag(
+                "necessity_" + ref.split(":")[1], broke,
+                "deleting %s breaks %s" % (ref, ", ".join(broke)) if broke
+                else None))
+    return {"check": "comodule", "items": items, "ok": all_pass(items)}
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +128,7 @@ def t_inverse():
     return SuperMatrix(A11, A12, A21, A22)
 
 
-def verify_inverse(budget=500000):
+def verify_inverse():
     L = _presets.glhj_localized()
     T = t_matrix()
     Ti = t_inverse()
@@ -142,14 +137,9 @@ def verify_inverse(budget=500000):
         for i in range(2):
             for k in range(2):
                 want = NCPolynomial.unit() if i == k else NCPolynomial.zero()
-                nf = L.normal_form(M.entry(i, k) - want, budget)
-                entry = {"name": "%s_%d%d" % (label, i + 1, k + 1),
-                         "status": "pass" if nf.is_zero() else "fail"}
-                if not nf.is_zero():
-                    entry["witness"] = fa_str(nf, L.order.key)
-                items.append(entry)
-    return {"check": "inverse", "items": items,
-            "ok": all(i["status"] == "pass" for i in items)}
+                items.append(zero_entry("%s_%d%d" % (label, i + 1, k + 1), L,
+                                        M.entry(i, k) - want))
+    return {"check": "inverse", "items": items, "ok": all_pass(items)}
 
 
 def sdet_element():
@@ -158,29 +148,26 @@ def sdet_element():
                  "dTinv"))
 
 
-def sdet(style="text", budget=500000):
+def sdet(style="text"):
     L = _presets.glhj_localized()
-    nf = L.normal_form(sdet_element(), budget)
+    nf = L.normal_form(sdet_element())
     return nf, fa_str(nf, L.order.key, style), L
 
 
-def verify_sdet(budget=500000):
+def verify_sdet():
     L = _presets.glhj_localized()
-    nf = L.normal_form(sdet_element(), budget)
+    nf = L.normal_form(sdet_element())
     kappa = {g.name: NCPolynomial.gen(g.name) for g in L.generators}
     kappa["b"] = NCPolynomial.zero()
     kappa["g"] = NCPolynomial.zero()
     kappa["h"] = NCPolynomial.zero()
-    diag = L.normal_form(apply_hom(kappa, nf), budget)
+    diag = L.normal_form(apply_hom(kappa, nf))
     items = [
-        {"name": "normal_form", "status": "pass",
-         "witness": fa_str(nf, L.order.key)},
-        {"name": "diagonal_limit",
-         "status": "pass" if diag == _m("dTinv", "a") else "fail",
-         "witness": fa_str(diag, L.order.key)},
+        flag("normal_form", True, fa_str(nf, L.order.key)),
+        flag("diagonal_limit", diag == _m("dTinv", "a"),
+             fa_str(diag, L.order.key)),
     ]
-    return {"check": "sdet", "items": items,
-            "ok": all(i["status"] == "pass" for i in items)}
+    return {"check": "sdet", "items": items, "ok": all_pass(items)}
 
 
 def verify(check):

@@ -1,0 +1,12 @@
+"""CLI tests run `python -m z3calc` in child processes; put the source tree
+the tests import z3calc from on their PYTHONPATH too, so that
+`python -m pytest` works from the repo root without setting it."""
+
+import os
+from pathlib import Path
+
+import z3calc
+
+_SRC = str(Path(z3calc.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

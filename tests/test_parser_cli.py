@@ -10,7 +10,7 @@ import pytest
 from z3calc import presets
 from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
-from z3calc.parser import ParseError, parse, parse_scalar
+from z3calc.parser import MAX_EXPONENT, ParseError, parse, parse_scalar
 from z3calc.scalars import J, J2, ONE, Q, rational
 
 
@@ -71,6 +71,21 @@ def test_parse_errors(P):
     assert err.offset == 3
 
 
+def test_parse_exponent_cap(P):
+    assert parse("x^5000", P) == NCPolynomial.word(("x",) * 5000)
+    with pytest.raises(ParseError) as err:
+        parse("x^%d" % (MAX_EXPONENT + 1), P)
+    assert err.value.offset == 2
+
+
+def test_parse_nesting_cap(P):
+    assert parse("(" * 50 + "x" + ")" * 50, P) == NCPolynomial.gen("x")
+    with pytest.raises(ParseError):
+        parse("(" * 30000 + "x" + ")" * 30000, P)
+    with pytest.raises(ParseError):
+        parse("-" * 30000 + "x", P)
+
+
 def test_parse_scalar_rejects_generators():
     with pytest.raises(ParseError):
         parse_scalar("x + 1")
@@ -88,13 +103,14 @@ def test_print_parse_round_trip(P):
 # ---------------------------------------------------------------------------
 # CLI, exercised through a subprocess like a user would
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
     full = dict(os.environ)
     if env:
         full.update(env)
     return subprocess.run([sys.executable, "-m", "z3calc", *args],
-                          capture_output=True, text=True, env=full)
+                          capture_output=True, text=True, env=full,
+                          timeout=timeout)
 
 
 def test_cli_reduce_pinned_h_plane():
@@ -182,6 +198,25 @@ def test_cli_exit_code_bad_input():
     assert run_cli("reduce", "--preset", "h_plane", "x*(").returncode == 2
     r = run_cli("reduce", "--preset", "qjh_calculus", "--q", "0", "th*dx")
     assert r.returncode == 2  # q = 0 hits the 1/q coefficients
+
+
+def test_cli_deep_nesting_is_bad_input():
+    r = run_cli("reduce", "--preset", "h_plane", "(" * 30000 + "x" + ")" * 30000)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ("--preset", "q_plane", "x^1000000000"),
+    ("--preset", "q_plane", "--q", "1", "th^99999999"),
+    ("--preset", "q_plane", "q^-99999999"),
+])
+def test_cli_huge_exponent_is_bad_input(args):
+    r = run_cli("reduce", *args, timeout=20)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: exponent above")
 
 
 def test_cli_exit_code_budget():

@@ -20,11 +20,6 @@ def test_unknown_name():
         presets.build("nope")
 
 
-def test_census_flag():
-    P = presets.build("h_plane", census=True)
-    assert P.census["joinable"] == P.census["pairs"]
-
-
 @pytest.mark.parametrize("name", ["q_plane", "h_plane", "hj_calculus",
                                   "qjh_calculus"])
 def test_fully_confluent_presets(name):

@@ -205,7 +205,6 @@ def _malformed(edit):
     (lambda d: d["order"]["precedence"].pop(), "precedence"),
     (lambda d: d["rules"][0]["rhs"][0].update(coeff=1), "coeff string"),
     (lambda d: d["generators"][0].update(weight="1"), "integer"),
-    (lambda d: d["generators"][0].update(d_passage=5), "d_passage"),
     (lambda d: d.update(q=[1]), "rational"),
     (lambda d: d.update(q="1/0"), "rational"),
 ])
@@ -246,11 +245,11 @@ def reference_pairs(P):
             for k in range(1, min(len(l1), len(l2))):
                 if l1[-k:] == l2[:k]:
                     out.append(P._pair_entry(l1 + l2[k:], r1, 0, r2,
-                                             len(l1) - k, None))
+                                             len(l1) - k))
             if len(l2) < len(l1) or (len(l2) == len(l1) and i1 < i2):
                 for p in range(len(l1) - len(l2) + 1):
                     if l1[p:p + len(l2)] == l2:
-                        out.append(P._pair_entry(l1, r1, 0, r2, p, None))
+                        out.append(P._pair_entry(l1, r1, 0, r2, p))
     return out
 
 
