@@ -21,8 +21,6 @@ weyl preset cross-checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import (ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational,
                       specialize_q)
 from .freealg import NCPolynomial, apply_hom, fa_str, word_grade
@@ -87,13 +85,12 @@ def _partial_rows():
 
 
 class PartialOperator:
-    def __init__(self, preset, q0=None, rows=None):
+    def __init__(self, preset, rows=None):
         if rows is None:
             rows = _partial_rows()
-        if q0 is not None:
-            q0 = Fraction(q0)
+        if preset.q != "symbolic":  # the rows follow a bound q
             rows = {
-                axis: {g: [(specialize_q(c, q0), w, nxt) for c, w, nxt in rr]
+                axis: {g: [(specialize_q(c, preset.q), w, nxt) for c, w, nxt in rr]
                        for g, rr in table.items()}
                 for axis, table in rows.items()
             }
@@ -136,15 +133,14 @@ def verify_df_decomposition(preset, f):
 # ---------------------------------------------------------------------------
 # randomized identities
 
-def random_element(preset, rng, max_len=5, terms=4, qexp=True):
+def random_element(preset, rng, max_len=5, terms=4):
     letters = [g.name for g in preset.generators]
     out = NCPolynomial.zero()
     for _ in range(terms):
         k = rng.randint(0, max_len)
         word = tuple(rng.choice(letters) for _ in range(k))
-        c = rational(rng.choice([1, 2, 3, -1, -2])) * jpow(rng.randint(0, 2))
-        if qexp:
-            c = c * qpow(rng.randint(-1, 1))
+        c = (rational(rng.choice([1, 2, 3, -1, -2])) * jpow(rng.randint(0, 2))
+             * qpow(rng.randint(-1, 1)))
         out = out + NCPolynomial.word(word, c)
     return out
 
@@ -352,7 +348,7 @@ def _p_free(p):
 
 def _suite_weyl():
     W = _presets.weyl()
-    part = PartialOperator(W, q0=1)
+    part = PartialOperator(W)
     checks = []
     for letter, axis in (("px", "x"), ("pth", "th")):
         bad = []

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and all checks passing for verify/supergroup),
 1 a verification reported failures, 2 bad input (unknown preset or
-suite, parse error, pole at the requested q, malformed preset JSON),
+suite, parse error, a bad --q or a pole at it, malformed preset JSON),
 3 step budget exceeded.
 Z3CALC_STEP_BUDGET (default 10**6 rewrite steps) caps every reduction a
 command makes: reduce, the pair census, the supergroup and sdet checks,
@@ -16,8 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalars import PoleError, scalar_str
-from .freealg import fa_str
+from .scalars import PoleError
+from .freealg import fa_str, term_list
 from .rewrite import BudgetExceeded, Presentation
 from .parser import ParseError, parse
 from . import presets as _presets
@@ -32,17 +32,15 @@ def _emit(doc):
 def _load_preset(name, qarg):
     pres = _presets.build(name)
     if qarg is not None:
-        q0 = Fraction(qarg)
+        try:
+            q0 = Fraction(qarg)
+        except ZeroDivisionError:
+            raise ValueError("--q %s divides by zero" % qarg) from None
         if pres.q == "symbolic":
             pres = pres.specialize(q0)
         elif pres.q != q0:
             raise ValueError("preset %s is bound to q=%s" % (name, pres.q))
     return pres
-
-
-def _term_list(nf, order):
-    terms = sorted(nf.t.items(), key=lambda it: order.key(it[0]), reverse=True)
-    return [{"coeff": scalar_str(c), "word": list(w)} for w, c in terms]
 
 
 def _dispatch(args):
@@ -55,7 +53,7 @@ def _dispatch(args):
                 "q": "symbolic" if pres.q == "symbolic" else str(pres.q),
                 "input": args.expr,
                 "normal_form": fa_str(nf, pres.order.key),
-                "terms": _term_list(nf, pres.order),
+                "terms": term_list(nf, pres.order.key),
             })
         else:
             style = "latex" if args.format == "latex" else (
@@ -112,12 +110,24 @@ def _dispatch(args):
             "latex" if args.format == "latex" else "text")
         if args.format == "json":
             _emit({"normal_form": fa_str(nf, L.order.key),
-                   "terms": _term_list(nf, L.order)})
+                   "terms": term_list(nf, L.order.key)})
         else:
             print(text)
         return 0
 
     raise ValueError("no command")
+
+
+def _expr_last(argv):
+    """Move a reduce expression such as "-x*th" behind "--": its options
+    are -h and --names, and only --q takes a value that may start "-"."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["reduce"] and "--" not in argv:
+        for i, a in enumerate(argv):
+            if (i and a[:1] == "-" and a[:2] != "--" and a != "-h"
+                    and argv[i - 1] != "--q"):
+                return argv[:i] + argv[i + 1:] + ["--", a]
+    return argv
 
 
 def main(argv=None):
@@ -155,7 +165,7 @@ def main(argv=None):
     p.add_argument("--format", choices=["text", "json", "latex"],
                    default="text")
 
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_expr_last(argv))
     try:
         return _dispatch(args)
     except BudgetExceeded as e:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import CycloRational, ONE, scalar_factor
+from .scalars import CycloRational, ONE, scalar_factor, scalar_str
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,12 @@ def _word_str(word, style):
     if style == "unicode":
         return "*".join(_UNICODE.get(n, n) for n in word)
     return "*".join(word)
+
+
+def term_list(p, key):
+    """The terms of p as {"coeff", "word"} dicts, descending under key."""
+    terms = sorted(p.t.items(), key=lambda it: key(it[0]), reverse=True)
+    return [{"coeff": scalar_str(c), "word": list(w)} for w, c in terms]
 
 
 def fa_str(p, key=None, style="text"):

@@ -11,9 +11,10 @@ Grammar (left associative, ^ binds tightest):
 NAME is q, j, or a generator of the active preset.  Division requires a
 scalar divisor, negative exponents a scalar base.  Errors carry the
 byte offset of the offending token.  Powers are expanded by repeated
-multiplication, so exponents above MAX_EXPONENT are refused, and so is
-nesting (parentheses or signs) deeper than MAX_DEPTH, which would
-otherwise exhaust the interpreter's recursion limit.
+multiplication, so exponents above MAX_EXPONENT are refused, and so are
+a*b and p^k whose term bound len(a)*len(b) or len(p)^k exceeds
+MAX_TERMS, before any term is built, and nesting (parentheses or signs)
+deeper than MAX_DEPTH, which would exhaust the recursion limit.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ _GREEK = {"θ": "th", "β": "b", "γ": "g", "φ": "phi"}
 
 MAX_EXPONENT = 5000
 MAX_DEPTH = 100
+MAX_TERMS = 100000
 
 
 class ParseError(ValueError):
@@ -105,6 +107,9 @@ class _Parser:
             kind, _, off = self.take()
             r = self.unary()
             if kind == "*":
+                if len(p.t) * len(r.t) > MAX_TERMS:
+                    raise ParseError("product of more than %d terms"
+                                     % MAX_TERMS, off)
                 p = p * r
             else:
                 p = p * self._scalar_of(r, off).inv()
@@ -140,6 +145,8 @@ class _Parser:
         if neg:
             s = self._scalar_of(p, off)
             return NCPolynomial.unit(_scalar_pow(s.inv(), k))
+        if len(p.t) ** k > MAX_TERMS:
+            raise ParseError("power of more than %d terms" % MAX_TERMS, off)
         return _poly_pow(p, k)
 
     def atom(self):

@@ -1,11 +1,12 @@
 """Shipped presentations.
 
-Every factory returns a fresh Presentation whose rules are oriented
-against its term order at construction time.  The collapse rules
-(ref "derived:...") are consequences of the listed relations, obtained
-by orienting differences of overlap ambiguities; they are part of the
-presentation so that reduction alone decides equality, and the pair
-census in the test suite re-checks them.
+Every factory returns a fresh Presentation; build() checks that its
+rules are homogeneous and oriented against its term order, and refuses
+the preset otherwise.  The collapse rules (ref "derived:...") are
+consequences of the listed relations, obtained by orienting differences
+of overlap ambiguities; they are part of the presentation so that
+reduction alone decides equality, and the pair census in the test suite
+re-checks them.
 
 q conventions: presets carrying a symbolic q say so in their q field,
 the rest are bound at q = 1.
@@ -13,11 +14,12 @@ the rest are bound at q = 1.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .scalars import ZERO, ONE, J, J2, Q, MINUS_ONE, qpow, rational
 from .freealg import GeneratorInfo, NCPolynomial
-from .rewrite import Presentation, TermOrder, localize, orient, saturate
+from .rewrite import Presentation, RewriteRule, TermOrder, localize, saturate
 
 _QI = qpow(-1)
 
@@ -46,28 +48,24 @@ _GENDATA = {
 }
 
 
-def _g(name, nilpotency="default", d_image="default"):
+def _g(name, nilpotency="default"):
     grade, weight, n0, d0 = _GENDATA[name]
-    return GeneratorInfo(
-        name, grade, weight,
-        n0 if nilpotency == "default" else nilpotency,
-        d0 if d_image == "default" else d_image,
-    )
+    return GeneratorInfo(name, grade, weight,
+                         n0 if nilpotency == "default" else nilpotency, d0)
 
 
-def _rules(order, entries):
+def _rules(entries):
     out = []
     for entry in entries:
-        ref, lhs = entry[0], tuple(entry[1])
         rhs = NCPolynomial.zero()
         for coeff, word in entry[2:]:
-            rhs = rhs + NCPolynomial.word(tuple(word), coeff)
-        out.append(orient(lhs, rhs, order, ref))
+            rhs = rhs + NCPolynomial.word(word, coeff)
+        out.append(RewriteRule(tuple(entry[1]), rhs, entry[0]))
     return out
 
 
-def _zero_rules(order, words):
-    return _rules(order, [("derived:" + ".".join(w), w) for w in words])
+def _zero_rules(words):
+    return _rules([("derived:" + ".".join(w), w) for w in words])
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +74,22 @@ def _zero_rules(order, words):
 def q_plane():
     order = TermOrder({"th": 2, "x": 1}, ["th", "x"])
     gens = [_g("th"), _g("x")]
-    rules = _rules(order, [
+    rules = _rules([
         ("plane:xth", ("x", "th"), (Q, ("th", "x"))),
         ("plane:th3", ("th", "th", "th")),
     ])
     return Presentation("q_plane", gens, rules, order, q="symbolic")
 
+
+# the h-deformed plane: shared by h_plane, hj_calculus and weyl, and
+# without plane:h3 by coaction_plane, whose matrix block carries gl:h3
+_H_PLANE_RULES = [
+    ("plane:xth", ("x", "th"), (ONE, ("th", "x")), (ONE, ("h", "x", "x"))),
+    ("plane:th3", ("th", "th", "th")),
+    ("plane:h3", ("h", "h", "h")),
+    ("passage:xh", ("x", "h"), (ONE, ("h", "x"))),
+    ("passage:thh", ("th", "h"), (J, ("h", "th"))),
+]
 
 _H_PLANE_COLLAPSE = [
     ("h", "h", "x", "x"),
@@ -93,13 +101,7 @@ _H_PLANE_COLLAPSE = [
 def h_plane():
     order = TermOrder({"h": 1, "th": 2, "x": 1}, ["h", "th", "x"])
     gens = [_g("h"), _g("th"), _g("x")]
-    rules = _rules(order, [
-        ("plane:xth", ("x", "th"), (ONE, ("th", "x")), (ONE, ("h", "x", "x"))),
-        ("plane:th3", ("th", "th", "th")),
-        ("plane:h3", ("h", "h", "h")),
-        ("passage:xh", ("x", "h"), (ONE, ("h", "x"))),
-        ("passage:thh", ("th", "h"), (J, ("h", "th"))),
-    ]) + _zero_rules(order, _H_PLANE_COLLAPSE)
+    rules = _rules(_H_PLANE_RULES) + _zero_rules(_H_PLANE_COLLAPSE)
     return Presentation("h_plane", gens, rules, order, q=Fraction(1))
 
 
@@ -131,7 +133,7 @@ def _calc_gens():
 
 def qjh_calculus():
     order = TermOrder(_CALC_WEIGHTS, _CALC_PRECEDENCE)
-    rules = _rules(order, [
+    rules = _rules([
         ("plane:xth", ("x", "th"), (Q, ("th", "x")), (ONE, ("h", "x", "x"))),
         ("plane:th3", ("th", "th", "th")),
         ("plane:h3", ("h", "h", "h")),
@@ -164,19 +166,14 @@ def qjh_calculus():
         ("forms:d2xd2th", ("d2x", "d2th"), (Q * J2, ("d2th", "d2x")),
          (J, ("h", "d2x", "d2x"))),
         ("forms:dx3", ("dx", "dx", "dx")),
-    ]) + _zero_rules(order, _CALC_COLLAPSE)
+    ]) + _zero_rules(_CALC_COLLAPSE)
     return Presentation("qjh_calculus", _calc_gens(), rules, order, q="symbolic")
 
 
 def hj_calculus():
     # same system transcribed at q = 1, kept independent of qjh_calculus
     order = TermOrder(_CALC_WEIGHTS, _CALC_PRECEDENCE)
-    rules = _rules(order, [
-        ("plane:xth", ("x", "th"), (ONE, ("th", "x")), (ONE, ("h", "x", "x"))),
-        ("plane:th3", ("th", "th", "th")),
-        ("plane:h3", ("h", "h", "h")),
-        ("passage:xh", ("x", "h"), (ONE, ("h", "x"))),
-        ("passage:thh", ("th", "h"), (J, ("h", "th"))),
+    rules = _rules(_H_PLANE_RULES + [
         ("passage:dxh", ("dx", "h"), (J, ("h", "dx"))),
         ("passage:hdth", ("h", "dth"), (J, ("dth", "h"))),
         ("passage:d2xh", ("d2x", "h"), (J2, ("h", "d2x"))),
@@ -202,7 +199,7 @@ def hj_calculus():
         ("forms:d2xd2th", ("d2x", "d2th"), (J2, ("d2th", "d2x")),
          (J, ("h", "d2x", "d2x"))),
         ("forms:dx3", ("dx", "dx", "dx")),
-    ]) + _zero_rules(order, _CALC_COLLAPSE)
+    ]) + _zero_rules(_CALC_COLLAPSE)
     return Presentation("hj_calculus", _calc_gens(), rules, order, q=Fraction(1))
 
 
@@ -213,12 +210,7 @@ def weyl():
     order = TermOrder({"h": 1, "th": 2, "x": 1, "pth": 2, "px": 4},
                       ["h", "th", "x", "pth", "px"])
     gens = [_g("h"), _g("th"), _g("x"), _g("pth"), _g("px")]
-    rules = _rules(order, [
-        ("plane:xth", ("x", "th"), (ONE, ("th", "x")), (ONE, ("h", "x", "x"))),
-        ("plane:th3", ("th", "th", "th")),
-        ("plane:h3", ("h", "h", "h")),
-        ("passage:xh", ("x", "h"), (ONE, ("h", "x"))),
-        ("passage:thh", ("th", "h"), (J, ("h", "th"))),
+    rules = _rules(_H_PLANE_RULES + [
         ("partial:pxx", ("px", "x"), (ONE, ()), (J2, ("x", "px")),
          (J2 - ONE, ("th", "pth")), (ONE, ("h", "x", "pth"))),
         ("partial:pthx", ("pth", "x"), (ONE, ("x", "pth"))),
@@ -229,7 +221,7 @@ def weyl():
         ("partial:pth3", ("pth", "pth", "pth")),
         ("derived:pxh", ("px", "h"), (ONE, ("h", "px"))),
         ("derived:pthh", ("pth", "h"), (J2, ("h", "pth"))),
-    ]) + _zero_rules(order, [
+    ]) + _zero_rules([
         ("h", "h", "x"),
         ("h", "h", "th", "x"),
         ("h", "h", "th", "th", "x"),
@@ -251,13 +243,12 @@ def cartan():
     core = qjh_calculus()
     rules = []
     for r in core.rules:
+        # h^2 = 0 replaces h^3 = 0 and subsumes the h^2-collapse list
         if r.ref == "plane:h3":
-            rules.append(orient(("h", "h"), NCPolynomial.zero(), order, "plane:h2"))
-        elif r.ref.startswith("derived:"):
-            continue  # h^2 = 0 subsumes the h^2-collapse list
-        else:
-            rules.append(orient(r.lhs, r.rhs, order, r.ref))
-    rules += _rules(order, [
+            rules.append(RewriteRule(("h", "h"), NCPolynomial.zero(), "plane:h2"))
+        elif not r.ref.startswith("derived:"):
+            rules.append(r)
+    rules += _rules([
         ("cartan:wh", ("w", "h"), (J, ("h", "w"))),
         ("cartan:uh", ("u", "h"), (Q * J2, ("h", "u"))),
         ("cartan:xw", ("x", "w"), (J2, ("w", "x"))),
@@ -274,8 +265,8 @@ def cartan():
         ("cartan:w3", ("w", "w", "w")),
     ])
     base = Presentation("cartan_core", gens, rules, order, q="symbolic")
-    loc = localize(base, "x", "xinv", name="cartan")
-    xinv_rules = _rules(loc.order, [
+    loc = localize(base, "x", "xinv")
+    xinv_rules = _rules([
         # coefficient 1 - j^2 is forced: substituting w = dx*xinv leaves a
         # residual for any other value (see substituted_wdth)
         ("cartan:wdth", ("w", "dth"), (J, ("dth", "w")),
@@ -296,8 +287,8 @@ _GL_WEIGHTS = {"h": 1, "g": 3, "b": 1, "dT": 2, "a": 2}
 _GL_PRECEDENCE = ["h", "g", "b", "dT", "a"]
 
 
-def _glhj_rules(order):
-    return _rules(order, [
+def _glhj_rules():
+    return _rules([
         ("gl:ab", ("a", "b"), (J, ("b", "a"))),
         ("gl:ag", ("a", "g"), (ONE, ("g", "a")), (ONE, ("h", "a", "a")),
          (MINUS_ONE, ("h", "a", "dT")), (ONE, ("h", "g", "b")),
@@ -317,11 +308,11 @@ def _glhj_rules(order):
         ("gl:bh", ("b", "h"), (J2, ("h", "b"))),
         ("gl:gh", ("g", "h"), (J, ("h", "g"))),
         ("gl:h3", ("h", "h", "h")),
-    ]) + _zero_rules(order, [
+    ]) + _zero_rules([
         ("h", "h", "b", "b"),
         ("h", "h", "b", "a"),
         ("h", "h", "g", "g", "dT"),
-    ]) + _rules(order, [
+    ]) + _rules([
         ("derived:h.h.a.a", ("h", "h", "a", "a"), (ONE, ("h", "h", "a", "dT")),
          (MINUS_ONE, ("h", "h", "g", "b"))),
     ])
@@ -330,7 +321,7 @@ def _glhj_rules(order):
 def glhj():
     order = TermOrder(_GL_WEIGHTS, _GL_PRECEDENCE)
     gens = [_g(n) for n in _GL_PRECEDENCE]
-    return Presentation("glhj", gens, _glhj_rules(order), order, q=Fraction(1))
+    return Presentation("glhj", gens, _glhj_rules(), order, q=Fraction(1))
 
 
 def _gl_runaway(word, cap=3):
@@ -346,9 +337,7 @@ def _gl_runaway(word, cap=3):
     return False
 
 
-_GLHJ_LOCALIZED = None
-
-
+@functools.cache
 def glhj_localized():
     """glhj with both diagonal entries inverted.
 
@@ -365,30 +354,31 @@ def glhj_localized():
     saturation, not a confluent system.  The build is cached: callers
     share one instance and must not mutate it.
     """
-    global _GLHJ_LOCALIZED
-    if _GLHJ_LOCALIZED is None:
-        base = saturate(glhj(), skip=_gl_runaway)
-        step = localize(base, "dT", "dTinv", check_orientation=False)
-        loc = localize(step, "a", "ainv", check_orientation=False)
-        _GLHJ_LOCALIZED = saturate(loc, skip=_gl_runaway, name="glhj_localized")
-    return _GLHJ_LOCALIZED
+    base = saturate(glhj(), skip=_gl_runaway)
+    loc = localize(localize(base, "dT", "dTinv"), "a", "ainv")
+    return saturate(loc, skip=_gl_runaway, name="glhj_localized")
 
 
 # ---------------------------------------------------------------------------
 # the dual plane, q = 1
 
+# shared by dual_plane and, without dual:h3, by coaction_dual, whose
+# matrix block carries gl:h3
+_DUAL_RULES = [
+    ("dual:phiy", ("phi", "y"), (J, ("y", "phi")), (J2, ("h", "phi", "phi"))),
+    ("dual:phi3", ("phi", "phi", "phi")),
+    ("dual:h3", ("h", "h", "h")),
+    # h passes phi and y the way it passes the degree-one and degree-two
+    # form letters of the calculus
+    ("dual:yh", ("y", "h"), (J2, ("h", "y"))),
+    ("dual:phih", ("phi", "h"), (J, ("h", "phi"))),
+]
+
+
 def dual_plane():
     order = TermOrder({"h": 1, "y": 2, "phi": 1}, ["h", "y", "phi"])
     gens = [_g("h"), _g("y"), _g("phi")]
-    rules = _rules(order, [
-        ("dual:phiy", ("phi", "y"), (J, ("y", "phi")), (J2, ("h", "phi", "phi"))),
-        ("dual:phi3", ("phi", "phi", "phi")),
-        ("dual:h3", ("h", "h", "h")),
-        # h passes phi and y the way it passes the degree-one and degree-two
-        # form letters of the calculus
-        ("dual:yh", ("y", "h"), (J2, ("h", "y"))),
-        ("dual:phih", ("phi", "h"), (J, ("h", "phi"))),
-    ]) + _zero_rules(order, [("h", "h", "phi", "phi")])
+    rules = _rules(_DUAL_RULES) + _zero_rules([("h", "h", "phi", "phi")])
     return Presentation("dual_plane", gens, rules, order, q=Fraction(1))
 
 
@@ -400,11 +390,8 @@ def coaction_plane():
     precedence = _GL_PRECEDENCE + ["th", "x"]
     order = TermOrder(weights, precedence)
     gens = [_g(n) for n in precedence]
-    rules = _glhj_rules(order) + _rules(order, [
-        ("plane:xth", ("x", "th"), (ONE, ("th", "x")), (ONE, ("h", "x", "x"))),
-        ("plane:th3", ("th", "th", "th")),
-        ("passage:xh", ("x", "h"), (ONE, ("h", "x"))),
-        ("passage:thh", ("th", "h"), (J, ("h", "th"))),
+    plane = [e for e in _H_PLANE_RULES if e[0] != "plane:h3"]
+    rules = _glhj_rules() + _rules(plane + [
         ("coact:xa", ("x", "a"), (ONE, ("a", "x"))),
         ("coact:xb", ("x", "b"), (ONE, ("b", "x"))),
         ("coact:xg", ("x", "g"), (ONE, ("g", "x"))),
@@ -413,7 +400,7 @@ def coaction_plane():
         ("coact:thb", ("th", "b"), (J2, ("b", "th"))),
         ("coact:thg", ("th", "g"), (J, ("g", "th"))),
         ("coact:thdT", ("th", "dT"), (ONE, ("dT", "th"))),
-    ]) + _zero_rules(order, _H_PLANE_COLLAPSE)
+    ]) + _zero_rules(_H_PLANE_COLLAPSE)
     return Presentation("coaction_plane", gens, rules, order, q=Fraction(1))
 
 
@@ -422,11 +409,8 @@ def coaction_dual():
     precedence = _GL_PRECEDENCE + ["y", "phi"]
     order = TermOrder(weights, precedence)
     gens = [_g(n) for n in precedence]
-    rules = _glhj_rules(order) + _rules(order, [
-        ("dual:phiy", ("phi", "y"), (J, ("y", "phi")), (J2, ("h", "phi", "phi"))),
-        ("dual:phi3", ("phi", "phi", "phi")),
-        ("dual:yh", ("y", "h"), (J2, ("h", "y"))),
-        ("dual:phih", ("phi", "h"), (J, ("h", "phi"))),
+    dual = [e for e in _DUAL_RULES if e[0] != "dual:h3"]
+    rules = _glhj_rules() + _rules(dual + [
         # entry twists follow the entry grade times the coordinate grade,
         # with phi of grade one and y of grade two
         ("coact:phia", ("phi", "a"), (ONE, ("a", "phi"))),
@@ -437,7 +421,7 @@ def coaction_dual():
         ("coact:yb", ("y", "b"), (J, ("b", "y"))),
         ("coact:yg", ("y", "g"), (J2, ("g", "y"))),
         ("coact:ydT", ("y", "dT"), (ONE, ("dT", "y"))),
-    ]) + _zero_rules(order, [("h", "h", "phi", "phi")])
+    ]) + _zero_rules([("h", "h", "phi", "phi")])
     return Presentation("coaction_dual", gens, rules, order, q=Fraction(1))
 
 

@@ -29,8 +29,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import specialize_q, scalar_str
-from .freealg import GeneratorInfo, NCPolynomial, word_grade, fa_str
+from .scalars import specialize_q
+from .freealg import GeneratorInfo, NCPolynomial, word_grade, fa_str, term_list
 
 sys.setrecursionlimit(100000)
 
@@ -38,12 +38,8 @@ sys.setrecursionlimit(100000)
 # many when the variable is unset; only normal_form and nf_word accept an
 # explicit budget instead.
 DEFAULT_BUDGET = 10**6
-# sweeps of saturate, and of each fixpoint loop of localize
+# sweeps of saturate; localize makes at most MAX_SWEEPS**2 passes
 MAX_SWEEPS = 8
-
-
-class OrientationError(ValueError):
-    pass
 
 
 class BudgetExceeded(RuntimeError):
@@ -91,22 +87,6 @@ class RewriteRule:
     lhs: tuple
     rhs: NCPolynomial
     ref: str = ""
-
-
-def _not_below(lhs, rhs, order):
-    """The rhs words that are not below lhs in the term order."""
-    lk = order.key(lhs)
-    return [w for w in rhs.support() if not order.key(w) < lk]
-
-
-def orient(lhs, rhs, order, ref=""):
-    """Build a rule after checking every rhs word is below lhs."""
-    lhs = tuple(lhs)
-    bad = _not_below(lhs, rhs, order)
-    if bad:
-        raise OrientationError(
-            "rule %s: rhs word %r not below lhs %r" % (ref or "?", bad[0], lhs))
-    return RewriteRule(lhs, rhs, ref)
 
 
 def _solve_for(d, lead):
@@ -164,9 +144,10 @@ class Presentation:
     # -- sanity -------------------------------------------------------------
 
     def check_termination(self):
-        """Re-run the orientation test on every rule; list violations."""
+        """The orientation test: (ref, lhs, w) for each rhs word w not below lhs."""
+        key = self.order.key
         return [(r.ref, r.lhs, w) for r in self.rules
-                for w in _not_below(r.lhs, r.rhs, self.order)]
+                for w in r.rhs.support() if not key(w) < key(r.lhs)]
 
     def check_homogeneity(self):
         """Rules must preserve the effective Z3 grade."""
@@ -335,13 +316,9 @@ class Presentation:
             gens.append(d)
         rules = []
         for r in self.rules:
-            terms = sorted(r.rhs.t.items(), key=lambda it: self.order.key(it[0]),
-                           reverse=True)
-            rules.append({
-                "lhs": list(r.lhs),
-                "rhs": [{"coeff": scalar_str(c), "word": list(w)} for w, c in terms],
-                "ref": r.ref,
-            })
+            rules.append({"lhs": list(r.lhs),
+                          "rhs": term_list(r.rhs, self.order.key),
+                          "ref": r.ref})
         return {
             "name": self.name,
             "generators": gens,
@@ -466,21 +443,18 @@ def saturate(pres, skip=None, name=None):
                         q=pres.q)
 
 
-def localize(pres, v, vinv, name=None, check_orientation=True):
+def localize(pres, v, vinv):
     """Adjoin a two-sided inverse vinv for the generator v.
 
-    Passage rules for vinv are solved from the passage rules of v by a
-    fixpoint iteration: each candidate rule vinv*g -> X (or g*vinv -> X)
-    is recomputed against the current candidate set until stable, which
-    the nilpotent corrections guarantee.  Every derived rule is then
-    verified by multiplying back.  A nonzero multiply-back residual is
-    itself a valid identity of the localized ring (the candidate equals
-    vinv*g there by construction), so residuals are solved for their
-    leading words as extra rules and the solve repeats; this absorbs
-    relations that only appear once v can be cancelled.  With
-    check_orientation the derived rules must be compatible with the term
-    order; callers that know the system cannot be oriented pass False and
-    lose the termination guarantee (reduction is still budget-guarded).
+    Each pass builds one presentation from the base, extra, inverse and
+    candidate rules and recomputes every candidate vinv*g -> X (or
+    g*vinv -> X) against it; the nilpotent corrections make them settle.
+    A pass that changes no candidate multiplies each back on the same
+    presentation.  A nonzero residual is a valid identity of the
+    localized ring (the candidate equals vinv*g there by construction),
+    so it is solved for its leading word as an extra rule and the passes
+    go on; this absorbs relations that only appear once v can be
+    cancelled.  Orientation is left to check_termination.
     """
     gv = pres.gens[v]
     generators = list(pres.generators) + [
@@ -520,50 +494,37 @@ def localize(pres, v, vinv, name=None, check_orientation=True):
     candidates = {}
     extra = []
     seen_extra = set()
-    for _ in range(MAX_SWEEPS):
-        for _ in range(MAX_SWEEPS):
-            trial = Presentation(
-                "_loc", generators,
-                base_rules + extra + inv_rules
-                + [RewriteRule(lhs, rhs, "derived:%s*%s" % lhs)
-                   for lhs, rhs in candidates.items()],
-                order, q=pres.q)
-            changed = False
-            for lhs, c0, rest, g, left in targets:
-                # vinv*g = (g*vinv - vinv*rest*vinv) / c0, and mirrored
-                wrapped = NCPolynomial.zero()
-                for w, c in rest.t.items():
-                    wrapped = wrapped + NCPolynomial.word((vinv,) + w + (vinv,), c)
-                x = (NCPolynomial.word(lhs[::-1])
-                     - trial.normal_form(wrapped)).scale(c0.inv())
-                if candidates.get(lhs) != x:
-                    candidates[lhs] = x
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise LocalizeError("localization of %s did not stabilise" % v)
-
-        derived = [RewriteRule(lhs, rhs, "derived:%s*%s" % lhs)
-                   for lhs, rhs in candidates.items()]
-        if check_orientation:
-            for r in derived:
-                orient(r.lhs, r.rhs, order, r.ref)
-
-        final = Presentation(name or (pres.name + "_loc_" + v), generators,
-                             base_rules + extra + inv_rules + derived, order,
-                             q=pres.q)
+    for _ in range(MAX_SWEEPS * MAX_SWEEPS):
+        trial = Presentation(
+            pres.name + "_loc_" + v, generators,
+            base_rules + extra + inv_rules
+            + [RewriteRule(lhs, rhs, "derived:%s*%s" % lhs)
+               for lhs, rhs in candidates.items()],
+            order, q=pres.q)
+        changed = False
+        for lhs, c0, rest, g, left in targets:
+            # vinv*g = (g*vinv - vinv*rest*vinv) / c0, and mirrored
+            wrapped = NCPolynomial.zero()
+            for w, c in rest.t.items():
+                wrapped = wrapped + NCPolynomial.word((vinv,) + w + (vinv,), c)
+            x = (NCPolynomial.word(lhs[::-1])
+                 - trial.normal_form(wrapped)).scale(c0.inv())
+            if candidates.get(lhs) != x:
+                candidates[lhs] = x
+                changed = True
+        if changed:
+            continue
 
         # multiply-back check: v * (vinv*g) == g and (g*vinv) * v == g
         bad = []
         for lhs, c0, rest, g, left in targets:
             x = candidates[lhs]
             prod = NCPolynomial.gen(v) * x if left else x * NCPolynomial.gen(v)
-            res = final.normal_form(prod) - final.nf_word((g,))
+            res = trial.normal_form(prod) - trial.nf_word((g,))
             if not res.is_zero():
                 bad.append((lhs, res))
         if not bad:
-            return final
+            return trial
         for lhs, res in bad:
             lead = max(res.support(), key=order.key)
             if lead in seen_extra:

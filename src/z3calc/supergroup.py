@@ -155,15 +155,14 @@ def sdet(style="text"):
 
 
 def verify_sdet():
-    L = _presets.glhj_localized()
-    nf = L.normal_form(sdet_element())
+    nf, text, L = sdet()
     kappa = {g.name: NCPolynomial.gen(g.name) for g in L.generators}
     kappa["b"] = NCPolynomial.zero()
     kappa["g"] = NCPolynomial.zero()
     kappa["h"] = NCPolynomial.zero()
     diag = L.normal_form(apply_hom(kappa, nf))
     items = [
-        flag("normal_form", True, fa_str(nf, L.order.key)),
+        flag("normal_form", True, text),
         flag("diagonal_limit", diag == _m("dTinv", "a"),
              fa_str(diag, L.order.key)),
     ]

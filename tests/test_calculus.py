@@ -1,6 +1,7 @@
 """Differential operator, partial derivatives, replay suites."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from z3calc.calculus import (DifferentialOperator, PartialOperator,
                              d_cube_vanishes, monomial_basis, random_element,
                              replay, verify_df_decomposition)
 from z3calc.freealg import NCPolynomial, word_grade
-from z3calc.scalars import J, J2, ONE, Q, jpow
+from z3calc.scalars import J, J2, ONE, Q, jpow, specialize_q
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,16 @@ def test_partial_basics(P):
     # the x-recursion twists by j per step: (1 + j^2) x = -j x
     assert part("x", word(("x", "x"))) == gen("x").scale(ONE + J2)
     assert part("th", word(("th", "x"))) == gen("x")
+
+
+def test_partial_follows_preset_q(P):
+    # a q = 1 preset gets q = 1 rows: no symbolic q leaks into its results
+    f = NCPolynomial.word(("x", "th", "x"))
+    sym = PartialOperator(P)("th", f)
+    at_one = NCPolynomial({w: specialize_q(c, Fraction(1))
+                           for w, c in sym.t.items()})
+    assert sym != at_one
+    assert PartialOperator(presets.build("hj_calculus"))("th", f) == at_one
 
 
 def test_partial_exchange_sample(P):

@@ -10,7 +10,7 @@ import pytest
 from z3calc import presets
 from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
-from z3calc.parser import MAX_EXPONENT, ParseError, parse, parse_scalar
+from z3calc.parser import MAX_EXPONENT, MAX_TERMS, ParseError, parse, parse_scalar
 from z3calc.scalars import J, J2, ONE, Q, rational
 
 
@@ -84,6 +84,16 @@ def test_parse_nesting_cap(P):
         parse("(" * 30000 + "x" + ")" * 30000, P)
     with pytest.raises(ParseError):
         parse("-" * 30000 + "x", P)
+
+
+def test_parse_term_cap(P):
+    assert len(parse("(x+th)^16", P).t) == 2 ** 16 <= MAX_TERMS
+    with pytest.raises(ParseError) as err:
+        parse("(x+th)^17", P)
+    assert err.value.offset == 6
+    with pytest.raises(ParseError) as err:
+        parse("(x+th)^9*(x+th)^9", P)  # 512 * 512 terms
+    assert err.value.offset == 8
 
 
 def test_parse_scalar_rejects_generators():
@@ -217,6 +227,30 @@ def test_cli_huge_exponent_is_bad_input(args):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: exponent above")
+
+
+def test_cli_power_of_sum_is_bad_input():
+    r = run_cli("reduce", "--preset", "q_plane", "--q", "1", "(x+th)^22",
+                timeout=20)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: power of more than")
+
+
+def test_cli_bad_q_is_bad_input():
+    r = run_cli("reduce", "--preset", "qjh_calculus", "--q", "1/0", "x")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("expr, want", [("-x*th", "-th*x - h*x*x\n"),
+                                        ("-h*x", "-h*x\n")])
+def test_cli_expression_may_start_with_minus(expr, want):
+    r = run_cli("reduce", "--preset", "h_plane", expr)
+    assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
+    r = run_cli("reduce", "--preset", "h_plane", "--", expr)
+    assert (r.returncode, r.stdout) == (0, want)
 
 
 def test_cli_exit_code_budget():

@@ -1,11 +1,13 @@
 """Shipped presentation catalog."""
 
+import hashlib
+
 import pytest
 
 from z3calc import presets
-from z3calc.freealg import NCPolynomial, fa_str
+from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
 from z3calc.scalars import J, J2, ONE, Q
-from z3calc.rewrite import BudgetExceeded
+from z3calc.rewrite import BudgetExceeded, Presentation, RewriteRule, TermOrder
 
 
 def test_catalog_builds():
@@ -13,6 +15,40 @@ def test_catalog_builds():
         P = presets.build(name)
         assert P.name == name
         assert P.rules and P.generators
+
+
+# sha256 of build(name).dumps(): any change to a rule, its order, a
+# coefficient or a generator of a catalog preset moves its digest
+_EXPORT_SHA256 = {
+    "q_plane": "35003e57ab36b9e13786c5da26cb0fdad4f53e048ec3dd43c1579117caa86dc0",
+    "h_plane": "2f409e0d4fbd98890a65ba765edc77185fe9b1133a78aeb5bfe08b95335d1fcf",
+    "hj_calculus": "a4795fb27cef59f573a936719c9b99bb85efdfd3fc79df33ac55244cffff973f",
+    "qjh_calculus": "5e8002eb5caed2cddd2cc3d55bc5e82adb360bea7882c582da75774671aff0c5",
+    "weyl": "27a71a4ea1e85b27b949d110a96dd71efabbe8dc3185bb3d61f7282987adc079",
+    "cartan": "a0b829cc3adb8437622459e8293d53fabf3a5eace659545e83f4e3e55fb08735",
+    "glhj": "99681896afadf20aa2190b6878e67e2c862310990ef65f2a88f061a452314c39",
+    "dual_plane": "2b8e696fc0b81cf2c3f579e7fd120c4ca21d2a397668f8e96be3c66cee24a510",
+    "coaction_plane": "0e3286b990df154d3118077048779a06e7469502eaa438a9970994cc2bede238",
+    "coaction_dual": "8587fd0c5d3c920cd488449860cb6aa3ffc1b1e5a44f0bed14061d26285bd348",
+}
+
+
+@pytest.mark.parametrize("name", list(presets.PRESETS))
+def test_catalog_export_pinned(name):
+    text = presets.build(name).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == _EXPORT_SHA256[name]
+
+
+def test_build_rejects_unoriented_rule(monkeypatch):
+    def toy():
+        order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
+        gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
+        rule = RewriteRule(("a", "b"), NCPolynomial.word(("b", "a")), "bad")
+        return Presentation("toy", gens, [rule], order)
+
+    monkeypatch.setitem(presets.PRESETS, "toy", toy)
+    with pytest.raises(presets.BuildError, match="unoriented"):
+        presets.build("toy")
 
 
 def test_unknown_name():

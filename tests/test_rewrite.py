@@ -7,9 +7,8 @@ import pytest
 
 from z3calc import presets
 from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
-from z3calc.rewrite import (BudgetExceeded, LocalizeError, OrientationError,
-                            Presentation, RewriteRule, TermOrder, localize,
-                            orient, saturate)
+from z3calc.rewrite import (BudgetExceeded, LocalizeError, Presentation,
+                            RewriteRule, TermOrder, localize, saturate)
 from z3calc.scalars import J, ONE
 
 
@@ -31,11 +30,13 @@ def test_term_order_precedence_tiebreak():
     assert order.key(("b", "a")) > order.key(("a", "b"))
 
 
-def test_orient_rejects_unorientable():
+def test_check_termination_reports_unorientable():
     order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
-    with pytest.raises(OrientationError):
-        # rhs strictly larger than lhs cannot be a rewrite step
-        orient(("a", "b"), NCPolynomial.word(("b", "a")), order, "bad")
+    gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
+    # rhs strictly larger than lhs cannot be a rewrite step
+    bad = RewriteRule(("a", "b"), NCPolynomial.word(("b", "a")), "bad")
+    P = Presentation("toy", gens, [bad], order)
+    assert P.check_termination() == [("bad", ("a", "b"), ("b", "a"))]
 
 
 def test_normal_form_idempotent():
@@ -95,8 +96,8 @@ def test_critical_pairs_same_lhs_is_an_ambiguity():
     order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
     gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
     ab = NCPolynomial.word(("a", "b"))
-    rules = [orient(("b", "a"), ab, order, "plain"),
-             orient(("b", "a"), ab.scale(J), order, "twisted")]
+    rules = [RewriteRule(("b", "a"), ab, "plain"),
+             RewriteRule(("b", "a"), ab.scale(J), "twisted")]
     census = Presentation("dup", gens, rules, order).pair_census()
     assert census["pairs"] == 1
     assert census["joinable"] == 0
