@@ -119,13 +119,13 @@ def _dispatch(args):
 
 
 def _expr_last(argv):
-    """Move a reduce expression such as "-x*th" behind "--": its options
-    are -h and --names, and only --q takes a value that may start "-"."""
+    """Move a reduce expression such as "-x*th" or "-h" behind "--": its
+    options are all --names (help is --help), and only --q takes a value
+    that may start "-"."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["reduce"] and "--" not in argv:
         for i, a in enumerate(argv):
-            if (i and a[:1] == "-" and a[:2] != "--" and a != "-h"
-                    and argv[i - 1] != "--q"):
+            if i and a[:1] == "-" and a[:2] != "--" and argv[i - 1] != "--q":
                 return argv[:i] + argv[i + 1:] + ["--", a]
     return argv
 
@@ -136,7 +136,11 @@ def main(argv=None):
         description="exact rewriting in graded deformed plane algebras")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("reduce", help="reduce an expression to normal form")
+    # -h is an expression here, so help is --help only
+    p = sub.add_parser("reduce", help="reduce an expression to normal form",
+                       add_help=False)
+    p.add_argument("--help", action="help",
+                   help="show this help message and exit")
     p.add_argument("--preset", required=True)
     p.add_argument("--q", help="bind q to a rational value")
     p.add_argument("--format", choices=["text", "json", "latex"],

@@ -5,11 +5,17 @@ rules are homogeneous and oriented against its term order, and refuses
 the preset otherwise.  The collapse rules (ref "derived:...") are
 consequences of the listed relations, obtained by orienting differences
 of overlap ambiguities; they are part of the presentation so that
-reduction alone decides equality, and the pair census in the test suite
-re-checks them.
+reduction alone decides equality, and test_collapse_lists_are_saturated
+in tests/test_presets.py re-derives the lists of h_plane and
+qjh_calculus by saturation.
 
 q conventions: presets carrying a symbolic q say so in their q field,
-the rest are bound at q = 1.
+the rest are bound at q = 1.  Each relation is typed once: the
+q-typed plane rows head qjh_calculus, q_plane is their h = 0 quotient,
+and h_plane, weyl and coaction_plane build on them.  Those three and
+hj_calculus (qjh_calculus under its own name) reach q = 1 through
+Presentation.specialize(1), the call that reduce --q makes.  glhj,
+dual_plane and coaction_dual carry no q.
 """
 
 from __future__ import annotations
@@ -71,38 +77,38 @@ def _zero_rules(words):
 # ---------------------------------------------------------------------------
 # plane presets
 
-def q_plane():
-    order = TermOrder({"th": 2, "x": 1}, ["th", "x"])
-    gens = [_g("th"), _g("x")]
-    rules = _rules([
-        ("plane:xth", ("x", "th"), (Q, ("th", "x"))),
-        ("plane:th3", ("th", "th", "th")),
-    ])
-    return Presentation("q_plane", gens, rules, order, q="symbolic")
-
-
-# the h-deformed plane: shared by h_plane, hj_calculus and weyl, and
-# without plane:h3 by coaction_plane, whose matrix block carries gl:h3
-_H_PLANE_RULES = [
-    ("plane:xth", ("x", "th"), (ONE, ("th", "x")), (ONE, ("h", "x", "x"))),
+# the h-deformed plane, the head of qjh_calculus; h_plane, weyl and,
+# without plane:h3, coaction_plane (whose matrix block carries gl:h3)
+# build on it and specialise at q = 1
+_PLANE_RULES = [
+    ("plane:xth", ("x", "th"), (Q, ("th", "x")), (ONE, ("h", "x", "x"))),
     ("plane:th3", ("th", "th", "th")),
     ("plane:h3", ("h", "h", "h")),
     ("passage:xh", ("x", "h"), (ONE, ("h", "x"))),
-    ("passage:thh", ("th", "h"), (J, ("h", "th"))),
+    ("passage:thh", ("th", "h"), (Q * J, ("h", "th"))),
 ]
 
-_H_PLANE_COLLAPSE = [
+_PLANE_COLLAPSE = [
     ("h", "h", "x", "x"),
     ("h", "h", "th", "x", "x"),
     ("h", "h", "th", "th", "x", "x"),
 ]
 
 
+def q_plane():
+    # the h = 0 quotient of the plane rows
+    order = TermOrder({"th": 2, "x": 1}, ["th", "x"])
+    gens = [_g("th"), _g("x")]
+    rules = _rules([e[:2] + tuple(t for t in e[2:] if "h" not in t[1])
+                    for e in _PLANE_RULES if "h" not in e[1]])
+    return Presentation("q_plane", gens, rules, order, q="symbolic")
+
+
 def h_plane():
     order = TermOrder({"h": 1, "th": 2, "x": 1}, ["h", "th", "x"])
     gens = [_g("h"), _g("th"), _g("x")]
-    rules = _rules(_H_PLANE_RULES) + _zero_rules(_H_PLANE_COLLAPSE)
-    return Presentation("h_plane", gens, rules, order, q=Fraction(1))
+    rules = _rules(_PLANE_RULES) + _zero_rules(_PLANE_COLLAPSE)
+    return Presentation("h_plane", gens, rules, order).specialize(1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +127,13 @@ _CALC_COLLAPSE = [
     ("h", "h", "dx", "x"),
     ("h", "h", "dx", "th", "x"),
     ("h", "h", "dx", "th", "th", "x"),
-    ("h", "h", "x", "x"),
-    ("h", "h", "th", "x", "x"),
-    ("h", "h", "th", "th", "x", "x"),
-]
-
-
-def _calc_gens():
-    return [_g(n) for n in _CALC_PRECEDENCE]
+] + _PLANE_COLLAPSE
 
 
 def qjh_calculus():
     order = TermOrder(_CALC_WEIGHTS, _CALC_PRECEDENCE)
-    rules = _rules([
-        ("plane:xth", ("x", "th"), (Q, ("th", "x")), (ONE, ("h", "x", "x"))),
-        ("plane:th3", ("th", "th", "th")),
-        ("plane:h3", ("h", "h", "h")),
-        ("passage:xh", ("x", "h"), (ONE, ("h", "x"))),
-        ("passage:thh", ("th", "h"), (Q * J, ("h", "th"))),
+    gens = [_g(n) for n in _CALC_PRECEDENCE]
+    rules = _rules(_PLANE_RULES + [
         ("passage:dxh", ("dx", "h"), (J, ("h", "dx"))),
         ("passage:hdth", ("h", "dth"), (_QI * J, ("dth", "h"))),
         ("passage:d2xh", ("d2x", "h"), (J2, ("h", "d2x"))),
@@ -167,50 +162,23 @@ def qjh_calculus():
          (J, ("h", "d2x", "d2x"))),
         ("forms:dx3", ("dx", "dx", "dx")),
     ]) + _zero_rules(_CALC_COLLAPSE)
-    return Presentation("qjh_calculus", _calc_gens(), rules, order, q="symbolic")
+    return Presentation("qjh_calculus", gens, rules, order, q="symbolic")
 
 
 def hj_calculus():
-    # same system transcribed at q = 1, kept independent of qjh_calculus
-    order = TermOrder(_CALC_WEIGHTS, _CALC_PRECEDENCE)
-    rules = _rules(_H_PLANE_RULES + [
-        ("passage:dxh", ("dx", "h"), (J, ("h", "dx"))),
-        ("passage:hdth", ("h", "dth"), (J, ("dth", "h"))),
-        ("passage:d2xh", ("d2x", "h"), (J2, ("h", "d2x"))),
-        ("passage:hd2th", ("h", "d2th"), (ONE, ("d2th", "h"))),
-        ("mixed:xdx", ("x", "dx"), (J2, ("dx", "x"))),
-        ("mixed:xdth", ("x", "dth"), (ONE, ("dth", "x")), (J2 - ONE, ("dx", "th")),
-         (J, ("h", "dx", "x"))),
-        ("mixed:thdx", ("th", "dx"), (J, ("dx", "th")), (-J2, ("h", "dx", "x"))),
-        ("mixed:thdth", ("th", "dth"), (J, ("dth", "th"))),
-        ("mixed2:xd2x", ("x", "d2x"), (J2, ("d2x", "x"))),
-        ("mixed2:xd2th", ("x", "d2th"), (ONE, ("d2th", "x")),
-         (J2 - ONE, ("d2x", "th")), (J2, ("h", "d2x", "x"))),
-        ("mixed2:thd2x", ("th", "d2x"), (ONE, ("d2x", "th")),
-         (-J2, ("h", "d2x", "x"))),
-        ("mixed2:thd2th", ("th", "d2th"), (ONE, ("d2th", "th"))),
-        ("forms:dxdth", ("dx", "dth"), (J, ("dth", "dx")), (J2, ("h", "dx", "dx"))),
-        ("forms:dxd2x", ("dx", "d2x"), (J, ("d2x", "dx"))),
-        ("forms:dxd2th", ("dx", "d2th"), (ONE, ("d2th", "dx")),
-         (J - J2, ("d2x", "dth")), (J2, ("h", "d2x", "dx"))),
-        ("forms:d2xdth", ("d2x", "dth"), (J, ("dth", "d2x")),
-         (ONE, ("h", "d2x", "dx"))),
-        ("forms:dthd2th", ("dth", "d2th"), (ONE, ("d2th", "dth"))),
-        ("forms:d2xd2th", ("d2x", "d2th"), (J2, ("d2th", "d2x")),
-         (J, ("h", "d2x", "d2x"))),
-        ("forms:dx3", ("dx", "dx", "dx")),
-    ]) + _zero_rules(_CALC_COLLAPSE)
-    return Presentation("hj_calculus", _calc_gens(), rules, order, q=Fraction(1))
+    pres = qjh_calculus().specialize(1)
+    pres.name = "hj_calculus"
+    return pres
 
 
 # ---------------------------------------------------------------------------
-# partial derivative letters adjoined, q = 1
+# partial derivative letters adjoined, specialised at q = 1
 
 def weyl():
     order = TermOrder({"h": 1, "th": 2, "x": 1, "pth": 2, "px": 4},
                       ["h", "th", "x", "pth", "px"])
     gens = [_g("h"), _g("th"), _g("x"), _g("pth"), _g("px")]
-    rules = _rules(_H_PLANE_RULES + [
+    rules = _rules(_PLANE_RULES + [
         ("partial:pxx", ("px", "x"), (ONE, ()), (J2, ("x", "px")),
          (J2 - ONE, ("th", "pth")), (ONE, ("h", "x", "pth"))),
         ("partial:pthx", ("pth", "x"), (ONE, ("x", "pth"))),
@@ -226,7 +194,7 @@ def weyl():
         ("h", "h", "th", "x"),
         ("h", "h", "th", "th", "x"),
     ])
-    return Presentation("weyl", gens, rules, order, q=Fraction(1))
+    return Presentation("weyl", gens, rules, order).specialize(1)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +358,7 @@ def coaction_plane():
     precedence = _GL_PRECEDENCE + ["th", "x"]
     order = TermOrder(weights, precedence)
     gens = [_g(n) for n in precedence]
-    plane = [e for e in _H_PLANE_RULES if e[0] != "plane:h3"]
+    plane = [e for e in _PLANE_RULES if e[0] != "plane:h3"]
     rules = _glhj_rules() + _rules(plane + [
         ("coact:xa", ("x", "a"), (ONE, ("a", "x"))),
         ("coact:xb", ("x", "b"), (ONE, ("b", "x"))),
@@ -400,8 +368,8 @@ def coaction_plane():
         ("coact:thb", ("th", "b"), (J2, ("b", "th"))),
         ("coact:thg", ("th", "g"), (J, ("g", "th"))),
         ("coact:thdT", ("th", "dT"), (ONE, ("dT", "th"))),
-    ]) + _zero_rules(_H_PLANE_COLLAPSE)
-    return Presentation("coaction_plane", gens, rules, order, q=Fraction(1))
+    ]) + _zero_rules(_PLANE_COLLAPSE)
+    return Presentation("coaction_plane", gens, rules, order).specialize(1)
 
 
 def coaction_dual():

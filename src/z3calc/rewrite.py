@@ -203,7 +203,12 @@ class Presentation:
 
     def normal_form(self, p, budget=None):
         if budget is None:
-            budget = int(os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET))
+            raw = os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET)
+            try:
+                budget = int(raw)
+            except ValueError:
+                raise ValueError("Z3CALC_STEP_BUDGET=%r is not an integer"
+                                 % raw) from None
         state = [budget, None, budget]
         out = NCPolynomial.zero()
         for word, c in p.t.items():

@@ -245,7 +245,8 @@ def test_cli_bad_q_is_bad_input():
 
 
 @pytest.mark.parametrize("expr, want", [("-x*th", "-th*x - h*x*x\n"),
-                                        ("-h*x", "-h*x\n")])
+                                        ("-h*x", "-h*x\n"),
+                                        ("-h", "-h\n")])
 def test_cli_expression_may_start_with_minus(expr, want):
     r = run_cli("reduce", "--preset", "h_plane", expr)
     assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
@@ -253,10 +254,23 @@ def test_cli_expression_may_start_with_minus(expr, want):
     assert (r.returncode, r.stdout) == (0, want)
 
 
+def test_cli_reduce_help_is_long_form_only():
+    r = run_cli("reduce", "--help")
+    assert r.returncode == 0 and r.stdout.startswith("usage: z3calc reduce")
+
+
 def test_cli_exit_code_budget():
     r = run_cli("reduce", "--preset", "qjh_calculus", "th*th*dx*dx*x",
                 env={"Z3CALC_STEP_BUDGET": "2"})
     assert r.returncode == 3
+
+
+def test_cli_budget_not_an_integer_is_bad_input():
+    r = run_cli("reduce", "--preset", "h_plane", "x*th",
+                env={"Z3CALC_STEP_BUDGET": "abc"})
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and "Z3CALC_STEP_BUDGET" in r.stderr
 
 
 @pytest.mark.parametrize("doc, message", [

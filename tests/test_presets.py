@@ -7,7 +7,8 @@ import pytest
 from z3calc import presets
 from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
 from z3calc.scalars import J, J2, ONE, Q
-from z3calc.rewrite import BudgetExceeded, Presentation, RewriteRule, TermOrder
+from z3calc.rewrite import (BudgetExceeded, Presentation, RewriteRule, TermOrder,
+                            saturate)
 
 
 def test_catalog_builds():
@@ -62,6 +63,27 @@ def test_fully_confluent_presets(name):
     census = presets.build(name).pair_census()
     assert census["joinable"] == census["pairs"]
     assert census["unjoinable"] == []
+
+
+def _contains(word, sub):
+    n = len(sub)
+    return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
+
+
+@pytest.mark.parametrize("name", ["h_plane", "qjh_calculus"])
+def test_collapse_lists_are_saturated(name):
+    # the hand-typed derived: rules are exactly what saturating the
+    # relations and then dropping every rule whose lhs contains another
+    # rule's lhs leaves
+    P = presets.build(name)
+    base = Presentation(name, P.generators,
+                        [r for r in P.rules if not r.ref.startswith("derived:")],
+                        P.order, q=P.q)
+    rules = saturate(base).rules
+    kept = [r for r in rules
+            if not any(o is not r and _contains(r.lhs, o.lhs) for o in rules)]
+    assert len(kept) == len(P.rules)
+    assert {r.lhs: r.rhs for r in kept} == {r.lhs: r.rhs for r in P.rules}
 
 
 def test_qjh_has_many_overlaps():

@@ -1,0 +1,49 @@
+"""Property tests for reduction: normal forms are fixed points and irreducible."""
+
+import functools
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from z3calc import presets  # noqa: E402
+from z3calc.calculus import random_element  # noqa: E402
+
+# deterministic and small: these run inside the tier-1 suite
+quick = settings(max_examples=20, deadline=None, derandomize=True)
+seeds = st.integers(0, 2**32 - 1)
+catalog = pytest.mark.parametrize("name", list(presets.PRESETS))
+
+
+@functools.cache
+def _preset(name):
+    return presets.build(name)
+
+
+def _normal_form(name, seed):
+    P = _preset(name)
+    return P, P.normal_form(random_element(P, random.Random(seed)))
+
+
+@catalog
+@quick
+@given(seeds)
+def test_normal_form_is_idempotent(name, seed):
+    P, nf = _normal_form(name, seed)
+    assert P.normal_form(nf) == nf
+
+
+@catalog
+@quick
+@given(seeds)
+def test_normal_form_words_contain_no_lhs(name, seed):
+    P, nf = _normal_form(name, seed)
+    for word in nf.support():
+        for r in P.rules:
+            n = len(r.lhs)
+            assert all(word[i:i + n] != r.lhs
+                       for i in range(len(word) - n + 1)), (word, r.ref)
