@@ -5,10 +5,15 @@ oriented rules lhs -> rhs where lhs is a word and rhs a polynomial in
 strictly smaller words.  Reduction replaces the leftmost, first-declared
 match and recurses with memoisation; the engine never completes a
 presentation behind the caller's back, it only reports critical pairs.
+saturate is the explicit completion step: its sweeps append rules to
+one presentation, drop only the memo entries that the new rules change,
+and reduce a pair of older rules again only if one of its one-step
+reducts was dropped.
 
 Matching walks one trie over the rule left sides from each position of
-the word.  Every trie node carries the first-declared rule among the
-left sides that are prefixes of its path, so the deepest node the word
+the word; the trie is built on the first reduction after the rules
+change.  Every trie node carries the first-declared rule among the left
+sides that are prefixes of its path, so the deepest node the word
 reaches names the rule to apply there; a left side that has an earlier
 rule's left side as a prefix can never fire and is left out.  After a
 rewrite at position i the result is scanned from i - (maxlen - 1),
@@ -97,6 +102,13 @@ def _solve_for(d, lead):
     return RewriteRule(lead, rhs, "derived:" + ".".join(lead))
 
 
+def _rewrite_at(word, rule, pos):
+    """The one-step reduct of word by rule applied at pos."""
+    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
+    return NCPolynomial({prefix + rw + suffix: rc
+                         for rw, rc in rule.rhs.t.items()})
+
+
 def _lhs_trie(rules):
     """Trie over the left sides: letter -> [children, rule].
 
@@ -126,20 +138,54 @@ def _lhs_trie(rules):
     return root
 
 
+def _leftmost(trie, word, start, stop):
+    """(position, rule) of the leftmost match of the trie in word that
+    starts in range(start, stop), or None.  _nf_word keeps this scan
+    inline: it is the hot loop of every reduction."""
+    n = len(word)
+    for i in range(start, stop):
+        node = trie.get(word[i])
+        if node is None:
+            continue
+        j = i + 1
+        while j < n:
+            deeper = node[0].get(word[j])
+            if deeper is None:
+                break
+            node = deeper
+            j += 1
+        if node[1] is not None:
+            return i, node[1]
+    return None
+
+
 class Presentation:
     def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
         self.generators = list(generators)
-        self.rules = list(rules)
+        self.rules = []
         self.order = order
         self.q = q  # "symbolic" or a Fraction
         self.gens = {g.name: g for g in self.generators}
-        for r in self.rules:
+        self._memo = {}
+        self._append(rules)
+
+    def _append(self, rules):
+        """Declare rules after the existing ones.  The caller keeps the
+        memo valid; the trie is rebuilt on next use."""
+        for r in rules:
             if not r.lhs:
                 raise ValueError("rule %s has an empty lhs" % (r.ref or "?"))
-        self._trie = _lhs_trie(self.rules)
-        self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
-        self._memo = {}
+        self.rules.extend(rules)
+        self._trie = None
+
+    def _index(self):
+        """The trie over the left sides, built on first use after the
+        rules change, together with the longest left side."""
+        if self._trie is None:
+            self._trie = _lhs_trie(self.rules)
+            self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
+        return self._trie
 
     # -- sanity -------------------------------------------------------------
 
@@ -202,6 +248,7 @@ class Presentation:
         return acc
 
     def normal_form(self, p, budget=None):
+        self._index()
         if budget is None:
             raw = os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET)
             try:
@@ -228,13 +275,20 @@ class Presentation:
         is attempted.
         """
         rules = self.rules
+        return [self._pair_entry(word, rules[i1], 0, rules[i2], p2)
+                for i1, i2, word, p2 in self._ambiguities()]
+
+    def _ambiguities(self):
+        """(i1, i2, word, p2) for each ambiguity: rules[i1] applies to word
+        at 0 and rules[i2] at p2.  Overlaps of rules[i1] come before its
+        inclusions, each kind ordered by i2."""
+        rules = self.rules
         by_prefix = {}  # proper prefix of a lhs -> indices of its rules
         by_lhs = {}
         for i, r in enumerate(rules):
             by_lhs.setdefault(r.lhs, []).append(i)
             for k in range(1, len(r.lhs)):
                 by_prefix.setdefault(r.lhs[:k], []).append(i)
-        out = []
         for i1, r1 in enumerate(rules):
             l1 = r1.lhs
             n1 = len(l1)
@@ -254,17 +308,14 @@ class Presentation:
                             found.append((i2, 1, p))
             found.sort()
             for i2, inside, x in found:
-                r2 = rules[i2]
                 if inside:
-                    out.append(self._pair_entry(l1, r1, 0, r2, x))
+                    yield i1, i2, l1, x
                 else:
-                    out.append(self._pair_entry(l1 + r2.lhs[x:], r1, 0, r2,
-                                                n1 - x))
-        return out
+                    yield i1, i2, l1 + rules[i2].lhs[x:], n1 - x
 
     def _pair_entry(self, word, r1, p1, r2, p2):
-        nf1 = self._reduce_at(word, r1, p1)
-        nf2 = self._reduce_at(word, r2, p2)
+        nf1 = self.normal_form(_rewrite_at(word, r1, p1))
+        nf2 = self.normal_form(_rewrite_at(word, r2, p2))
         return {
             "word": word,
             "rules": (r1.ref, r2.ref),
@@ -272,13 +323,6 @@ class Presentation:
             "nf2": nf2,
             "joinable": nf1 == nf2,
         }
-
-    def _reduce_at(self, word, rule, pos):
-        prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-        step = NCPolynomial.zero()
-        for rw, rc in rule.rhs.t.items():
-            step = step + NCPolynomial.word(prefix + rw + suffix, rc)
-        return self.normal_form(step)
 
     def pair_census(self):
         pairs = self.critical_pairs()
@@ -419,33 +463,91 @@ class Presentation:
 def saturate(pres, skip=None, name=None):
     """Append oriented critical-pair differences as derived rules.
 
-    Each sweep reduces every ambiguity both ways and turns any nonzero
-    difference into a new rule headed by its leading word.  Sweeps repeat
-    until nothing admissible is left.  skip filters candidate left sides:
-    a system whose completion grows without bound passes a predicate that
-    cuts off the runaway families and accepts partial saturation instead
-    of confluence.
+    Each sweep reduces the ambiguities both ways and turns any nonzero
+    difference into a new rule headed by its leading word; the sweep's
+    rules are appended when it ends.  Sweeps repeat until nothing
+    admissible is left.  skip filters candidate left sides: a system
+    whose completion grows without bound passes a predicate that cuts
+    off the runaway families and accepts partial saturation instead of
+    confluence.
+
+    All sweeps share one presentation and its memo.  Appending rules
+    drops exactly the memo words whose reduction they change: a word
+    whose leftmost match starts right of a new left side's occurrence
+    (anywhere, for an irreducible word), and a word whose rewrite step
+    produced a dropped word.  An ambiguity of two rules that the
+    previous sweep already had is skipped when none of its one-step
+    reducts was dropped.  Its difference is then the one that sweep saw,
+    and that sweep added its leading word as a rule or refused it (the
+    word was a left side already or skip held), so it can add nothing
+    now.  The rules, their order and every normal form are those of
+    recomputing every ambiguity in every sweep.  The presentation is
+    returned with an empty memo, as a fresh one would be.
     """
-    rules = list(pres.rules)
-    seen = {r.lhs for r in rules}
+    P = Presentation(name or pres.name, pres.generators, pres.rules,
+                     pres.order, q=pres.q)
+    key = pres.order.key
+    seen = {r.lhs for r in P.rules}
+    old, dropped, steps = 0, set(), {}
     for _ in range(MAX_SWEEPS):
-        trial = Presentation("_sat", pres.generators, rules, pres.order,
-                             q=pres.q)
-        added = False
-        for cp in trial.critical_pairs():
-            d = cp["nf1"] - cp["nf2"]
+        rules = P.rules
+        new = []
+        for i1, i2, word, p2 in P._ambiguities():
+            step1 = _rewrite_at(word, rules[i1], 0)
+            step2 = _rewrite_at(word, rules[i2], p2)
+            if (i1 < old and i2 < old and dropped.isdisjoint(step1.t)
+                    and dropped.isdisjoint(step2.t)):
+                continue
+            d = P.normal_form(step1) - P.normal_form(step2)
             if d.is_zero():
                 continue
-            lead = max(d.support(), key=pres.order.key)
+            lead = max(d.support(), key=key)
             if lead in seen or (skip is not None and skip(lead)):
                 continue
             seen.add(lead)
-            rules.append(_solve_for(d, lead))
-            added = True
-        if not added:
+            new.append(_solve_for(d, lead))
+        if not new:
             break
-    return Presentation(name or pres.name, pres.generators, rules, pres.order,
-                        q=pres.q)
+        old = len(rules)
+        dropped = _drop_changed(P, new, steps)
+        P._append(new)
+    # the pairs' words would only hold memory, and later reductions are
+    # charged against the step budget as in a fresh presentation
+    P._memo.clear()
+    return P
+
+
+def _drop_changed(P, new, steps):
+    """Drop from P's memo every word whose reduction changes once the
+    rules new are declared after P's rules; return the dropped words.
+
+    steps maps each memo word to the position of its leftmost match
+    under P's rules, its length if it is irreducible, and is kept up to
+    date for the next call.  The memo lists each word after the words
+    its rewrite step produced, so one pass sees those first.
+    """
+    trie, fresh = P._index(), _lhs_trie(new)
+    memo = P._memo
+    dropped = set()
+    for w in memo:
+        n = len(w)
+        i = steps.get(w)
+        if i is None:
+            match = _leftmost(trie, w, 0, n)
+            i = steps[w] = n if match is None else match[0]
+        if _leftmost(fresh, w, 0, i):
+            dropped.add(w)
+        elif dropped and i < n:
+            rule = _leftmost(trie, w, i, i + 1)[1]
+            prefix, suffix = w[:i], w[i + len(rule.lhs):]
+            for rw in rule.rhs.t:
+                if prefix + rw + suffix in dropped:
+                    dropped.add(w)
+                    break
+    for w in dropped:
+        del memo[w]
+        del steps[w]
+    return dropped
 
 
 def localize(pres, v, vinv):

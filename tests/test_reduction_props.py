@@ -1,4 +1,5 @@
-"""Property tests for reduction: normal forms are fixed points and irreducible."""
+"""Property tests for reduction: normal forms are fixed points and
+irreducible, and d^3 = 0 in the calculi."""
 
 import functools
 import random
@@ -11,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from z3calc import presets  # noqa: E402
-from z3calc.calculus import random_element  # noqa: E402
+from z3calc.calculus import d_cube_vanishes, random_element  # noqa: E402
 
 # deterministic and small: these run inside the tier-1 suite
 quick = settings(max_examples=20, deadline=None, derandomize=True)
@@ -47,3 +48,11 @@ def test_normal_form_words_contain_no_lhs(name, seed):
             n = len(r.lhs)
             assert all(word[i:i + n] != r.lhs
                        for i in range(len(word) - n + 1)), (word, r.ref)
+
+
+@pytest.mark.parametrize("name", ["qjh_calculus", "hj_calculus"])
+@quick
+@given(seeds)
+def test_d_cubed_vanishes(name, seed):
+    P = _preset(name)
+    assert d_cube_vanishes(P, random_element(P, random.Random(seed)))
