@@ -262,7 +262,8 @@ def _d_suite(suite, rels):
     return {"suite": suite, "checks": checks}
 
 
-_PARTIAL_LETTERS = {"x", "th", "h", "dx", "dth"}
+# the letters the partials are defined on
+_PARTIAL_LETTERS = set(_partial_rows()["x"])
 
 # Trailing factors for the well-definedness sweep.  Length two is enough to
 # see the first-order operator tails the bare relation (empty tail) misses.
@@ -285,6 +286,14 @@ def _partial_residual(preset, part, axis, rule, tail):
     lhs = part(axis, NCPolynomial.word(rule.lhs + tail), reduce=False)
     rhs = part(axis, rule.rhs * NCPolynomial.word(tail), reduce=False)
     return preset.normal_form(lhs - rhs)
+
+
+def _monomial_check(name, ok, **basis):
+    """Flag name; a failure names the first four monomials m of
+    monomial_basis(**basis) for which ok(m as a polynomial) is false."""
+    bad = ["*".join(m) or "1" for m in monomial_basis(**basis)
+           if not ok(NCPolynomial.word(m))]
+    return flag(name, not bad, ", ".join(bad[:4]))
 
 
 def _suite_partials():
@@ -316,25 +325,19 @@ def _suite_partials():
     diff = _partial_residual(P, flipped, "x", r_thdx, ())
     checks.append(flag("form_row_h_signs_pinned",
                        not diff.is_zero() and not _h2_truncated(diff)))
-    bad = []
-    for m in monomial_basis():
-        f = NCPolynomial.word(m)
+
+    def exchange(f):
         lhs = part("x", part("th", f, reduce=False), reduce=False)
         rhs = part("th", part("x", f, reduce=False), reduce=False).scale(J * Q)
-        if not P.normal_form(lhs - rhs).is_zero():
-            bad.append("*".join(m) or "1")
-    checks.append(flag("px_pth_exchange", not bad, ", ".join(bad[:4])))
-    bad = []
-    for m in monomial_basis():
-        f = NCPolynomial.word(m)
-        if not part("th", part("th", part("th", f))).is_zero():
-            bad.append("*".join(m) or "1")
-    checks.append(flag("pth_cube_zero", not bad, ", ".join(bad[:4])))
-    bad = []
-    for m in monomial_basis(amax=1, bmax=2, cmax=4):
-        if not verify_df_decomposition(P, NCPolynomial.word(m)):
-            bad.append("*".join(m) or "1")
-    checks.append(flag("df_decomposition", not bad, ", ".join(bad[:4])))
+        return P.normal_form(lhs - rhs).is_zero()
+
+    checks.append(_monomial_check("px_pth_exchange", exchange))
+    checks.append(_monomial_check(
+        "pth_cube_zero",
+        lambda f: part("th", part("th", part("th", f))).is_zero()))
+    checks.append(_monomial_check(
+        "df_decomposition", lambda f: verify_df_decomposition(P, f),
+        amax=1, bmax=2, cmax=4))
     return {"suite": "partials", "checks": checks}
 
 
@@ -351,14 +354,10 @@ def _suite_weyl():
     part = PartialOperator(W)
     checks = []
     for letter, axis in (("px", "x"), ("pth", "th")):
-        bad = []
-        for m in monomial_basis():
-            lhs = _p_free(W.normal_form(NCPolynomial.gen(letter)
-                                        * NCPolynomial.word(m)))
-            if lhs != part(axis, NCPolynomial.word(m)):
-                bad.append("*".join(m) or "1")
-        checks.append(flag("weyl_%s_matches_partial" % letter, not bad,
-                           ", ".join(bad[:4])))
+        p = NCPolynomial.gen(letter)
+        checks.append(_monomial_check(
+            "weyl_%s_matches_partial" % letter,
+            lambda f: _p_free(W.normal_form(p * f)) == part(axis, f)))
     return {"suite": "weyl", "checks": checks}
 
 

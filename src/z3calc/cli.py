@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .scalars import PoleError
 from .freealg import fa_str, term_list
 from .rewrite import BudgetExceeded, Presentation
-from .parser import ParseError, parse
+from .parser import MAX_DEPTH, ParseError, parse
 from . import presets as _presets
 from . import calculus as _calculus
 from . import supergroup as _supergroup
@@ -41,6 +42,30 @@ def _load_preset(name, qarg):
         elif pres.q != q0:
             raise ValueError("preset %s is bound to q=%s" % (name, pres.q))
     return pres
+
+
+# a JSON string, whose brackets do not nest, or a bracket; an unterminated
+# string runs to the end, so no text is scanned twice
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]', re.S)
+
+
+def _read_json(path):
+    """The document in the JSON file path.  Nesting deeper than MAX_DEPTH
+    is refused before decoding: the decoder trusts the recursion limit,
+    which rewrite raises past what the C stack holds."""
+    with open(path) as fh:
+        text = fh.read()
+    depth = 0
+    for tok in _JSON_TOKEN.finditer(text):
+        c = tok.group()
+        if c in ("[", "{"):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ValueError("%s: nested deeper than %d"
+                                 % (path, MAX_DEPTH))
+        elif c in ("]", "}"):
+            depth -= 1
+    return json.loads(text)
 
 
 def _dispatch(args):
@@ -86,9 +111,7 @@ def _dispatch(args):
             return 0
         if not args.target:
             raise ValueError("presets import needs a file path")
-        with open(args.target) as fh:
-            doc = json.load(fh)
-        pres = Presentation.from_json(doc)
+        pres = Presentation.from_json(_read_json(args.target))
         bad_h = pres.check_homogeneity()
         bad_t = pres.check_termination()
         _emit({
@@ -163,7 +186,7 @@ def main(argv=None):
 
     p = sub.add_parser("supergroup", help="matrix algebra checks")
     p.add_argument("--check", required=True,
-                   choices=["comodule", "inverse", "sdet"])
+                   choices=list(_supergroup.CHECKS))
 
     p = sub.add_parser("sdet", help="superdeterminant normal form")
     p.add_argument("--format", choices=["text", "json", "latex"],

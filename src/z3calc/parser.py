@@ -20,9 +20,10 @@ deeper than MAX_DEPTH, which would exhaust the recursion limit.
 from __future__ import annotations
 
 from .scalars import ONE, J, Q, rational
-from .freealg import NCPolynomial
+from .freealg import _UNICODE, NCPolynomial
 
-_GREEK = {"θ": "th", "β": "b", "γ": "g", "φ": "phi"}
+# the one-character Greek spellings fa_str prints, read back
+_GREEK = {u: name for name, u in _UNICODE.items() if len(u) == 1}
 
 MAX_EXPONENT = 5000
 MAX_DEPTH = 100

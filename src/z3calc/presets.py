@@ -10,20 +10,24 @@ in tests/test_presets.py re-derives the lists of h_plane and
 qjh_calculus by saturation.
 
 q conventions: presets carrying a symbolic q say so in their q field,
-the rest are bound at q = 1.  Each relation is typed once: the
-q-typed plane rows head qjh_calculus, q_plane is their h = 0 quotient,
-and h_plane, weyl and coaction_plane build on them.  Those three and
-hj_calculus (qjh_calculus under its own name) reach q = 1 through
-Presentation.specialize(1), the call that reduce --q makes.  glhj,
-dual_plane and coaction_dual carry no q.
+the rest are bound at q = 1.  Each relation, letter, order and twist
+is typed once.  The q-typed plane rows head qjh_calculus, q_plane is
+their h = 0 quotient, and h_plane, weyl and coaction_plane build on
+them.  Those three and hj_calculus (qjh_calculus under its own name)
+reach q = 1 through Presentation.specialize(1), the call that
+reduce --q makes.  glhj, dual_plane and coaction_dual carry no q.  A
+preset's weight table lists its letters in precedence order, one rule
+in _coact_rules gives every coact: twist, and the superdeterminant is
+sdet = a*(T^-1)_22, built from supergroup.t_inverse.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from fractions import Fraction
 
-from .scalars import ZERO, ONE, J, J2, Q, MINUS_ONE, qpow, rational
+from .scalars import ZERO, ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational
 from .freealg import GeneratorInfo, NCPolynomial
 from .rewrite import Presentation, RewriteRule, TermOrder, localize, saturate
 
@@ -54,10 +58,12 @@ _GENDATA = {
 }
 
 
-def _g(name, nilpotency="default"):
-    grade, weight, n0, d0 = _GENDATA[name]
-    return GeneratorInfo(name, grade, weight,
-                         n0 if nilpotency == "default" else nilpotency, d0)
+def _pres(name, weights, rules, q="symbolic"):
+    """The presentation over the letters of weights, whose key order is
+    the precedence of the term order."""
+    gens = [GeneratorInfo(g, *_GENDATA[g]) for g in weights]
+    return Presentation(name, gens, rules, TermOrder(weights, list(weights)),
+                        q=q)
 
 
 def _rules(entries):
@@ -97,25 +103,20 @@ _PLANE_COLLAPSE = [
 
 def q_plane():
     # the h = 0 quotient of the plane rows
-    order = TermOrder({"th": 2, "x": 1}, ["th", "x"])
-    gens = [_g("th"), _g("x")]
     rules = _rules([e[:2] + tuple(t for t in e[2:] if "h" not in t[1])
                     for e in _PLANE_RULES if "h" not in e[1]])
-    return Presentation("q_plane", gens, rules, order, q="symbolic")
+    return _pres("q_plane", {"th": 2, "x": 1}, rules)
 
 
 def h_plane():
-    order = TermOrder({"h": 1, "th": 2, "x": 1}, ["h", "th", "x"])
-    gens = [_g("h"), _g("th"), _g("x")]
     rules = _rules(_PLANE_RULES) + _zero_rules(_PLANE_COLLAPSE)
-    return Presentation("h_plane", gens, rules, order).specialize(1)
+    return _pres("h_plane", {"h": 1, "th": 2, "x": 1}, rules).specialize(1)
 
 
 # ---------------------------------------------------------------------------
 # first and second order calculus
 
 _CALC_WEIGHTS = {"d2th": 5, "dth": 5, "h": 1, "d2x": 2, "dx": 2, "th": 2, "x": 1}
-_CALC_PRECEDENCE = ["d2th", "dth", "h", "d2x", "dx", "th", "x"]
 
 _CALC_COLLAPSE = [
     ("h", "h", "d2x", "d2x"),
@@ -131,8 +132,6 @@ _CALC_COLLAPSE = [
 
 
 def qjh_calculus():
-    order = TermOrder(_CALC_WEIGHTS, _CALC_PRECEDENCE)
-    gens = [_g(n) for n in _CALC_PRECEDENCE]
     rules = _rules(_PLANE_RULES + [
         ("passage:dxh", ("dx", "h"), (J, ("h", "dx"))),
         ("passage:hdth", ("h", "dth"), (_QI * J, ("dth", "h"))),
@@ -162,7 +161,7 @@ def qjh_calculus():
          (J, ("h", "d2x", "d2x"))),
         ("forms:dx3", ("dx", "dx", "dx")),
     ]) + _zero_rules(_CALC_COLLAPSE)
-    return Presentation("qjh_calculus", gens, rules, order, q="symbolic")
+    return _pres("qjh_calculus", _CALC_WEIGHTS, rules)
 
 
 def hj_calculus():
@@ -175,9 +174,6 @@ def hj_calculus():
 # partial derivative letters adjoined, specialised at q = 1
 
 def weyl():
-    order = TermOrder({"h": 1, "th": 2, "x": 1, "pth": 2, "px": 4},
-                      ["h", "th", "x", "pth", "px"])
-    gens = [_g("h"), _g("th"), _g("x"), _g("pth"), _g("px")]
     rules = _rules(_PLANE_RULES + [
         ("partial:pxx", ("px", "x"), (ONE, ()), (J2, ("x", "px")),
          (J2 - ONE, ("th", "pth")), (ONE, ("h", "x", "pth"))),
@@ -194,7 +190,8 @@ def weyl():
         ("h", "h", "th", "x"),
         ("h", "h", "th", "th", "x"),
     ])
-    return Presentation("weyl", gens, rules, order).specialize(1)
+    weights = {"h": 1, "th": 2, "x": 1, "pth": 2, "px": 4}
+    return _pres("weyl", weights, rules).specialize(1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +199,9 @@ def weyl():
 
 _CARTAN_WEIGHTS = {"d2th": 5, "dth": 5, "h": 1, "d2x": 2, "dx": 2,
                    "w": 3, "u": 6, "th": 2, "x": 1}
-_CARTAN_PRECEDENCE = ["d2th", "dth", "h", "d2x", "dx", "w", "u", "th", "x"]
 
 
 def cartan():
-    order = TermOrder(_CARTAN_WEIGHTS, _CARTAN_PRECEDENCE)
-    gens = [_g(n, nilpotency=2) if n == "h" else _g(n) for n in _CARTAN_PRECEDENCE]
     core = qjh_calculus()
     rules = []
     for r in core.rules:
@@ -232,8 +226,7 @@ def cartan():
         ("cartan:uw", ("u", "w"), (ONE, ("w", "u"))),
         ("cartan:w3", ("w", "w", "w")),
     ])
-    base = Presentation("cartan_core", gens, rules, order, q="symbolic")
-    loc = localize(base, "x", "xinv")
+    loc = localize(_pres("cartan_core", _CARTAN_WEIGHTS, rules), "x", "xinv")
     xinv_rules = _rules([
         # coefficient 1 - j^2 is forced: substituting w = dx*xinv leaves a
         # residual for any other value (see substituted_wdth)
@@ -244,15 +237,16 @@ def cartan():
         ("cartan:ud2th", ("u", "d2th"), (_QI, ("d2th", "u")),
          (J - J2, ("xinv", "th", "d2x", "u")), (-(_QI * J2), ("h", "d2x", "u"))),
     ])
-    return Presentation("cartan", loc.generators, loc.rules + xinv_rules,
-                        loc.order, q="symbolic")
+    gens = [replace(g, nilpotency=2) if g.name == "h" else g
+            for g in loc.generators]
+    return Presentation("cartan", gens, loc.rules + xinv_rules, loc.order,
+                        q="symbolic")
 
 
 # ---------------------------------------------------------------------------
 # the structure algebra of 2x2 supermatrices, q = 1
 
 _GL_WEIGHTS = {"h": 1, "g": 3, "b": 1, "dT": 2, "a": 2}
-_GL_PRECEDENCE = ["h", "g", "b", "dT", "a"]
 
 
 def _glhj_rules():
@@ -287,20 +281,18 @@ def _glhj_rules():
 
 
 def glhj():
-    order = TermOrder(_GL_WEIGHTS, _GL_PRECEDENCE)
-    gens = [_g(n) for n in _GL_PRECEDENCE]
-    return Presentation("glhj", gens, _glhj_rules(), order, q=Fraction(1))
+    return _pres("glhj", _GL_WEIGHTS, _glhj_rules(), q=Fraction(1))
 
 
-def _gl_runaway(word, cap=3):
+def _gl_runaway(word):
     # The derived collapse families h*X*dT^n*a*a -> h*X*dT^(n+1)*a and
     # their localized mirrors grow one dT (or dTinv) per step forever, so
-    # saturation must cut them off.  Runs up to the cap are kept because
+    # saturation must cut them off.  Runs up to three are kept because
     # the inverse checks genuinely consume family members that deep.
     run = 1
     for i in range(1, len(word)):
         run = run + 1 if word[i] == word[i - 1] else 1
-        if run > cap and word[i] in ("dT", "dTinv", "a", "ainv"):
+        if run > 3 and word[i] in ("dT", "dTinv", "a", "ainv"):
             return True
     return False
 
@@ -324,7 +316,9 @@ def glhj_localized():
     """
     base = saturate(glhj(), skip=_gl_runaway)
     loc = localize(localize(base, "dT", "dTinv"), "a", "ainv")
-    return saturate(loc, skip=_gl_runaway, name="glhj_localized")
+    pres = saturate(loc, skip=_gl_runaway)
+    pres.name = "glhj_localized"
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -344,53 +338,39 @@ _DUAL_RULES = [
 
 
 def dual_plane():
-    order = TermOrder({"h": 1, "y": 2, "phi": 1}, ["h", "y", "phi"])
-    gens = [_g("h"), _g("y"), _g("phi")]
     rules = _rules(_DUAL_RULES) + _zero_rules([("h", "h", "phi", "phi")])
-    return Presentation("dual_plane", gens, rules, order, q=Fraction(1))
+    return _pres("dual_plane", {"h": 1, "y": 2, "phi": 1}, rules,
+                 q=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
 # coaction presets: matrix entries to the left of the coordinates
 
+# coordinate c passes entry e with the twist j^(weight(e) * _COACT[c]),
+# the entry grade times the coordinate grade, phi and y of grade 1 and 2
+_COACT = {"x": 0, "th": 1, "phi": 1, "y": 2}
+
+
+def _coact_rules(coords):
+    return _rules([("coact:" + c + e, (c, e),
+                    (jpow(_GENDATA[e][1] * _COACT[c]), (e, c)))
+                   for c in coords for e in ("a", "b", "g", "dT")])
+
+
 def coaction_plane():
-    weights = dict(_GL_WEIGHTS, th=2, x=1)
-    precedence = _GL_PRECEDENCE + ["th", "x"]
-    order = TermOrder(weights, precedence)
-    gens = [_g(n) for n in precedence]
     plane = [e for e in _PLANE_RULES if e[0] != "plane:h3"]
-    rules = _glhj_rules() + _rules(plane + [
-        ("coact:xa", ("x", "a"), (ONE, ("a", "x"))),
-        ("coact:xb", ("x", "b"), (ONE, ("b", "x"))),
-        ("coact:xg", ("x", "g"), (ONE, ("g", "x"))),
-        ("coact:xdT", ("x", "dT"), (ONE, ("dT", "x"))),
-        ("coact:tha", ("th", "a"), (ONE, ("a", "th"))),
-        ("coact:thb", ("th", "b"), (J2, ("b", "th"))),
-        ("coact:thg", ("th", "g"), (J, ("g", "th"))),
-        ("coact:thdT", ("th", "dT"), (ONE, ("dT", "th"))),
-    ]) + _zero_rules(_PLANE_COLLAPSE)
-    return Presentation("coaction_plane", gens, rules, order).specialize(1)
+    rules = (_glhj_rules() + _rules(plane) + _coact_rules(("x", "th"))
+             + _zero_rules(_PLANE_COLLAPSE))
+    weights = dict(_GL_WEIGHTS, th=2, x=1)
+    return _pres("coaction_plane", weights, rules).specialize(1)
 
 
 def coaction_dual():
-    weights = dict(_GL_WEIGHTS, y=2, phi=1)
-    precedence = _GL_PRECEDENCE + ["y", "phi"]
-    order = TermOrder(weights, precedence)
-    gens = [_g(n) for n in precedence]
     dual = [e for e in _DUAL_RULES if e[0] != "dual:h3"]
-    rules = _glhj_rules() + _rules(dual + [
-        # entry twists follow the entry grade times the coordinate grade,
-        # with phi of grade one and y of grade two
-        ("coact:phia", ("phi", "a"), (ONE, ("a", "phi"))),
-        ("coact:phib", ("phi", "b"), (J2, ("b", "phi"))),
-        ("coact:phig", ("phi", "g"), (J, ("g", "phi"))),
-        ("coact:phidT", ("phi", "dT"), (ONE, ("dT", "phi"))),
-        ("coact:ya", ("y", "a"), (ONE, ("a", "y"))),
-        ("coact:yb", ("y", "b"), (J, ("b", "y"))),
-        ("coact:yg", ("y", "g"), (J2, ("g", "y"))),
-        ("coact:ydT", ("y", "dT"), (ONE, ("dT", "y"))),
-    ]) + _zero_rules([("h", "h", "phi", "phi")])
-    return Presentation("coaction_dual", gens, rules, order, q=Fraction(1))
+    rules = (_glhj_rules() + _rules(dual) + _coact_rules(("phi", "y"))
+             + _zero_rules([("h", "h", "phi", "phi")]))
+    weights = dict(_GL_WEIGHTS, y=2, phi=1)
+    return _pres("coaction_dual", weights, rules, q=Fraction(1))
 
 
 # ---------------------------------------------------------------------------

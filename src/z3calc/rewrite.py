@@ -460,7 +460,7 @@ class Presentation:
 # ---------------------------------------------------------------------------
 # saturation and localization
 
-def saturate(pres, skip=None, name=None):
+def saturate(pres, skip=None):
     """Append oriented critical-pair differences as derived rules.
 
     Each sweep reduces the ambiguities both ways and turns any nonzero
@@ -484,11 +484,11 @@ def saturate(pres, skip=None, name=None):
     recomputing every ambiguity in every sweep.  The presentation is
     returned with an empty memo, as a fresh one would be.
     """
-    P = Presentation(name or pres.name, pres.generators, pres.rules,
-                     pres.order, q=pres.q)
+    P = Presentation(pres.name, pres.generators, pres.rules, pres.order,
+                     q=pres.q)
     key = pres.order.key
     seen = {r.lhs for r in P.rules}
-    old, dropped, steps = 0, set(), {}
+    old, dropped = 0, set()
     for _ in range(MAX_SWEEPS):
         rules = P.rules
         new = []
@@ -509,7 +509,7 @@ def saturate(pres, skip=None, name=None):
         if not new:
             break
         old = len(rules)
-        dropped = _drop_changed(P, new, steps)
+        dropped = _drop_changed(P, new)
         P._append(new)
     # the pairs' words would only hold memory, and later reductions are
     # charged against the step budget as in a fresh presentation
@@ -517,28 +517,23 @@ def saturate(pres, skip=None, name=None):
     return P
 
 
-def _drop_changed(P, new, steps):
+def _drop_changed(P, new):
     """Drop from P's memo every word whose reduction changes once the
     rules new are declared after P's rules; return the dropped words.
 
-    steps maps each memo word to the position of its leftmost match
-    under P's rules, its length if it is irreducible, and is kept up to
-    date for the next call.  The memo lists each word after the words
-    its rewrite step produced, so one pass sees those first.
+    The memo lists each word after the words its rewrite step produced,
+    so one pass sees those first.
     """
     trie, fresh = P._index(), _lhs_trie(new)
     memo = P._memo
     dropped = set()
     for w in memo:
-        n = len(w)
-        i = steps.get(w)
-        if i is None:
-            match = _leftmost(trie, w, 0, n)
-            i = steps[w] = n if match is None else match[0]
+        match = _leftmost(trie, w, 0, len(w))
+        i = len(w) if match is None else match[0]
         if _leftmost(fresh, w, 0, i):
             dropped.add(w)
-        elif dropped and i < n:
-            rule = _leftmost(trie, w, i, i + 1)[1]
+        elif dropped and match is not None:
+            rule = match[1]
             prefix, suffix = w[:i], w[i + len(rule.lhs):]
             for rw in rule.rhs.t:
                 if prefix + rw + suffix in dropped:
@@ -546,7 +541,6 @@ def _drop_changed(P, new, steps):
                     break
     for w in dropped:
         del memo[w]
-        del steps[w]
     return dropped
 
 

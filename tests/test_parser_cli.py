@@ -289,3 +289,20 @@ def test_cli_presets_import_rejects_malformed(tmp_path, doc, message):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and message in r.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    # decoded under rewrite's raised recursion limit, this overflowed the
+    # C stack (SIGSEGV) before the nesting bound
+    ("[" * 100000, "nested deeper"),
+    # an unterminated string at every quote: the nesting scan must stay
+    # linear in the length of the file
+    ('"\\' * 200000, "Unterminated string"),
+], ids=["deep", "unterminated"])
+def test_cli_presets_import_huge_bad_json(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    r = run_cli("presets", "import", str(path), timeout=20)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr

@@ -1,7 +1,9 @@
 """Property tests for reduction: normal forms are fixed points and
-irreducible, and d^3 = 0 in the calculi."""
+irreducible, and d^3 = 0 in the calculi; and export -> import gives
+the same preset back."""
 
 import functools
+import json
 import random
 
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from z3calc import presets  # noqa: E402
 from z3calc.calculus import d_cube_vanishes, random_element  # noqa: E402
+from z3calc.rewrite import Presentation  # noqa: E402
+from z3calc.scalars import PoleError  # noqa: E402
 
 # deterministic and small: these run inside the tier-1 suite
 quick = settings(max_examples=20, deadline=None, derandomize=True)
@@ -56,3 +60,16 @@ def test_normal_form_words_contain_no_lhs(name, seed):
 def test_d_cubed_vanishes(name, seed):
     P = _preset(name)
     assert d_cube_vanishes(P, random_element(P, random.Random(seed)))
+
+
+@pytest.mark.parametrize("name", ["q_plane", "qjh_calculus", "cartan"])
+@quick
+@given(st.fractions(min_value=-30, max_value=30, max_denominator=12))
+def test_specialized_json_round_trip(name, q0):
+    # bound q and its coefficient strings, which no catalog preset has
+    try:
+        P = _preset(name).specialize(q0)
+    except PoleError:
+        return
+    text = P.dumps()
+    assert Presentation.from_json(json.loads(text)).dumps() == text

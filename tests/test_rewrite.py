@@ -169,11 +169,12 @@ def test_localize_missing_passage_rule():
 
 
 def test_json_round_trip_all_presets():
-    for name in presets.PRESETS:
-        P = presets.build(name)
+    built = [presets.build(name) for name in presets.PRESETS]
+    for P in built + [presets.glhj_localized()]:
         R = Presentation.from_json(json.loads(P.dumps()))
-        assert P.same_rules(R), name
+        assert P.same_rules(R), P.name
         assert R.name == P.name
+        assert R.dumps() == P.dumps(), P.name
 
 
 def test_specialize_binds_q():
