@@ -98,21 +98,27 @@ class PartialOperator:
         self.preset = preset
 
     def _word(self, axis, word):
-        if not word:
-            return NCPolynomial.zero()
-        g, rest = word[0], word[1:]
-        table = self.rows[axis]
-        if g not in table:
-            raise KeyError("partial derivative undefined past generator %r" % g)
-        out = NCPolynomial.zero()
-        for c, prefix, nxt in table[g]:
-            if nxt is None:
-                out = out + NCPolynomial.word(prefix + rest, c)
-            else:
-                tail = self._word(nxt, rest)
-                if not tail.is_zero():
-                    out = out + NCPolynomial.word(prefix, c) * tail
-        return out
+        """The partial along axis of word, folded from the right over only
+        the axes the rows reach each suffix word[k:] along."""
+        rows, needs = self.rows, [{axis}]
+        for g in word:
+            if any(g not in rows[a] for a in needs[-1]):
+                raise KeyError("partial derivative undefined past generator %r" % g)
+            needs.append({n for a in needs[-1] for _, _, n in rows[a][g]
+                          if n is not None})
+        tails = dict.fromkeys(needs[-1], NCPolynomial.zero())
+        for k in range(len(word) - 1, -1, -1):
+            g, rest, here = word[k], word[k + 1:], {}
+            for a in needs[k]:
+                out = NCPolynomial.zero()
+                for c, prefix, nxt in rows[a][g]:
+                    if nxt is None:
+                        out = out + NCPolynomial.word(prefix + rest, c)
+                    elif not tails[nxt].is_zero():
+                        out = out + NCPolynomial.word(prefix, c) * tails[nxt]
+                here[a] = out
+            tails = here
+        return tails[axis]
 
     def __call__(self, axis, p, reduce=True):
         out = NCPolynomial.zero()
@@ -296,6 +302,14 @@ def _monomial_check(name, ok, **basis):
     return flag(name, not bad, ", ".join(bad[:4]))
 
 
+def _flipped_rows():
+    """The partial rows with each h-term sign in the form rows flipped."""
+    rows = _partial_rows()
+    rows["x"]["dx"] = [(J, ("dx",), "x"), (-J2, ("h", "dx"), "th")]
+    rows["x"]["dth"] = [(_QI, ("dth",), "x"), (_QI * J, ("h", "dx"), "x")]
+    return rows
+
+
 def _suite_partials():
     P = _presets.qjh_calculus()
     part = PartialOperator(P)
@@ -317,10 +331,7 @@ def _suite_partials():
     # Flipping the sign of either h-term in the form rows leaves residuals
     # with a single h, which no truncation explains.  Pin that so the signs
     # cannot silently regress.
-    rows = _partial_rows()
-    rows["x"]["dx"] = [(J, ("dx",), "x"), (-J2, ("h", "dx"), "th")]
-    rows["x"]["dth"] = [(_QI, ("dth",), "x"), (_QI * J, ("h", "dx"), "x")]
-    flipped = PartialOperator(P, rows=rows)
+    flipped = PartialOperator(P, rows=_flipped_rows())
     r_thdx = next(r for r in P.rules if r.ref == "mixed:thdx")
     diff = _partial_residual(P, flipped, "x", r_thdx, ())
     checks.append(flag("form_row_h_signs_pinned",

@@ -51,8 +51,8 @@ _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]', re.S)
 
 def _read_json(path):
     """The document in the JSON file path.  Nesting deeper than MAX_DEPTH
-    is refused before decoding: the decoder trusts the recursion limit,
-    which rewrite raises past what the C stack holds."""
+    is refused before decoding, so that MAX_DEPTH is the one nesting bound
+    of every input, whatever recursion limit the embedding program sets."""
     with open(path) as fh:
         text = fh.read()
     depth = 0

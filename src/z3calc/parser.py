@@ -14,18 +14,24 @@ byte offset of the offending token.  Powers are expanded by repeated
 multiplication, so exponents above MAX_EXPONENT are refused, and so are
 a*b and p^k whose term bound len(a)*len(b) or len(p)^k exceeds
 MAX_TERMS, before any term is built, and nesting (parentheses or signs)
-deeper than MAX_DEPTH, which would exhaust the recursion limit.
+deeper than MAX_DEPTH, which would exhaust the recursion limit.  A
+number, and every product, quotient and step of a power, whose
+coefficients hold an integer longer than MAX_BITS is refused as soon as
+it is built.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, J, Q, rational
+from .scalars import J, Q, bit_length, rational
 from .freealg import _UNICODE, NCPolynomial
 
 # the one-character Greek spellings fa_str prints, read back
 _GREEK = {u: name for name, u in _UNICODE.items() if len(u) == 1}
 
 MAX_EXPONENT = 5000
+# bits of the longest integer in a coefficient: 4,215 decimal digits, below
+# the 4,300 that Python converts to a string by default
+MAX_BITS = 14000
 MAX_DEPTH = 100
 MAX_TERMS = 100000
 
@@ -111,9 +117,9 @@ class _Parser:
                 if len(p.t) * len(r.t) > MAX_TERMS:
                     raise ParseError("product of more than %d terms"
                                      % MAX_TERMS, off)
-                p = p * r
+                p = _bounded(p * r, off)
             else:
-                p = p * self._scalar_of(r, off).inv()
+                p = _bounded(p * self._scalar_of(r, off).inv(), off)
         return p
 
     def unary(self):
@@ -140,20 +146,23 @@ class _Parser:
             self.take()
             neg = True
         _, digits, at = self.take("num")
-        k = int(digits)
+        k = _number(digits, at)
         if k > MAX_EXPONENT:
             raise ParseError("exponent above %d" % MAX_EXPONENT, at)
         if neg:
-            s = self._scalar_of(p, off)
-            return NCPolynomial.unit(_scalar_pow(s.inv(), k))
-        if len(p.t) ** k > MAX_TERMS:
+            p = NCPolynomial.unit(self._scalar_of(p, off).inv())
+        elif len(p.t) ** k > MAX_TERMS:
             raise ParseError("power of more than %d terms" % MAX_TERMS, off)
-        return _poly_pow(p, k)
+        out = NCPolynomial.unit()
+        for _ in range(k):
+            out = _bounded(out * p, off)
+        return out
 
     def atom(self):
         kind, text, off = self.take()
         if kind == "num":
-            return NCPolynomial.unit(rational(int(text)))
+            return _bounded(NCPolynomial.unit(rational(_number(text, off))),
+                            off)
         if kind == "(":
             p = self.expr()
             self.take(")")
@@ -180,18 +189,21 @@ class _Parser:
         return s
 
 
-def _scalar_pow(s, k):
-    out = ONE
-    for _ in range(k):
-        out = out * s
-    return out
+def _number(digits, off):
+    """The integer that digits spells.  Python converts at most about
+    4,300 significant digits, and any longer number is past MAX_BITS."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        raise ParseError("number longer than %d bits" % MAX_BITS,
+                         off) from None
 
 
-def _poly_pow(p, k):
-    out = NCPolynomial.unit()
-    for _ in range(k):
-        out = out * p
-    return out
+def _bounded(p, off):
+    """p, unless a coefficient holds an integer longer than MAX_BITS."""
+    if any(bit_length(c) > MAX_BITS for c in p.t.values()):
+        raise ParseError("coefficient longer than %d bits" % MAX_BITS, off)
+    return p
 
 
 def parse(text, preset=None):

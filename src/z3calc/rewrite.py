@@ -3,8 +3,9 @@
 A Presentation bundles an alphabet, a term order, and a list of
 oriented rules lhs -> rhs where lhs is a word and rhs a polynomial in
 strictly smaller words.  Reduction replaces the leftmost, first-declared
-match and recurses with memoisation; the engine never completes a
-presentation behind the caller's back, it only reports critical pairs.
+match, working from an explicit stack with memoisation rather than by
+recursion; the engine never completes a presentation behind the caller's
+back, it only reports critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, drop only the memo entries that the new rules change,
 and reduce a pair of older rules again only if one of its one-step
@@ -29,7 +30,6 @@ and positivity of the weights makes the order well founded either way.
 from __future__ import annotations
 
 import json
-import sys
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,11 +37,8 @@ from fractions import Fraction
 from .scalars import specialize_q
 from .freealg import GeneratorInfo, NCPolynomial, word_grade, fa_str, term_list
 
-sys.setrecursionlimit(100000)
-
 # Every reduction may take at most Z3CALC_STEP_BUDGET rewrite steps, this
-# many when the variable is unset; only normal_form and nf_word accept an
-# explicit budget instead.
+# many when the variable is unset.
 DEFAULT_BUDGET = 10**6
 # sweeps of saturate; localize makes at most MAX_SWEEPS**2 passes
 MAX_SWEEPS = 8
@@ -128,20 +125,20 @@ def _lhs_trie(rules):
         else:
             node[1] = r
 
-    def inherit(children, rule):
+    todo = [(root, None)]
+    while todo:
+        children, rule = todo.pop()
         for node in children.values():
             if node[1] is None:
                 node[1] = rule
-            inherit(node[0], node[1])
-
-    inherit(root, None)
+            todo.append((node[0], node[1]))
     return root
 
 
 def _leftmost(trie, word, start, stop):
     """(position, rule) of the leftmost match of the trie in word that
-    starts in range(start, stop), or None.  _nf_word keeps this scan
-    inline: it is the hot loop of every reduction."""
+    starts in range(start, stop), or None.  It is the one scan: every
+    reduction and every memo check of saturate finds its matches here."""
     n = len(word)
     for i in range(start, stop):
         node = trie.get(word[i])
@@ -207,63 +204,56 @@ class Presentation:
 
     # -- reduction ----------------------------------------------------------
 
-    def _nf_word(self, word, state, start=0):
-        # state is [budget left, ref of the last rule fired, budget];
-        # no match starts left of start
-        memo = self._memo
-        hit = memo.get(word)
-        if hit is not None:
-            return hit
-        trie = self._trie
-        n = len(word)
-        for i in range(start, n):
-            node = trie.get(word[i])
-            if node is None:
+    def normal_form(self, p):
+        """The normal form of the polynomial p.  Reduction runs on a stack
+        of frames, p's at the bottom and one above it for each word being
+        rewritten; a frame sums the normal forms of its word's reducts, and
+        the word is memoised after them.  Only a memo miss that rewrites is
+        charged against the step budget."""
+        trie, memo, maxlen = self._index(), self._memo, self._maxlen
+        raw = os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET)
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError("Z3CALC_STEP_BUDGET=%r is not an integer"
+                             % raw) from None
+        left, last = budget, None  # last: ref of the last rule fired
+        # a frame: [word, iterator over (middle, coefficient) of its reducts
+        # prefix + middle + suffix, prefix, suffix, start (no match in a
+        # reduct starts left of it), the word's coefficient below, sum]
+        stack = [[None, iter(p.t.items()), (), (), 0, None,
+                  NCPolynomial.zero()]]
+        while True:
+            frame = stack[-1]
+            _, reducts, prefix, suffix, start, _, acc = frame
+            for middle, c in reducts:
+                w = prefix + middle + suffix
+                nf = memo.get(w)
+                if nf is None:
+                    match = _leftmost(trie, w, start, len(w))
+                    if match is not None:
+                        break
+                    nf = memo[w] = NCPolynomial.word(w)
+                acc = acc + nf.scale(c)
+            else:
+                stack.pop()
+                if not stack:
+                    return acc
+                memo[frame[0]] = acc
+                stack[-1][6] = stack[-1][6] + acc.scale(frame[5])
                 continue
-            j = i + 1
-            while j < n:
-                deeper = node[0].get(word[j])
-                if deeper is None:
-                    break
-                node = deeper
-                j += 1
-            rule = node[1]
-            if rule is None:
-                continue
-            state[0] -= 1
-            if state[0] < 0:
-                raise BudgetExceeded(word, max(state[2], 0), state[1])
-            state[1] = rule.ref
-            prefix = word[:i]
-            suffix = word[i + len(rule.lhs):]
-            restart = max(0, i - self._maxlen + 1)
-            acc = NCPolynomial.zero()
-            for rw, rc in rule.rhs.t.items():
-                acc = acc + self._nf_word(prefix + rw + suffix, state,
-                                          restart).scale(rc)
-            memo[word] = acc
-            return acc
-        acc = NCPolynomial.word(word)
-        memo[word] = acc
-        return acc
+            frame[6] = acc
+            i, rule = match
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(w, max(budget, 0), last)
+            last = rule.ref
+            stack.append([w, iter(rule.rhs.t.items()), w[:i],
+                          w[i + len(rule.lhs):], max(0, i - maxlen + 1), c,
+                          NCPolynomial.zero()])
 
-    def normal_form(self, p, budget=None):
-        self._index()
-        if budget is None:
-            raw = os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET)
-            try:
-                budget = int(raw)
-            except ValueError:
-                raise ValueError("Z3CALC_STEP_BUDGET=%r is not an integer"
-                                 % raw) from None
-        state = [budget, None, budget]
-        out = NCPolynomial.zero()
-        for word, c in p.t.items():
-            out = out + self._nf_word(word, state).scale(c)
-        return out
-
-    def nf_word(self, word, budget=None):
-        return self.normal_form(NCPolynomial.word(word), budget)
+    def nf_word(self, word):
+        return self.normal_form(NCPolynomial.word(word))
 
     # -- critical pairs -----------------------------------------------------
 
@@ -382,29 +372,34 @@ class Presentation:
         """Inverse of to_json; a malformed document raises ValueError."""
         from .parser import parse_scalar
 
-        if not (isinstance(doc, dict) and "name" in doc
+        if not (isinstance(doc, dict) and isinstance(doc.get("name"), str)
                 and isinstance(doc.get("generators"), list)
                 and isinstance(doc.get("rules"), list)
                 and isinstance(doc.get("order"), dict)):
-            raise ValueError("a preset is a JSON object with name, generators "
-                             "and rules lists, and an order object")
+            raise ValueError("a preset is a JSON object with a name string, "
+                             "generators and rules lists, and an order object")
         gens = []
         for n, d in enumerate(doc["generators"]):
             if not (isinstance(d, dict) and isinstance(d.get("name"), str)
                     and isinstance(d.get("grade"), int)
-                    and isinstance(d.get("weight"), int)):
+                    and isinstance(d.get("weight"), int)
+                    and isinstance(d.get("nilpotency", 0), int)
+                    and isinstance(d.get("d_image", ""), str)):
                 raise ValueError("generator #%d needs a name and an integer "
-                                 "grade and weight" % n)
+                                 "grade and weight; a nilpotency is an "
+                                 "integer and a d_image a string" % n)
             gens.append(GeneratorInfo(d["name"], d["grade"], d["weight"],
                                       d.get("nilpotency"), d.get("d_image")))
         names = {g.name for g in gens}
         od = doc["order"]
         prec = od.get("precedence")
-        if not (isinstance(od.get("weights"), dict) and isinstance(prec, list)
+        weights = od.get("weights")
+        if not (isinstance(weights, dict) and set(weights) == names
+                and isinstance(prec, list)
                 and sorted(prec, key=str) == sorted(names, key=str)):
-            raise ValueError("order needs weights and a precedence that lists "
+            raise ValueError("order needs weights and a precedence that list "
                              "each generator once")
-        order = TermOrder(od["weights"], prec)
+        order = TermOrder(weights, prec)
 
         def word(w, tag):
             if not (isinstance(w, list)
@@ -418,6 +413,8 @@ class Presentation:
             if not (isinstance(rd, dict) and "lhs" in rd
                     and isinstance(rd.get("rhs"), list)):
                 raise ValueError("rule #%d needs an lhs and an rhs list" % n)
+            if not isinstance(rd.get("ref", ""), str):
+                raise ValueError("rule #%d: its ref is not a string" % n)
             tag = rd.get("ref") or "#%d" % n
             lhs = word(rd["lhs"], tag)
             if not lhs:
@@ -510,7 +507,6 @@ def saturate(pres, skip=None):
             break
         old = len(rules)
         dropped = _drop_changed(P, new)
-        P._append(new)
     # the pairs' words would only hold memory, and later reductions are
     # charged against the step budget as in a fresh presentation
     P._memo.clear()
@@ -518,27 +514,27 @@ def saturate(pres, skip=None):
 
 
 def _drop_changed(P, new):
-    """Drop from P's memo every word whose reduction changes once the
-    rules new are declared after P's rules; return the dropped words.
-
-    The memo lists each word after the words its rewrite step produced,
-    so one pass sees those first.
-    """
-    trie, fresh = P._index(), _lhs_trie(new)
-    memo = P._memo
+    """Declare the rules new after P's rules, then drop from P's memo, and
+    return, every word whose reduction that changes.  Its leftmost match
+    may now be a new rule: at the old match the old rule still wins, and
+    left of it only a new left side can match (saturate never declares a
+    left side twice, so a rule is new when its left side is one of new's).
+    Or its rewrite step produced a dropped word, which the memo lists first."""
+    P._append(new)
+    trie, memo = P._index(), P._memo
+    fresh = {r.lhs for r in new}
     dropped = set()
     for w in memo:
         match = _leftmost(trie, w, 0, len(w))
-        i = len(w) if match is None else match[0]
-        if _leftmost(fresh, w, 0, i):
+        if match is None:
+            continue
+        i, rule = match
+        if rule.lhs in fresh:
             dropped.add(w)
-        elif dropped and match is not None:
-            rule = match[1]
+        elif dropped:
             prefix, suffix = w[:i], w[i + len(rule.lhs):]
-            for rw in rule.rhs.t:
-                if prefix + rw + suffix in dropped:
-                    dropped.add(w)
-                    break
+            if any(prefix + rw + suffix in dropped for rw in rule.rhs.t):
+                dropped.add(w)
     for w in dropped:
         del memo[w]
     return dropped

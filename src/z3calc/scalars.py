@@ -353,6 +353,16 @@ Q = CycloRational(P_Q, P_ONE, _canonical=True)
 MINUS_ONE = CycloRational(QJPoly((QJ(-1, 0),)), P_ONE, _canonical=True)
 
 
+def bit_length(s):
+    """The bit length of the longest numerator or denominator in s."""
+    n = 0
+    for poly in (s.num, s.den):
+        for v in poly.c:
+            for r in (v.a, v.b):
+                n = max(n, r.numerator.bit_length(), r.denominator.bit_length())
+    return n
+
+
 def rational(x):
     """Embed an int or Fraction."""
     return CycloRational(QJPoly.const(QJ(x)))

@@ -89,6 +89,55 @@ def test_partial_follows_preset_q(P):
     assert PartialOperator(presets.build("hj_calculus"))("th", f) == at_one
 
 
+def reference_partial(op, axis, word):
+    """The partial along axis of word by recursion on its first letter,
+    each row recomputing the partial of the rest."""
+    if not word:
+        return NCPolynomial.zero()
+    g, rest = word[0], word[1:]
+    table = op.rows[axis]
+    if g not in table:
+        raise KeyError("partial derivative undefined past generator %r" % g)
+    out = NCPolynomial.zero()
+    for c, prefix, nxt in table[g]:
+        if nxt is None:
+            out = out + NCPolynomial.word(prefix + rest, c)
+        else:
+            tail = reference_partial(op, nxt, rest)
+            if not tail.is_zero():
+                out = out + NCPolynomial.word(prefix, c) * tail
+    return out
+
+
+@pytest.mark.parametrize("name, flipped", [("qjh_calculus", False),
+                                           ("hj_calculus", False),
+                                           ("qjh_calculus", True)])
+def test_partial_matches_reference(name, flipped):
+    pres = presets.build(name)
+    # the flipped rows are the ones _suite_partials pins as wrong
+    op = PartialOperator(pres,
+                         rows=calculus._flipped_rows() if flipped else None)
+    letters = sorted(calculus._PARTIAL_LETTERS)
+    rng = random.Random(11)
+    for _ in range(150):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+        for axis in ("x", "th"):
+            got = op(axis, NCPolynomial.word(word), reduce=False)
+            want = reference_partial(op, axis, word)
+            # the same terms in the same order
+            assert list(got.t.items()) == list(want.t.items()), (axis, word)
+    for axis in ("x", "th"):
+        with pytest.raises(KeyError):
+            op(axis, NCPolynomial.word(("x", "d2x")), reduce=False)
+
+
+def test_partial_of_long_word_under_default_limit(default_recursion_limit):
+    pres = presets.build("hj_calculus")
+    word = NCPolynomial.word(("x",) * 1500 + ("th",))
+    got = PartialOperator(pres)("th", word, reduce=False)
+    assert got == NCPolynomial.word(("x",) * 1500)
+
+
 def test_partial_exchange_sample(P):
     part = PartialOperator(P)
     for m in (("x", "x"), ("th", "x"), ("h", "th", "x", "x")):

@@ -10,7 +10,8 @@ import pytest
 from z3calc import presets
 from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
-from z3calc.parser import MAX_EXPONENT, MAX_TERMS, ParseError, parse, parse_scalar
+from z3calc.parser import (MAX_BITS, MAX_EXPONENT, MAX_TERMS, ParseError,
+                           parse, parse_scalar)
 from z3calc.scalars import J, J2, ONE, Q, rational
 
 
@@ -94,6 +95,21 @@ def test_parse_term_cap(P):
     with pytest.raises(ParseError) as err:
         parse("(x+th)^9*(x+th)^9", P)  # 512 * 512 terms
     assert err.value.offset == 8
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(2^4999)^2*2^4001*2", 17),  # 2^14000: one bit too many, at the last *
+    ("10^5000", 2),
+    ("(2^5000)^2000", 8),  # refused at the third step, not the 2000th
+    ("1/(2^4000+j)^2", 1),  # the norm of the divisor doubles its length
+    ("9" * 5000, 0),  # more digits than Python converts
+], ids=["one_bit_over", "power", "nested_power", "divisor", "literal"])
+def test_parse_coefficient_cap(P, text, offset):
+    assert parse("(2^4999)^2*2^4001", P) == NCPolynomial.unit(
+        rational(2 ** (MAX_BITS - 1)))
+    with pytest.raises(ParseError) as err:
+        parse(text, P)
+    assert err.value.offset == offset and "%d bits" % MAX_BITS in str(err.value)
 
 
 def test_parse_scalar_rejects_generators():
@@ -237,6 +253,21 @@ def test_cli_power_of_sum_is_bad_input():
     assert r.stderr.startswith("error: power of more than")
 
 
+@pytest.mark.parametrize("expr", ["10^5000", "(2^5000)^2000", "9" * 5000],
+                         ids=["power", "nested_power", "literal"])
+def test_cli_long_coefficient_is_bad_input(expr):
+    r = run_cli("reduce", "--preset", "q_plane", expr, timeout=5)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and "bits" in r.stderr
+
+
+def test_cli_prints_long_coefficient():
+    r = run_cli("reduce", "--preset", "q_plane", "2^5000", timeout=5)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "%d\n" % 2 ** 5000, "")
+    assert len(r.stdout) == 1506 + 1
+
+
 def test_cli_bad_q_is_bad_input():
     r = run_cli("reduce", "--preset", "qjh_calculus", "--q", "1/0", "x")
     assert r.returncode == 2
@@ -273,6 +304,15 @@ def test_cli_budget_not_an_integer_is_bad_input():
     assert r.stderr.startswith("error: ") and "Z3CALC_STEP_BUDGET" in r.stderr
 
 
+def _tiny(change):
+    """A valid one-generator preset document, then change(doc) applied."""
+    doc = {"name": "tiny", "generators": [{"name": "a", "grade": 0, "weight": 1}],
+           "rules": [{"lhs": ["a", "a", "a"], "rhs": [], "ref": "a3"}],
+           "order": {"weights": {"a": 1}, "precedence": ["a"]}}
+    change(doc)
+    return doc
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"name": "bad", "generators": [{"name": "a", "grade": 0, "weight": 1}],
       "rules": [{"lhs": [], "rhs": [], "ref": "empty"}],
@@ -281,6 +321,14 @@ def test_cli_budget_not_an_integer_is_bad_input():
     ({"name": "bad", "generators": [{"name": "a", "grade": 0, "weight": 1}],
       "rules": [{"lhs": ["a", "zz"], "rhs": [], "ref": "stray"}],
       "order": {"weights": {"a": 1}, "precedence": ["a"]}}, "stray"),
+    (_tiny(lambda d: d.update(name={"x": [1, 2]})), "name string"),
+    (_tiny(lambda d: d["rules"][0].update(ref=[3])), "ref is not a string"),
+    (_tiny(lambda d: d["generators"][0].update(nilpotency=[[1]])),
+     "nilpotency"),
+    (_tiny(lambda d: d["generators"][0].update(d_image={"a": "a"})),
+     "d_image"),
+    (_tiny(lambda d: d["order"]["weights"].update(zz=[[[]]])),
+     "each generator once"),
 ])
 def test_cli_presets_import_rejects_malformed(tmp_path, doc, message):
     path = tmp_path / "bad.json"
@@ -292,8 +340,8 @@ def test_cli_presets_import_rejects_malformed(tmp_path, doc, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    # decoded under rewrite's raised recursion limit, this overflowed the
-    # C stack (SIGSEGV) before the nesting bound
+    # decoded under the recursion limit rewrite used to raise, this
+    # overflowed the C stack (SIGSEGV) before the nesting bound
     ("[" * 100000, "nested deeper"),
     # an unterminated string at every quote: the nesting scan must stay
     # linear in the length of the file

@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -63,17 +65,58 @@ def test_reduction_respects_order():
     assert all(key(w) < key(("x", "th")) for w in nf.support())
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     P = presets.build("h_plane")
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "2")
     with pytest.raises(BudgetExceeded) as info:
-        P.nf_word(("x",) * 3 + ("th",) * 2, budget=2)
+        P.nf_word(("x",) * 3 + ("th",) * 2)
     e = info.value
     assert e.steps == 2
     assert e.rule in {r.ref for r in P.rules}
     assert "after 2 steps" in str(e) and e.rule in str(e)
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
     with pytest.raises(BudgetExceeded) as info:
-        P.nf_word(("x", "th"), budget=0)
+        P.nf_word(("x", "th"))
     assert info.value.steps == 0 and info.value.rule is None
+
+
+def test_budget_counts_rewriting_misses(monkeypatch):
+    # reducing x^3*th^2 in a fresh h_plane rewrites 19 words the memo lacks
+    # and meets 2 irreducible ones; memo hits are free
+    word = ("x",) * 3 + ("th",) * 2
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "18")
+    with pytest.raises(BudgetExceeded):
+        presets.build("h_plane").nf_word(word)
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "19")
+    P = presets.build("h_plane")
+    nf = P.nf_word(word)
+    assert len(P._memo) == 21
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
+    assert P.nf_word(word) == nf
+
+
+def test_import_keeps_recursion_limit():
+    code = ("import sys; n = sys.getrecursionlimit(); import z3calc.cli; "
+            "print(n, sys.getrecursionlimit())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == out[1]
+
+
+def test_long_chain_reduces_under_default_limit(default_recursion_limit):
+    # each x passes th in turn: a chain of 2000 rewrites
+    P = presets.build("q_plane").specialize(1)
+    nf = P.nf_word(("x",) * 2000 + ("th",))
+    assert nf == NCPolynomial.word(("th",) + ("x",) * 2000)
+
+
+def test_long_left_side_under_default_limit(default_recursion_limit):
+    # a trie 3000 nodes deep
+    order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
+    gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
+    P = Presentation("toy", gens, [
+        RewriteRule(("a",) * 3000, NCPolynomial.word(("b",)), "a3000")], order)
+    assert P.nf_word(("a",) * 3001) == NCPolynomial.word(("b", "a"))
 
 
 def test_critical_pairs_joinable_on_confluent_preset():
