@@ -17,9 +17,19 @@ Partial derivatives act from the left through recursion tables: a row
 (d_axis of the rest), rows with axis None terminate.  The tables are
 exactly the ones a left Weyl-style representation produces, which the
 weyl preset cross-checks.
+
+The d-replay suites (d_stability, first_forms, second_forms, form_tower)
+are one table of (check name, rule ref) pairs.  Each check reads lhs - rhs
+of the named qjh_calculus rule, so no relation is typed here a second
+time, and reduces it (relation_<name>) and its image under d (d_<name>)
+in a fresh qjh_calculus; d_stability reports the d_ entries only.  A
+relation_ entry thus confirms that its rule exists and fires on its own
+left side.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .scalars import (ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational,
                       specialize_q)
@@ -206,65 +216,40 @@ def _word(w, c=ONE):
     return NCPolynomial.word(w, c)
 
 
-def _suite_d_stability():
+# (check name, qjh_calculus rule ref) pairs of each d-replay suite
+_D_SUITES = {
+    "d_stability": [
+        ("plane_relation", "plane:xth"), ("theta_cube", "plane:th3"),
+        ("x_h_passage", "passage:xh"), ("theta_h_passage", "passage:thh"),
+        ("dx_h_passage", "passage:dxh"),
+        ("dtheta_h_passage", "passage:hdth"),
+    ],
+    "first_forms": [
+        ("x_dx", "mixed:xdx"), ("x_dtheta", "mixed:xdth"),
+        ("theta_dx", "mixed:thdx"), ("theta_dtheta", "mixed:thdth"),
+    ],
+    "second_forms": [
+        ("x_d2x", "mixed2:xd2x"), ("x_d2theta", "mixed2:xd2th"),
+        ("theta_d2x", "mixed2:thd2x"), ("theta_d2theta", "mixed2:thd2th"),
+        ("dx_dtheta", "forms:dxdth"),
+    ],
+    "form_tower": [
+        ("dx_d2x", "forms:dxd2x"), ("dx_d2theta", "forms:dxd2th"),
+        ("dtheta_d2x", "forms:d2xdth"), ("dtheta_d2theta", "forms:dthd2th"),
+    ],
+}
+
+
+def _d_suite(suite):
     P = _presets.qjh_calculus()
     d = DifferentialOperator(P)
-    rels = [
-        ("d_plane_relation",
-         _word(("x", "th")) - _word(("th", "x"), Q) - _word(("h", "x", "x"))),
-        ("d_theta_cube", _word(("th", "th", "th"))),
-        ("d_x_h_passage", _word(("x", "h")) - _word(("h", "x"))),
-        ("d_theta_h_passage", _word(("th", "h")) - _word(("h", "th"), Q * J)),
-        ("d_dx_h_passage", _word(("dx", "h")) - _word(("h", "dx"), J)),
-        ("d_dtheta_h_passage",
-         _word(("dth", "h")) - _word(("h", "dth"), Q * J2)),
-    ]
-    checks = [zero_entry(n, P, d(r, reduce=False)) for n, r in rels]
-    return {"suite": "d_stability", "checks": checks}
-
-
-def _first_form_relations():
-    return [
-        ("x_dx", _word(("x", "dx")) - _word(("dx", "x"), J2)),
-        ("x_dtheta", _word(("x", "dth")) - _word(("dth", "x"), Q)
-         - _word(("dx", "th"), J2 - ONE) - _word(("h", "dx", "x"), J)),
-        ("theta_dx", _word(("th", "dx")) - _word(("dx", "th"), J * _QI)
-         + _word(("h", "dx", "x"), J2 * _QI)),
-        ("theta_dtheta", _word(("th", "dth")) - _word(("dth", "th"), J)),
-    ]
-
-
-def _second_form_relations():
-    return [
-        ("x_d2x", _word(("x", "d2x")) - _word(("d2x", "x"), J2)),
-        ("x_d2theta", _word(("x", "d2th")) - _word(("d2th", "x"), Q)
-         - _word(("d2x", "th"), J2 - ONE) - _word(("h", "d2x", "x"), J2)),
-        ("theta_d2x", _word(("th", "d2x")) - _word(("d2x", "th"), _QI)
-         + _word(("h", "d2x", "x"), J2 * _QI)),
-        ("theta_d2theta", _word(("th", "d2th")) - _word(("d2th", "th"))),
-        ("dx_dtheta", _word(("dx", "dth")) - _word(("dth", "dx"), Q * J)
-         - _word(("h", "dx", "dx"), J2)),
-    ]
-
-
-def _form_tower_relations():
-    return [
-        ("dx_d2x", _word(("dx", "d2x")) - _word(("d2x", "dx"), J)),
-        ("dx_d2theta", _word(("dx", "d2th")) - _word(("d2th", "dx"), Q)
-         - _word(("d2x", "dth"), J - J2) - _word(("h", "d2x", "dx"), J2)),
-        ("dtheta_d2x", _word(("dth", "d2x")) - _word(("d2x", "dth"), J2 * _QI)
-         + _word(("h", "d2x", "dx"), J2 * _QI)),
-        ("dtheta_d2theta", _word(("dth", "d2th")) - _word(("d2th", "dth"))),
-    ]
-
-
-def _d_suite(suite, rels):
-    P = _presets.qjh_calculus()
-    d = DifferentialOperator(P)
+    rules = {r.ref: r for r in P.rules}
     checks = []
-    for n, r in rels:
-        checks.append(zero_entry("relation_" + n, P, r))
-        checks.append(zero_entry("d_" + n, P, d(r, reduce=False)))
+    for name, ref in _D_SUITES[suite]:
+        rel = _word(rules[ref].lhs) - rules[ref].rhs
+        if suite != "d_stability":
+            checks.append(zero_entry("relation_" + name, P, rel))
+        checks.append(zero_entry("d_" + name, P, d(rel, reduce=False)))
     return {"suite": suite, "checks": checks}
 
 
@@ -305,8 +290,9 @@ def _monomial_check(name, ok, **basis):
 def _flipped_rows():
     """The partial rows with each h-term sign in the form rows flipped."""
     rows = _partial_rows()
-    rows["x"]["dx"] = [(J, ("dx",), "x"), (-J2, ("h", "dx"), "th")]
-    rows["x"]["dth"] = [(_QI, ("dth",), "x"), (_QI * J, ("h", "dx"), "x")]
+    for g in ("dx", "dth"):
+        rows["x"][g] = [(-c if "h" in w else c, w, nxt)
+                        for c, w, nxt in rows["x"][g]]
     return rows
 
 
@@ -452,10 +438,7 @@ def cartan_verify():
 
 
 _SUITES = {
-    "d_stability": _suite_d_stability,
-    "first_forms": lambda: _d_suite("first_forms", _first_form_relations()),
-    "second_forms": lambda: _d_suite("second_forms", _second_form_relations()),
-    "form_tower": lambda: _d_suite("form_tower", _form_tower_relations()),
+    **{suite: functools.partial(_d_suite, suite) for suite in _D_SUITES},
     "partials": _suite_partials,
     "weyl": _suite_weyl,
     "cartan": cartan_verify,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and all checks passing for verify/supergroup),
 1 a verification reported failures, 2 bad input (unknown preset or
-suite, parse error, a bad --q or a pole at it, malformed preset JSON),
-3 step budget exceeded.
+suite, parse error, a bad --q or a pole at it, malformed preset JSON,
+a normal form whose coefficient is longer than parser.MAX_BITS), 3 step
+budget exceeded.
 Z3CALC_STEP_BUDGET (default 10**6 rewrite steps) caps every reduction a
 command makes: reduce, the pair census, the supergroup and sdet checks,
 and the saturate/localize builds of cartan and glhj_localized.
@@ -17,10 +18,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .scalars import PoleError
+from .scalars import PoleError, bit_length
 from .freealg import fa_str, term_list
 from .rewrite import BudgetExceeded, Presentation
-from .parser import MAX_DEPTH, ParseError, parse
+from .parser import MAX_BITS, MAX_DEPTH, ParseError, parse
 from . import presets as _presets
 from . import calculus as _calculus
 from . import supergroup as _supergroup
@@ -72,6 +73,10 @@ def _dispatch(args):
     if args.cmd == "reduce":
         pres = _load_preset(args.preset, args.q)
         nf = pres.normal_form(parse(args.expr, pres))
+        # the cap on parsed coefficients holds for printed ones too
+        if any(bit_length(c) > MAX_BITS for c in nf.t.values()):
+            raise ValueError("%s: normal form has a coefficient longer than "
+                             "%d bits" % (args.expr, MAX_BITS))
         if args.format == "json":
             _emit({
                 "preset": args.preset,

@@ -27,7 +27,7 @@ import functools
 from dataclasses import replace
 from fractions import Fraction
 
-from .scalars import ZERO, ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational
+from .scalars import ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational
 from .freealg import GeneratorInfo, NCPolynomial
 from .rewrite import Presentation, RewriteRule, TermOrder, localize, saturate
 
@@ -419,11 +419,18 @@ def verify_contraction():
     d2th' = d2th + j^2 h d2x/(q-1) satisfy the h-free q-relations inside
     the full calculus, with the commutation matrix forced by a linear
     system whose solution is checked here coefficient by coefficient.
+    Every coefficient is read from the rules of qjh_calculus.
     """
+    P = qjh_calculus()
+    rhs = {r.ref: r.rhs.coeff for r in P.rules}
     q = Q
-    A, B = J2, J
-    F11, F12, F21, F22 = Q, J2 - ONE, J * _QI, ZERO
-    F = Q * J
+    A = rhs["mixed:xdx"](("dx", "x"))
+    B = rhs["mixed:thdth"](("dth", "th"))
+    F11 = rhs["mixed:xdth"](("dth", "x"))
+    F12 = rhs["mixed:xdth"](("dx", "th"))
+    F21 = rhs["mixed:thdx"](("dx", "th"))
+    F22 = rhs["mixed:thdx"](("dx", "x"))  # no dx*x term: zero
+    F = rhs["forms:dxdth"](("dth", "dx"))
     c = (Q - ONE).inv()
 
     checks = {}
@@ -435,11 +442,13 @@ def verify_contraction():
     k3 = (B * J2 - F21 * q - F22 * q + A * J2 * q - F11 * J - F12 * J)
     checks["obstructions_vanish"] = k1.is_zero() and k2.is_zero() and k3.is_zero()
     checks["cube_constraint"] = (ONE + J * B + J2 * B * B).is_zero()
-    checks["xdth_h_coefficient"] = (F11 * J + F12 * J - A * J) * c == J
-    checks["thdx_h_coefficient"] = (F21 * J + F22 * J - A) * c == -(J2 * _QI)
-    checks["wedge_h_coefficient"] = (F * J - J2) * c == J2
+    checks["xdth_h_coefficient"] = (
+        (F11 * J + F12 * J - A * J) * c == rhs["mixed:xdth"](("h", "dx", "x")))
+    checks["thdx_h_coefficient"] = (
+        (F21 * J + F22 * J - A) * c == rhs["mixed:thdx"](("h", "dx", "x")))
+    checks["wedge_h_coefficient"] = (
+        (F * J - J2) * c == rhs["forms:dxdth"](("h", "dx", "dx")))
 
-    P = qjh_calculus()
     gen = NCPolynomial.gen
     word = NCPolynomial.word
     xp = gen("x")

@@ -37,27 +37,21 @@ def dual_coaction():
     }
 
 
-def coact_plane(p):
-    """Apply the coaction to a polynomial in x, th, h."""
-    return apply_hom(plane_coaction(), p)
-
-
-def coact_dual(p):
-    return apply_hom(dual_coaction(), p)
+# each check coacts lhs - rhs of one plane rule of coaction_plane or one
+# dual-plane rule of coaction_dual
+_COMODULE = {"plane_relation": "plane:xth", "plane_cube": "plane:th3",
+             "dual_relation": "dual:phiy", "dual_cube": "dual:phi3"}
 
 
 def _comodule_checks(Pp, Pd):
-    pc, dc = plane_coaction(), dual_coaction()
-    xt, tt, h = pc["x"], pc["th"], pc["h"]
-    pt, yt = dc["phi"], dc["y"]
-    return {
-        "plane_relation": Pp.normal_form(
-            xt * tt - tt * xt - h * xt * xt).is_zero(),
-        "plane_cube": Pp.normal_form(tt * tt * tt).is_zero(),
-        "dual_relation": Pd.normal_form(
-            pt * yt - (yt * pt).scale(J) - (h * pt * pt).scale(J2)).is_zero(),
-        "dual_cube": Pd.normal_form(pt * pt * pt).is_zero(),
-    }
+    out = {}
+    for name, ref in _COMODULE.items():
+        P, sigma = ((Pp, plane_coaction()) if ref.startswith("plane:")
+                    else (Pd, dual_coaction()))
+        r = next(r for r in P.rules if r.ref == ref)
+        out[name] = P.normal_form(
+            apply_hom(sigma, NCPolynomial.word(r.lhs) - r.rhs)).is_zero()
+    return out
 
 
 def _drop(pres, ref):

@@ -11,6 +11,7 @@ from z3calc.calculus import (DifferentialOperator, PartialOperator,
                              d_cube_vanishes, monomial_basis, random_element,
                              replay, verify_df_decomposition)
 from z3calc.freealg import NCPolynomial, word_grade
+from z3calc.rewrite import Presentation, RewriteRule
 from z3calc.scalars import J, J2, ONE, Q, jpow, specialize_q
 
 
@@ -197,3 +198,27 @@ def test_replay_all_prefixes_names():
     assert out["ok"]
     assert any(c["name"].startswith("partials.") for c in out["checks"])
     assert any(c["name"].startswith("weyl.") for c in out["checks"])
+
+
+@pytest.mark.parametrize("factor", [Q, J], ids=["q", "j"])
+@pytest.mark.parametrize("suite, ref", [  # plane:th3 has no rhs to scale
+    (suite, ref) for suite, pairs in calculus._D_SUITES.items()
+    for _, ref in pairs if ref != "plane:th3"])
+def test_replay_catches_mutated_rule(monkeypatch, suite, ref, factor):
+    # the suites read their relations from the preset, so a preset rule
+    # whose first rhs coefficient is off by a factor must fail its suite
+    original = presets.qjh_calculus
+
+    def mutated():
+        P = original()
+        rules = []
+        for r in P.rules:
+            if r.ref == ref:
+                (word, c), *rest = r.rhs.t.items()
+                r = RewriteRule(r.lhs, NCPolynomial({word: c * factor,
+                                                     **dict(rest)}), ref)
+            rules.append(r)
+        return Presentation(P.name, P.generators, rules, P.order, q=P.q)
+
+    monkeypatch.setattr(presets, "qjh_calculus", mutated)
+    assert replay(suite)["ok"] is False

@@ -268,6 +268,27 @@ def test_cli_prints_long_coefficient():
     assert len(r.stdout) == 1506 + 1
 
 
+@pytest.mark.parametrize("fmt, n", [("text", 1405), ("text", 2000),
+                                    ("json", 2000), ("latex", 2000)])
+def test_cli_long_output_coefficient_is_bad_input(fmt, n):
+    # x^n*th reduces to q^n*th*x^n: 1000^1405 has 14,002 bits, and
+    # 1000^2000 more digits than Python converts to a string
+    r = run_cli("reduce", "--preset", "q_plane", "--q", "1000", "--format",
+                fmt, "x^%d*th" % n, timeout=20)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+    assert "longer than %d bits" % MAX_BITS in r.stderr
+
+
+def test_cli_prints_output_coefficient_below_cap():
+    # 1000^1404 has 13,992 bits
+    r = run_cli("reduce", "--preset", "q_plane", "--q", "1000", "x^1404*th",
+                timeout=20)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "%d*th%s\n" % (1000 ** 1404, "*x" * 1404)
+
+
 def test_cli_bad_q_is_bad_input():
     r = run_cli("reduce", "--preset", "qjh_calculus", "--q", "1/0", "x")
     assert r.returncode == 2

@@ -162,9 +162,11 @@ def test_gl_dual_row():
 
 def test_contraction_checks():
     checks = presets.verify_contraction()
-    assert checks and all(checks.values())
-    assert {"obstructions_vanish", "cube_constraint",
-            "shifted_relations_reduce"} <= set(checks)
+    assert list(checks.items()) == [
+        ("scaling_consistency", True), ("obstructions_vanish", True),
+        ("cube_constraint", True), ("xdth_h_coefficient", True),
+        ("thdx_h_coefficient", True), ("wedge_h_coefficient", True),
+        ("shifted_relations_reduce", True)]
 
 
 def test_glhj_localized_inverts_diagonal():
