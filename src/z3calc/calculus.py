@@ -12,11 +12,12 @@ for homogeneous a of effective weight w(a).  Iterating it gives
 and d^3 = 0 identically because each generator's chain of images ends
 in zero after two steps.
 
-Partial derivatives act from the left through recursion tables: a row
+Partial derivatives act from the left through recursion rows: a row
 (c, prefix, axis) for leading letter g means the term c * prefix *
-(d_axis of the rest), rows with axis None terminate.  The tables are
-exactly the ones a left Weyl-style representation produces, which the
-weyl preset cross-checks.
+(d_axis of the rest), rows with axis None terminate.  The rows and the
+weyl preset's px/pth rules are one q-typed table, presets.PARTIAL_RULES,
+read here at the preset's q; the weyl suite checks that the rules reduce
+as the rows fold.
 
 The d-replay suites (d_stability, first_forms, second_forms, form_tower)
 are one table of (check name, rule ref) pairs.  Each check reads lhs - rhs
@@ -31,12 +32,10 @@ from __future__ import annotations
 
 import functools
 
-from .scalars import (ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational,
+from .scalars import (ONE, J, J2, MINUS_ONE, jpow, qpow, rational,
                       specialize_q)
 from .freealg import NCPolynomial, apply_hom, fa_str, word_grade
 from . import presets as _presets
-
-_QI = qpow(-1)
 
 
 class DifferentialOperator:
@@ -72,38 +71,28 @@ class DifferentialOperator:
 # ---------------------------------------------------------------------------
 # partial derivatives
 
+_AXES = {"px": "x", "pth": "th"}
+
+
 def _partial_rows():
-    return {
-        "x": {
-            "x": [(ONE, (), None), (J2, ("x",), "x"),
-                  (J2 - ONE, ("th",), "th"), (ONE, ("h", "x"), "th")],
-            "th": [(J2 * _QI, ("th",), "x"), (-(J2 * _QI), ("h", "x"), "x")],
-            "h": [(ONE, ("h",), "x")],
-            # h-coefficients here are pinned by well-definedness across the
-            # dx/dth exchange relations; see form_row_h_signs_pinned.
-            "dx": [(J, ("dx",), "x"), (J2, ("h", "dx"), "th")],
-            "dth": [(_QI, ("dth",), "x"), (-(_QI * J), ("h", "dx"), "x")],
-        },
-        "th": {
-            "x": [(Q, ("x",), "th")],
-            "th": [(ONE, (), None), (J2, ("th",), "th")],
-            "h": [(_QI * J2, ("h",), "th")],
-            "dx": [(Q * J2, ("dx",), "th")],
-            "dth": [(J2 - J, ("dx",), "x"), (J2, ("dth",), "th")],
-        },
-    }
+    """The rows of presets.PARTIAL_RULES: rule p*g -> ... gives the row of
+    g along p's axis, its term c*w*px or c*w*pth the entry (c, w, "x") or
+    (c, w, "th"), and any other term c*w the entry (c, w, None)."""
+    rows = {"x": {}, "th": {}}
+    for _, (p, g, *more), *terms in _presets.PARTIAL_RULES:
+        if more or g in _AXES:
+            continue  # partial:pxpth and partial:pth3 are no rows
+        rows[_AXES[p]][g] = [(c, w[:-1], _AXES[w[-1]]) if w and w[-1] in _AXES
+                             else (c, w, None) for c, w in terms]
+    return rows
 
 
 class PartialOperator:
     def __init__(self, preset, rows=None):
-        if rows is None:
-            rows = _partial_rows()
-        if preset.q != "symbolic":  # the rows follow a bound q
-            rows = {
-                axis: {g: [(specialize_q(c, preset.q), w, nxt) for c, w, nxt in rr]
-                       for g, rr in table.items()}
-                for axis, table in rows.items()
-            }
+        q, rows = preset.q, rows or _partial_rows()
+        if q != "symbolic":  # the rows follow a bound q, given or not
+            rows = {a: {g: [(specialize_q(c, q), w, n) for c, w, n in rr]
+                        for g, rr in t.items()} for a, t in rows.items()}
         self.rows = rows
         self.preset = preset
 
@@ -212,10 +201,6 @@ def all_pass(entries):
 # ---------------------------------------------------------------------------
 # replay suites
 
-def _word(w, c=ONE):
-    return NCPolynomial.word(w, c)
-
-
 # (check name, qjh_calculus rule ref) pairs of each d-replay suite
 _D_SUITES = {
     "d_stability": [
@@ -246,7 +231,7 @@ def _d_suite(suite):
     rules = {r.ref: r for r in P.rules}
     checks = []
     for name, ref in _D_SUITES[suite]:
-        rel = _word(rules[ref].lhs) - rules[ref].rhs
+        rel = NCPolynomial.word(rules[ref].lhs) - rules[ref].rhs
         if suite != "d_stability":
             checks.append(zero_entry("relation_" + name, P, rel))
         checks.append(zero_entry("d_" + name, P, d(rel, reduce=False)))
@@ -323,9 +308,13 @@ def _suite_partials():
     checks.append(flag("form_row_h_signs_pinned",
                        not diff.is_zero() and not _h2_truncated(diff)))
 
+    # px*pth = c pth*px, c read from partial:pxpth
+    [(c, _)] = next(e[2:] for e in _presets.PARTIAL_RULES
+                    if e[0] == "partial:pxpth")
+
     def exchange(f):
         lhs = part("x", part("th", f, reduce=False), reduce=False)
-        rhs = part("th", part("x", f, reduce=False), reduce=False).scale(J * Q)
+        rhs = part("th", part("x", f, reduce=False), reduce=False).scale(c)
         return P.normal_form(lhs - rhs).is_zero()
 
     checks.append(_monomial_check("px_pth_exchange", exchange))
@@ -361,8 +350,9 @@ def _suite_weyl():
 # Cartan pair: invariant forms written in the localized letters.
 
 def cartan_forms():
-    w = _word(("dx", "xinv"))
-    u = _word(("dth", "xinv")) - _word(("dx", "xinv", "th", "xinv"))
+    w = NCPolynomial.word(("dx", "xinv"))
+    u = (NCPolynomial.word(("dth", "xinv"))
+         - NCPolynomial.word(("dx", "xinv", "th", "xinv")))
     return {"w": w, "u": u}
 
 
@@ -401,8 +391,8 @@ def cartan_verify():
         diff = apply_hom(sub, NCPolynomial.word(r.lhs) - r.rhs)
         checks.append(zero_entry("substituted_" + r.ref.split(":")[1], C, diff))
 
-    d = DifferentialOperator(
-        C, images={"xinv": _word(("xinv", "dx", "xinv"), MINUS_ONE)})
+    xinv_image = NCPolynomial.word(("xinv", "dx", "xinv"), MINUS_ONE)
+    d = DifferentialOperator(C, images={"xinv": xinv_image})
     checks.append(zero_entry("d2_w_vanishes", C, d(d(forms["w"]), reduce=False)))
     checks.append(zero_entry("d2_u_vanishes", C, d(d(forms["u"]), reduce=False)))
 
@@ -419,20 +409,22 @@ def cartan_verify():
 
     # the printed q->1 list doubles the -h dx u term of u*dth; confirm
     # the doubled variant differs from the specialized rule
-    printed = (_word(("dth", "u")) + _word(("th", "xinv", "dx", "u"), ONE - J)
-               + _word(("h", "dx", "u"), rational(-2)))
+    printed = (NCPolynomial.word(("dth", "u"))
+               + NCPolynomial.word(("th", "xinv", "dx", "u"), ONE - J)
+               + NCPolynomial.word(("h", "dx", "u"), rational(-2)))
     diff = by_ref["cartan:udth"].rhs - printed
     checks.append(flag(
-        "q1_printed_udth_differs", diff == _word(("h", "dx", "u")),
+        "q1_printed_udth_differs", diff == NCPolynomial.word(("h", "dx", "u")),
         witness="printed form double-counts the h dx u term"))
 
     # w*dth is also commonly quoted with coefficient 1 - j on the th term;
     # substitution rules that variant out (see substituted_wdth above)
-    variant = _word(("dth", "w"), J) + _word(("th", "xinv", "dx", "w"), ONE - J)
+    variant = (NCPolynomial.word(("dth", "w"), J)
+               + NCPolynomial.word(("th", "xinv", "dx", "w"), ONE - J))
     diff = by_ref["cartan:wdth"].rhs - variant
     checks.append(flag(
         "q1_wdth_coefficient_pinned",
-        diff == _word(("th", "xinv", "dx", "w"), J - J2),
+        diff == NCPolynomial.word(("th", "xinv", "dx", "w"), J - J2),
         witness="th coefficient must be 1 - j^2, not 1 - j"))
     return {"suite": "cartan", "checks": checks}
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (and all checks passing for verify/supergroup),
 1 a verification reported failures, 2 bad input (unknown preset or
-suite, parse error, a bad --q or a pole at it, malformed preset JSON,
-a normal form whose coefficient is longer than parser.MAX_BITS), 3 step
+suite, parse error, a bad --q or a pole at it, a --q or a normal form
+coefficient longer than parser.MAX_BITS, malformed preset JSON), 3 step
 budget exceeded.
 Z3CALC_STEP_BUDGET (default 10**6 rewrite steps) caps every reduction a
 command makes: reduce, the pair census, the supergroup and sdet checks,
@@ -31,13 +31,33 @@ def _emit(doc):
     print(json.dumps(doc, indent=2, ensure_ascii=False))
 
 
+# an integer with more decimal digits than 2**MAX_BITS is longer than that
+_MAX_DIGITS = len(str(2 ** MAX_BITS))
+
+
+def _q_value(qarg):
+    """Fraction(qarg), refused before it is built when its numerator or
+    denominator could be longer than MAX_BITS: a side of a/b with more
+    than _MAX_DIGITS digits, or an exponent above _MAX_DIGITS."""
+    e = re.search(r"e[-+]?([\d_]+)", qarg, re.I)
+    long = (max(sum(map(str.isdigit, side)) for side in qarg.split("/"))
+            > _MAX_DIGITS
+            or e and int(e.group(1).replace("_", "") or 0) > _MAX_DIGITS)
+    try:
+        q0 = None if long else Fraction(qarg)
+    except ZeroDivisionError:
+        raise ValueError("--q %s divides by zero" % qarg) from None
+    if long or max(q0.numerator.bit_length(),
+                   q0.denominator.bit_length()) > MAX_BITS:
+        raise ValueError("--q: numerator or denominator longer than %d bits"
+                         % MAX_BITS)
+    return q0
+
+
 def _load_preset(name, qarg):
     pres = _presets.build(name)
     if qarg is not None:
-        try:
-            q0 = Fraction(qarg)
-        except ZeroDivisionError:
-            raise ValueError("--q %s divides by zero" % qarg) from None
+        q0 = _q_value(qarg)
         if pres.q == "symbolic":
             pres = pres.specialize(q0)
         elif pres.q != q0:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import CycloRational, ONE, scalar_factor, scalar_str
+from .scalars import CycloRational, ONE, ZERO, scalar_factor, scalar_str
 
 
 @dataclass(frozen=True)
@@ -125,17 +125,10 @@ class NCPolynomial:
         r.t = out
         return r
 
-    def __rmul__(self, other):
-        if isinstance(other, CycloRational):
-            return self.scale(other)
-        return NotImplemented
-
     def support(self):
         return self.t.keys()
 
     def coeff(self, word):
-        from .scalars import ZERO
-
         return self.t.get(tuple(word), ZERO)
 
     def __repr__(self):

@@ -220,6 +220,4 @@ def parse_scalar(text):
     p = _Parser(text, None).parse()
     if list(p.support()) not in ([], [()]):
         raise ParseError("expected a scalar expression", 0)
-    from .scalars import ZERO
-
-    return p.coeff(()) if p.t else ZERO
+    return p.coeff(())

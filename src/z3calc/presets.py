@@ -15,7 +15,9 @@ is typed once.  The q-typed plane rows head qjh_calculus, q_plane is
 their h = 0 quotient, and h_plane, weyl and coaction_plane build on
 them.  Those three and hj_calculus (qjh_calculus under its own name)
 reach q = 1 through Presentation.specialize(1), the call that
-reduce --q makes.  glhj, dual_plane and coaction_dual carry no q.  A
+reduce --q makes.  So do the q-typed partials: weyl's px/pth rules and
+the recursion rows of calculus.PartialOperator are one table,
+PARTIAL_RULES.  glhj, dual_plane and coaction_dual carry no q.  A
 preset's weight table lists its letters in precedence order, one rule
 in _coact_rules gives every coact: twist, and the superdeterminant is
 sdet = a*(T^-1)_22, built from supergroup.t_inverse.
@@ -171,26 +173,40 @@ def hj_calculus():
 
 
 # ---------------------------------------------------------------------------
-# partial derivative letters adjoined, specialised at q = 1
+# the partial derivatives, q-typed; weyl adjoins them at q = 1
+
+# The one table of the partials.  weyl adjoins the rules on its letters.
+# The rule p*g -> ... is also the row of letter g that
+# calculus.PartialOperator folds along p's axis: a term ending in px or pth
+# recurses along x or th, any other term ends the recursion.  The four form
+# rows come last and no preset uses them; their h-coefficients are pinned
+# by well-definedness across the dx/dth exchange relations (see
+# form_row_h_signs_pinned).
+PARTIAL_RULES = [
+    ("partial:pxx", ("px", "x"), (ONE, ()), (J2, ("x", "px")),
+     (J2 - ONE, ("th", "pth")), (ONE, ("h", "x", "pth"))),
+    ("partial:pthx", ("pth", "x"), (Q, ("x", "pth"))),
+    ("partial:pxth", ("px", "th"), (J2 * _QI, ("th", "px")),
+     (-(J2 * _QI), ("h", "x", "px"))),
+    ("partial:pthth", ("pth", "th"), (ONE, ()), (J2, ("th", "pth"))),
+    ("partial:pxpth", ("px", "pth"), (J * Q, ("pth", "px"))),
+    ("partial:pth3", ("pth", "pth", "pth")),
+    ("derived:pxh", ("px", "h"), (ONE, ("h", "px"))),
+    ("derived:pthh", ("pth", "h"), (_QI * J2, ("h", "pth"))),
+    ("partial:pxdx", ("px", "dx"), (J, ("dx", "px")), (J2, ("h", "dx", "pth"))),
+    ("partial:pxdth", ("px", "dth"), (_QI, ("dth", "px")),
+     (-(_QI * J), ("h", "dx", "px"))),
+    ("partial:pthdx", ("pth", "dx"), (Q * J2, ("dx", "pth"))),
+    ("partial:pthdth", ("pth", "dth"), (J2 - J, ("dx", "px")),
+     (J2, ("dth", "pth"))),
+]
+
 
 def weyl():
-    rules = _rules(_PLANE_RULES + [
-        ("partial:pxx", ("px", "x"), (ONE, ()), (J2, ("x", "px")),
-         (J2 - ONE, ("th", "pth")), (ONE, ("h", "x", "pth"))),
-        ("partial:pthx", ("pth", "x"), (ONE, ("x", "pth"))),
-        ("partial:pxth", ("px", "th"), (J2, ("th", "px")),
-         (-J2, ("h", "x", "px"))),
-        ("partial:pthth", ("pth", "th"), (ONE, ()), (J2, ("th", "pth"))),
-        ("partial:pxpth", ("px", "pth"), (J, ("pth", "px"))),
-        ("partial:pth3", ("pth", "pth", "pth")),
-        ("derived:pxh", ("px", "h"), (ONE, ("h", "px"))),
-        ("derived:pthh", ("pth", "h"), (J2, ("h", "pth"))),
-    ]) + _zero_rules([
-        ("h", "h", "x"),
-        ("h", "h", "th", "x"),
-        ("h", "h", "th", "th", "x"),
-    ])
     weights = {"h": 1, "th": 2, "x": 1, "pth": 2, "px": 4}
+    partials = [e for e in PARTIAL_RULES if set(e[1]) <= set(weights)]
+    rules = _rules(_PLANE_RULES + partials) + _zero_rules(
+        [("h", "h", "x"), ("h", "h", "th", "x"), ("h", "h", "th", "th", "x")])
     return _pres("weyl", weights, rules).specialize(1)
 
 

@@ -1,5 +1,7 @@
 """Differential operator, partial derivatives, replay suites."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from z3calc.calculus import (DifferentialOperator, PartialOperator,
                              cartan_forms, cartan_verify, d2_product_identity,
                              d_cube_vanishes, monomial_basis, random_element,
                              replay, verify_df_decomposition)
-from z3calc.freealg import NCPolynomial, word_grade
+from z3calc.freealg import NCPolynomial, fa_str, word_grade
 from z3calc.rewrite import Presentation, RewriteRule
 from z3calc.scalars import J, J2, ONE, Q, jpow, specialize_q
 
@@ -112,12 +114,16 @@ def reference_partial(op, axis, word):
 
 @pytest.mark.parametrize("name, flipped", [("qjh_calculus", False),
                                            ("hj_calculus", False),
-                                           ("qjh_calculus", True)])
+                                           ("qjh_calculus", True),
+                                           ("hj_calculus", True)])
 def test_partial_matches_reference(name, flipped):
     pres = presets.build(name)
     # the flipped rows are the ones _suite_partials pins as wrong
     op = PartialOperator(pres,
                          rows=calculus._flipped_rows() if flipped else None)
+    if pres.q != "symbolic":  # rows given or not follow the bound q
+        assert all(specialize_q(c, 2) == c for table in op.rows.values()
+                   for rr in table.values() for c, _, _ in rr)
     letters = sorted(calculus._PARTIAL_LETTERS)
     rng = random.Random(11)
     for _ in range(150):
@@ -130,6 +136,29 @@ def test_partial_matches_reference(name, flipped):
     for axis in ("x", "th"):
         with pytest.raises(KeyError):
             op(axis, NCPolynomial.word(("x", "d2x")), reduce=False)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("qjh_calculus",
+     "d59d9a8fe2c88d46073ca8c03de36aec289060625e5c22a39b0016aa51776df6"),
+    ("hj_calculus",
+     "2f9a3dcb11e042801e3a26fe85d27b0d9168df99e9982e56d8aa12af72b93a2f"),
+])
+def test_partial_images_pinned(name, digest):
+    # every row coefficient, the form rows' included, exactly: the
+    # unreduced partials of all words of length <= 3 along both axes
+    P = presets.build(name)
+    part = PartialOperator(P)
+    letters = sorted(calculus._PARTIAL_LETTERS)
+    lines = []
+    for n in range(4):
+        for word in itertools.product(letters, repeat=n):
+            for axis in ("x", "th"):
+                got = part(axis, NCPolynomial.word(word), reduce=False)
+                lines.append("%s %s: %s" % (axis, "*".join(word) or "1",
+                                            fa_str(got, P.order.key)))
+    assert len(lines) == 312
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_partial_of_long_word_under_default_limit(default_recursion_limit):
@@ -222,3 +251,19 @@ def test_replay_catches_mutated_rule(monkeypatch, suite, ref, factor):
 
     monkeypatch.setattr(presets, "qjh_calculus", mutated)
     assert replay(suite)["ok"] is False
+
+
+@pytest.mark.parametrize("factor", [Q, J], ids=["q", "j"])
+@pytest.mark.parametrize("ref, k", [  # each of the table's 19 coefficients
+    (e[0], k) for e in presets.PARTIAL_RULES for k in range(len(e) - 2)])
+def test_replay_catches_mutated_partial(monkeypatch, ref, k, factor):
+    # the partials and weyl suites read one table, so a coefficient of it
+    # off by a factor must fail one of them
+    rules = []
+    for e in presets.PARTIAL_RULES:
+        if e[0] == ref:
+            c, word = e[2 + k]
+            e = e[:2 + k] + ((c * factor, word),) + e[3 + k:]
+        rules.append(e)
+    monkeypatch.setattr(presets, "PARTIAL_RULES", rules)
+    assert replay("partials")["ok"] is False or replay("weyl")["ok"] is False

@@ -2,12 +2,14 @@
 
 import json
 import random
+import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from z3calc import presets
+from z3calc import cli, presets
 from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
 from z3calc.parser import (MAX_BITS, MAX_EXPONENT, MAX_TERMS, ParseError,
@@ -127,7 +129,29 @@ def test_print_parse_round_trip(P):
 
 
 # ---------------------------------------------------------------------------
-# CLI, exercised through a subprocess like a user would
+# CLI.  cli.main runs in process where its output is the point; a child
+# `python -m z3calc` runs where the process's own exit is: a hang or a
+# crash it must not reach, argparse's SystemExit, the hash seed, and the
+# environment.
+
+def main_cli(capsys, *args, timeout=None):
+    """(exit code, stdout, stderr) of cli.main(args).  An exception that
+    escapes main would be a traceback in the shell, and fails the test;
+    so does a main that runs past timeout seconds, stopped at the first
+    bytecode after it."""
+    def expire(signum, frame):
+        raise TimeoutError("cli.main ran past %s s" % timeout)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, timeout or 0)
+    try:
+        rc = cli.main(list(args))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
 
 def run_cli(*args, env=None, timeout=None):
     import os
@@ -139,91 +163,96 @@ def run_cli(*args, env=None, timeout=None):
                           timeout=timeout)
 
 
-def test_cli_reduce_pinned_h_plane():
-    r = run_cli("reduce", "--preset", "h_plane", "x*th")
-    assert r.returncode == 0
-    assert r.stdout == "th*x + h*x*x\n"
+def test_cli_reduce_pinned_h_plane(capsys):
+    rc, out, _ = main_cli(capsys, "reduce", "--preset", "h_plane", "x*th")
+    assert rc == 0
+    assert out == "th*x + h*x*x\n"
 
 
-def test_cli_reduce_pinned_qjh_at_one():
-    r = run_cli("reduce", "--preset", "qjh_calculus", "--q", "1", "th*dx")
-    assert r.returncode == 0
-    assert r.stdout == "j*dx*th - j^2*h*dx*x\n"
+def test_cli_reduce_pinned_qjh_at_one(capsys):
+    rc, out, _ = main_cli(capsys, "reduce", "--preset", "qjh_calculus",
+                          "--q", "1", "th*dx")
+    assert rc == 0
+    assert out == "j*dx*th - j^2*h*dx*x\n"
 
 
 def test_cli_reduce_deterministic():
+    # two processes, two hash seeds
     a = run_cli("reduce", "--preset", "qjh_calculus", "th*th*dx*x")
     b = run_cli("reduce", "--preset", "qjh_calculus", "th*th*dx*x")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
 
-def test_cli_reduce_json_schema():
-    r = run_cli("reduce", "--preset", "h_plane", "--format", "json", "x*th")
-    doc = json.loads(r.stdout)
+def test_cli_reduce_json_schema(capsys):
+    _, out, _ = main_cli(capsys, "reduce", "--preset", "h_plane",
+                         "--format", "json", "x*th")
+    doc = json.loads(out)
     assert doc["preset"] == "h_plane"
     assert doc["normal_form"] == "th*x + h*x*x"
     assert doc["terms"][0] == {"coeff": "1", "word": ["th", "x"]}
 
 
-def test_cli_reduce_unicode():
-    r = run_cli("reduce", "--preset", "h_plane", "--unicode", "x*th")
-    assert r.stdout == "θ*x + h*x*x\n"
+def test_cli_reduce_unicode(capsys):
+    _, out, _ = main_cli(capsys, "reduce", "--preset", "h_plane",
+                         "--unicode", "x*th")
+    assert out == "θ*x + h*x*x\n"
 
 
-def test_cli_verify_all_passes():
-    r = run_cli("verify", "--suite", "all")
-    assert r.returncode == 0
-    doc = json.loads(r.stdout)
+def test_cli_verify_all_passes(capsys):
+    rc, out, _ = main_cli(capsys, "verify", "--suite", "all")
+    assert rc == 0
+    doc = json.loads(out)
     assert doc["ok"] is True
 
 
-def test_cli_pairs_census():
-    r = run_cli("pairs", "--preset", "qjh_calculus")
-    doc = json.loads(r.stdout)
+def test_cli_pairs_census(capsys):
+    _, out, _ = main_cli(capsys, "pairs", "--preset", "qjh_calculus")
+    doc = json.loads(out)
     assert doc["pairs"] == doc["joinable"] > 50
     assert doc["unjoinable"] == []
 
 
-def test_cli_presets_list():
-    r = run_cli("presets", "list")
-    assert r.returncode == 0
-    lines = r.stdout.splitlines()
+def test_cli_presets_list(capsys):
+    rc, out, _ = main_cli(capsys, "presets", "list")
+    assert rc == 0
+    lines = out.splitlines()
     names = [ln.split("\t")[0] for ln in lines]
     assert names == list(presets.PRESETS)
     assert all("rules" in ln for ln in lines)
 
 
-def test_cli_presets_export_import(tmp_path):
-    r = run_cli("presets", "export", "qjh_calculus")
-    assert r.returncode == 0
+def test_cli_presets_export_import(tmp_path, capsys):
+    rc, out, _ = main_cli(capsys, "presets", "export", "qjh_calculus")
+    assert rc == 0
     path = tmp_path / "qjh.json"
-    path.write_text(r.stdout)
-    r2 = run_cli("presets", "import", str(path))
-    assert r2.returncode == 0
-    doc = json.loads(r2.stdout)
+    path.write_text(out)
+    rc2, out2, _ = main_cli(capsys, "presets", "import", str(path))
+    assert rc2 == 0
+    doc = json.loads(out2)
     assert doc["homogeneous"] and doc["oriented"]
     assert doc["rules"] == 36
 
 
-def test_cli_supergroup_checks():
+def test_cli_supergroup_checks(capsys):
     for check in ("comodule", "inverse", "sdet"):
-        r = run_cli("supergroup", "--check", check)
-        assert r.returncode == 0, check
-        assert json.loads(r.stdout)["ok"] is True
+        rc, out, _ = main_cli(capsys, "supergroup", "--check", check)
+        assert rc == 0, check
+        assert json.loads(out)["ok"] is True
 
 
-def test_cli_sdet_pinned():
-    r = run_cli("sdet")
-    assert r.stdout == "g*b*dTinv*dTinv + dTinv*a + 2*j*h*b*dTinv\n"
+def test_cli_sdet_pinned(capsys):
+    _, out, _ = main_cli(capsys, "sdet")
+    assert out == "g*b*dTinv*dTinv + dTinv*a + 2*j*h*b*dTinv\n"
 
 
-def test_cli_exit_code_bad_input():
-    assert run_cli("reduce", "--preset", "nope", "x").returncode == 2
-    assert run_cli("verify", "--suite", "nope").returncode == 2
-    assert run_cli("reduce", "--preset", "h_plane", "x*(").returncode == 2
-    r = run_cli("reduce", "--preset", "qjh_calculus", "--q", "0", "th*dx")
-    assert r.returncode == 2  # q = 0 hits the 1/q coefficients
+def test_cli_exit_code_bad_input(capsys):
+    assert main_cli(capsys, "reduce", "--preset", "nope", "x")[0] == 2
+    assert main_cli(capsys, "verify", "--suite", "nope")[0] == 2
+    assert main_cli(capsys, "reduce", "--preset", "h_plane", "x*(")[0] == 2
+    rc, _, _ = main_cli(capsys, "reduce", "--preset", "qjh_calculus",
+                        "--q", "0", "th*dx")
+    assert rc == 2  # q = 0 hits the 1/q coefficients
 
 
 def test_cli_deep_nesting_is_bad_input():
@@ -255,55 +284,79 @@ def test_cli_power_of_sum_is_bad_input():
 
 @pytest.mark.parametrize("expr", ["10^5000", "(2^5000)^2000", "9" * 5000],
                          ids=["power", "nested_power", "literal"])
-def test_cli_long_coefficient_is_bad_input(expr):
-    r = run_cli("reduce", "--preset", "q_plane", expr, timeout=5)
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: ") and "bits" in r.stderr
+def test_cli_long_coefficient_is_bad_input(capsys, expr):
+    rc, _, err = main_cli(capsys, "reduce", "--preset", "q_plane", expr,
+                          timeout=5)
+    assert rc == 2
+    assert err.startswith("error: ") and "bits" in err
 
 
-def test_cli_prints_long_coefficient():
-    r = run_cli("reduce", "--preset", "q_plane", "2^5000", timeout=5)
-    assert (r.returncode, r.stdout, r.stderr) == (0, "%d\n" % 2 ** 5000, "")
-    assert len(r.stdout) == 1506 + 1
+def test_cli_prints_long_coefficient(capsys):
+    got = main_cli(capsys, "reduce", "--preset", "q_plane", "2^5000",
+                   timeout=5)
+    assert got == (0, "%d\n" % 2 ** 5000, "")
+    assert len(got[1]) == 1506 + 1
 
 
 @pytest.mark.parametrize("fmt, n", [("text", 1405), ("text", 2000),
                                     ("json", 2000), ("latex", 2000)])
-def test_cli_long_output_coefficient_is_bad_input(fmt, n):
+def test_cli_long_output_coefficient_is_bad_input(capsys, fmt, n):
     # x^n*th reduces to q^n*th*x^n: 1000^1405 has 14,002 bits, and
     # 1000^2000 more digits than Python converts to a string
-    r = run_cli("reduce", "--preset", "q_plane", "--q", "1000", "--format",
-                fmt, "x^%d*th" % n, timeout=20)
+    rc, out, err = main_cli(capsys, "reduce", "--preset", "q_plane", "--q",
+                            "1000", "--format", fmt, "x^%d*th" % n,
+                            timeout=20)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "longer than %d bits" % MAX_BITS in err
+
+
+def test_cli_prints_output_coefficient_below_cap(capsys):
+    # 1000^1404 has 13,992 bits
+    rc, out, err = main_cli(capsys, "reduce", "--preset", "q_plane", "--q",
+                            "1000", "x^1404*th", timeout=20)
+    assert (rc, err) == (0, "")
+    assert out == "%d*th%s\n" % (1000 ** 1404, "*x" * 1404)
+
+
+def test_cli_bad_q_is_bad_input(capsys):
+    rc, _, err = main_cli(capsys, "reduce", "--preset", "qjh_calculus",
+                          "--q", "1/0", "x")
+    assert rc == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("q", ["9" * 5000, "1e20000000"],
+                         ids=["digits", "exponent"])
+def test_cli_long_q_is_bad_input(q):
+    # refused before the number is built: 10^20000000 would take a minute
+    r = run_cli("reduce", "--preset", "q_plane", "--q", q, "x", timeout=5)
     assert (r.returncode, r.stdout) == (2, "")
     assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: ")
-    assert "longer than %d bits" % MAX_BITS in r.stderr
+    assert r.stderr == ("error: --q: numerator or denominator longer than "
+                        "%d bits\n" % MAX_BITS)
 
 
-def test_cli_prints_output_coefficient_below_cap():
-    # 1000^1404 has 13,992 bits
-    r = run_cli("reduce", "--preset", "q_plane", "--q", "1000", "x^1404*th",
-                timeout=20)
-    assert (r.returncode, r.stderr) == (0, "")
-    assert r.stdout == "%d*th%s\n" % (1000 ** 1404, "*x" * 1404)
-
-
-def test_cli_bad_q_is_bad_input():
-    r = run_cli("reduce", "--preset", "qjh_calculus", "--q", "1/0", "x")
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: ")
+@pytest.mark.parametrize("q, want", [
+    ("1", "th*x"), ("1000", "1000*th*x"), ("-2/3", "-2/3*th*x"),
+    ("0.5", "1/2*th*x"), ("1e3", "1000*th*x"), ("1e4214", None),
+    ("1e-4214", None)])
+def test_cli_q_below_cap(capsys, q, want):
+    # 10^4214 has 13,999 bits
+    rc, out, err = main_cli(capsys, "reduce", "--preset", "q_plane",
+                            "--q=" + q, "x*th")
+    assert (rc, err) == (0, "")
+    assert out == "%s\n" % (want or "%s*th*x" % Fraction(q))
 
 
 @pytest.mark.parametrize("expr, want", [("-x*th", "-th*x - h*x*x\n"),
                                         ("-h*x", "-h*x\n"),
                                         ("-h", "-h\n")])
-def test_cli_expression_may_start_with_minus(expr, want):
-    r = run_cli("reduce", "--preset", "h_plane", expr)
-    assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
-    r = run_cli("reduce", "--preset", "h_plane", "--", expr)
-    assert (r.returncode, r.stdout) == (0, want)
+def test_cli_expression_may_start_with_minus(capsys, expr, want):
+    assert main_cli(capsys, "reduce", "--preset", "h_plane", expr) == (
+        0, want, "")
+    rc, out, _ = main_cli(capsys, "reduce", "--preset", "h_plane", "--", expr)
+    assert (rc, out) == (0, want)
 
 
 def test_cli_reduce_help_is_long_form_only():
@@ -351,13 +404,12 @@ def _tiny(change):
     (_tiny(lambda d: d["order"]["weights"].update(zz=[[[]]])),
      "each generator once"),
 ])
-def test_cli_presets_import_rejects_malformed(tmp_path, doc, message):
+def test_cli_presets_import_rejects_malformed(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    r = run_cli("presets", "import", str(path))
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: ") and message in r.stderr
+    rc, _, err = main_cli(capsys, "presets", "import", str(path))
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("text, message", [
