@@ -7,7 +7,8 @@ coefficient longer than parser.MAX_BITS, malformed preset JSON), 3 step
 budget exceeded.
 Z3CALC_STEP_BUDGET (default 10**6 rewrite steps) caps every reduction a
 command makes: reduce, the pair census, the supergroup and sdet checks,
-and the saturate/localize builds of cartan and glhj_localized.
+and the saturate/localize builds of cartan and glhj_localized.  Only the
+census that picks a preset's reduction order runs under the default.
 """
 
 from __future__ import annotations
@@ -167,15 +168,25 @@ def _dispatch(args):
 
 
 def _expr_last(argv):
-    """Move a reduce expression such as "-x*th" or "-h" behind "--": its
-    options are all --names (help is --help), and only --q takes a value
-    that may start "-"."""
+    """Join --q and a value such as "-2/3" into "--q=-2/3", and move a
+    reduce expression such as "-x*th" or "-h" behind "--": argparse would
+    take either for an option.  reduce's options are all --names (help is
+    --help), and only --q takes a value."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["reduce"] and "--" not in argv:
-        for i, a in enumerate(argv):
-            if i and a[:1] == "-" and a[:2] != "--" and argv[i - 1] != "--q":
-                return argv[:i] + argv[i + 1:] + ["--", a]
-    return argv
+    if argv[:1] != ["reduce"]:
+        return argv
+    cut = argv.index("--") if "--" in argv else len(argv)
+    head = []
+    for a in argv[:cut]:
+        if head[-1:] == ["--q"] and a[:1] == "-" and a[:2] != "--":
+            head[-1] = "--q=" + a
+        else:
+            head.append(a)
+    if cut == len(argv):
+        for i, a in enumerate(head):
+            if i and a[:1] == "-" and a[:2] != "--":
+                return head[:i] + head[i + 1:] + ["--", a]
+    return head + argv[cut:]
 
 
 def main(argv=None):

@@ -2,10 +2,19 @@
 
 A Presentation bundles an alphabet, a term order, and a list of
 oriented rules lhs -> rhs where lhs is a word and rhs a polynomial in
-strictly smaller words.  Reduction replaces the leftmost, first-declared
-match, working from an explicit stack with memoisation rather than by
-recursion; the engine never completes a presentation behind the caller's
-back, it only reports critical pairs.
+strictly smaller words.  Reduction works from an explicit stack with
+memoisation rather than by recursion, in one of two ways.  When every
+critical pair of the rules joins, Bergman's diamond lemma (1978) says
+each word has exactly one normal form, so any strategy gives the same
+output; normal_form then reduces suffix first, putting one letter at a
+time in front of the normal form of the rest (the stack discipline of
+Sims 1994), and memoises only words g*v with v irreducible.  The census
+that decides this runs once per rule system and process; q_plane,
+h_plane, hj_calculus and qjh_calculus pass it.  Every other presentation
+replaces the leftmost, first-declared match, and so do saturate and
+localize, whose memo bookkeeping relies on that.  The engine never
+completes a presentation behind the caller's back, it only reports
+critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, drop only the memo entries that the new rules change,
 and reduce a pair of older rules again only if one of its one-step
@@ -34,7 +43,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import specialize_q
+from .scalars import ONE, specialize_q
 from .freealg import GeneratorInfo, NCPolynomial, word_grade, fa_str, term_list
 
 # Every reduction may take at most Z3CALC_STEP_BUDGET rewrite steps, this
@@ -42,6 +51,21 @@ from .freealg import GeneratorInfo, NCPolynomial, word_grade, fa_str, term_list
 DEFAULT_BUDGET = 10**6
 # sweeps of saturate; localize makes at most MAX_SWEEPS**2 passes
 MAX_SWEEPS = 8
+
+
+# _unique_normal_forms of each rule system met in this process
+_VERDICTS = {}
+
+
+def _step_budget():
+    """The step budget a reduction gets: Z3CALC_STEP_BUDGET, else
+    DEFAULT_BUDGET."""
+    raw = os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("Z3CALC_STEP_BUDGET=%r is not an integer"
+                         % raw) from None
 
 
 class BudgetExceeded(RuntimeError):
@@ -156,6 +180,40 @@ def _leftmost(trie, word, start, stop):
     return None
 
 
+def _prepend(trie, memo, jobs, suffix):
+    """A frame of the suffix-first engine: the sum of c * NF(letters +
+    suffix) over the (letters, c) of jobs, suffix being irreducible, as a
+    dict that may hold zeros.  The letters are put in front of the normal
+    form one at a time, last first.  Each word g*v this needs is looked up
+    in memo, memoised there if irreducible, and else yielded with the rule
+    that matches it at 0, to be sent back its normal form."""
+    acc = {}
+    for letters, coeff in jobs:
+        terms = {suffix: coeff}
+        for g in reversed(letters):
+            nxt = {}
+            for v, c in terms.items():
+                if not c:
+                    continue
+                w = (g,) + v
+                nf = memo.get(w)
+                if nf is None:
+                    match = _leftmost(trie, w, 0, 1)
+                    if match is None:
+                        nf = memo[w] = NCPolynomial.word(w)
+                    else:
+                        nf = yield w, match[1]
+                for u, x in nf.t.items():
+                    x = c if x is ONE else c * x  # ONE: w is irreducible
+                    y = nxt.get(u)
+                    nxt[u] = x if y is None else y + x
+            terms = nxt
+        for u, x in terms.items():
+            y = acc.get(u)
+            acc[u] = x if y is None else y + x
+    return acc
+
+
 class Presentation:
     def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
@@ -175,6 +233,7 @@ class Presentation:
                 raise ValueError("rule %s has an empty lhs" % (r.ref or "?"))
         self.rules.extend(rules)
         self._trie = None
+        self._verdict = None
 
     def _index(self):
         """The trie over the left sides, built on first use after the
@@ -205,18 +264,20 @@ class Presentation:
     # -- reduction ----------------------------------------------------------
 
     def normal_form(self, p):
-        """The normal form of the polynomial p.  Reduction runs on a stack
-        of frames, p's at the bottom and one above it for each word being
-        rewritten; a frame sums the normal forms of its word's reducts, and
-        the word is memoised after them.  Only a memo miss that rewrites is
-        charged against the step budget."""
+        """The normal form of the polynomial p, suffix first when every
+        word has one normal form (see _unique_normal_forms), else by the
+        leftmost, first-declared rule."""
+        engine = (self._nf_suffix_first if self._unique_normal_forms()
+                  else self._nf_leftmost)
+        return engine(p, _step_budget())
+
+    def _nf_leftmost(self, p, budget):
+        """The normal form of p by the leftmost, first-declared rule.
+        Reduction runs on a stack of frames, p's at the bottom and one above
+        it for each word being rewritten; a frame sums the normal forms of
+        its word's reducts, and the word is memoised after them.  Only a
+        memo miss that rewrites is charged against the budget."""
         trie, memo, maxlen = self._index(), self._memo, self._maxlen
-        raw = os.environ.get("Z3CALC_STEP_BUDGET", DEFAULT_BUDGET)
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ValueError("Z3CALC_STEP_BUDGET=%r is not an integer"
-                             % raw) from None
         left, last = budget, None  # last: ref of the last rule fired
         # a frame: [word, iterator over (middle, coefficient) of its reducts
         # prefix + middle + suffix, prefix, suffix, start (no match in a
@@ -252,6 +313,73 @@ class Presentation:
                           w[i + len(rule.lhs):], max(0, i - maxlen + 1), c,
                           NCPolynomial.zero()])
 
+    def _nf_suffix_first(self, p, budget):
+        """The normal form of p, which is unique: a word's is its first
+        letter times the normal form of the rest, reduced.  So only words
+        g*v with v irreducible are reduced and memoised, and such a word can
+        match only at 0.  Each reduction is a frame on a stack, a _prepend
+        generator that yields the words it needs rewritten and is sent their
+        normal forms.  Only a memo miss that rewrites is charged against the
+        budget."""
+        trie, memo = self._index(), self._memo
+        left, last = budget, None  # last: ref of the last rule fired
+        stack, words, nf = [_prepend(trie, memo, p.t.items(), ())], [], None
+        while True:
+            try:
+                w, rule = stack[-1].send(nf)
+            except StopIteration as done:
+                stack.pop()
+                nf = NCPolynomial(done.value)
+                if not stack:
+                    return nf
+                memo[words.pop()] = nf
+                continue
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(w, max(budget, 0), last)
+            last = rule.ref
+            stack.append(_prepend(trie, memo, rule.rhs.t.items(),
+                                  w[len(rule.lhs):]))
+            words.append(w)
+            nf = None
+
+    def _unique_normal_forms(self):
+        """Whether every word has one normal form, so that any strategy
+        gives the leftmost engine's result.  By Bergman's diamond lemma
+        (1978) it holds when the rules are oriented by the term order, a
+        well-founded semigroup order, and every ambiguity is joinable.  The
+        census runs once per rule system in a process, with the leftmost
+        engine on a copy that has its own memo, under DEFAULT_BUDGET,
+        and stops at the first pair that does not join; running out of
+        budget counts as not joinable."""
+        if self._verdict is None:
+            key = (tuple((r.lhs, frozenset(r.rhs.t.items()))
+                         for r in self.rules),
+                   tuple(sorted(self.order.weights.items())),
+                   tuple(self.order.precedence), self.q)
+            verdict = _VERDICTS.get(key)
+            if verdict is None:
+                verdict = _VERDICTS[key] = self._census_joins()
+            self._verdict = verdict
+        return self._verdict
+
+    def _census_joins(self):
+        if self.check_termination():
+            return False
+        P = Presentation(self.name, self.generators, self.rules, self.order,
+                         q=self.q)
+        rules = P.rules
+        try:
+            for i1, i2, word, p2 in P._ambiguities():
+                if (P._nf_leftmost(_rewrite_at(word, rules[i1], 0),
+                                   DEFAULT_BUDGET)
+                        != P._nf_leftmost(_rewrite_at(word, rules[i2], p2),
+                                          DEFAULT_BUDGET)):
+                    return False
+        except BudgetExceeded:
+            return False
+        return True
+
     def nf_word(self, word):
         return self.normal_form(NCPolynomial.word(word))
 
@@ -279,6 +407,7 @@ class Presentation:
             by_lhs.setdefault(r.lhs, []).append(i)
             for k in range(1, len(r.lhs)):
                 by_prefix.setdefault(r.lhs[:k], []).append(i)
+        lengths = sorted({len(lhs) for lhs in by_lhs})
         for i1, r1 in enumerate(rules):
             l1 = r1.lhs
             n1 = len(l1)
@@ -290,7 +419,9 @@ class Presentation:
                 for i2 in by_prefix.get(l1[-k:], ()):
                     found.append((i2, 0, k))
             for p in range(n1):
-                for m in range(1, n1 - p + 1):
+                for m in lengths:
+                    if m > n1 - p:
+                        break
                     for i2 in by_lhs.get(l1[p:p + m], ()):
                         # two rules with one lhs are a single inclusion
                         # ambiguity, examined once
@@ -483,7 +614,7 @@ def saturate(pres, skip=None):
     """
     P = Presentation(pres.name, pres.generators, pres.rules, pres.order,
                      q=pres.q)
-    key = pres.order.key
+    key, budget = pres.order.key, _step_budget()
     seen = {r.lhs for r in P.rules}
     old, dropped = 0, set()
     for _ in range(MAX_SWEEPS):
@@ -495,7 +626,8 @@ def saturate(pres, skip=None):
             if (i1 < old and i2 < old and dropped.isdisjoint(step1.t)
                     and dropped.isdisjoint(step2.t)):
                 continue
-            d = P.normal_form(step1) - P.normal_form(step2)
+            d = (P._nf_leftmost(step1, budget)
+                 - P._nf_leftmost(step2, budget))
             if d.is_zero():
                 continue
             lead = max(d.support(), key=key)
@@ -591,6 +723,7 @@ def localize(pres, v, vinv):
     candidates = {}
     extra = []
     seen_extra = set()
+    budget = _step_budget()
     for _ in range(MAX_SWEEPS * MAX_SWEEPS):
         trial = Presentation(
             pres.name + "_loc_" + v, generators,
@@ -605,7 +738,7 @@ def localize(pres, v, vinv):
             for w, c in rest.t.items():
                 wrapped = wrapped + NCPolynomial.word((vinv,) + w + (vinv,), c)
             x = (NCPolynomial.word(lhs[::-1])
-                 - trial.normal_form(wrapped)).scale(c0.inv())
+                 - trial._nf_leftmost(wrapped, budget)).scale(c0.inv())
             if candidates.get(lhs) != x:
                 candidates[lhs] = x
                 changed = True
@@ -617,7 +750,8 @@ def localize(pres, v, vinv):
         for lhs, c0, rest, g, left in targets:
             x = candidates[lhs]
             prod = NCPolynomial.gen(v) * x if left else x * NCPolynomial.gen(v)
-            res = trial.normal_form(prod) - trial.nf_word((g,))
+            res = (trial._nf_leftmost(prod, budget)
+                   - trial._nf_leftmost(NCPolynomial.gen(g), budget))
             if not res.is_zero():
                 bad.append((lhs, res))
         if not bad:

@@ -18,7 +18,10 @@ of 1 and j, so QJ keeps integral components as plain ints: int arithmetic
 is several times cheaper than Fraction arithmetic, which otherwise dominates
 reduction with symbolic q.  A component is an int exactly when it is
 integral, so the form stays unique; int and Fraction compare, hash and print
-alike, so nothing outside QJ sees the difference.
+alike, so nothing outside QJ sees the difference.  For the same reason
+QJ arithmetic hands out one shared instance for each value with small
+integral components, and a sum or product of two scalars whose denominators
+are 1 is canonical as it stands, so it skips _reduce.
 """
 
 from __future__ import annotations
@@ -68,18 +71,18 @@ class QJ:
         return hash((self.a, self.b))
 
     def __add__(self, other):
-        return QJ(self.a + other.a, self.b + other.b)
+        return _qj(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other):
-        return QJ(self.a - other.a, self.b - other.b)
+        return _qj(self.a - other.a, self.b - other.b)
 
     def __neg__(self):
-        return QJ(-self.a, -self.b)
+        return _qj(-self.a, -self.b)
 
     def __mul__(self, other):
         a0, a1, b0, b1 = self.a, self.b, other.a, other.b
         x = a1 * b1
-        return QJ(a0 * b0 - x, a0 * b1 + a1 * b0 - x)
+        return _qj(a0 * b0 - x, a0 * b1 + a1 * b0 - x)
 
     def inv(self):
         # conjugate a - b - b*j gives norm a^2 - a*b + b^2, positive unless zero
@@ -92,10 +95,32 @@ class QJ:
         return "QJ(%s, %s)" % (self.a, self.b)
 
 
-QJ_ZERO = QJ(0, 0)
-QJ_ONE = QJ(1, 0)
-QJ_J = QJ(0, 1)
-QJ_J2 = QJ(-1, -1)
+# The QJ(a, b) with ints -_SMALL <= a, b <= _SMALL, built once; +, -, unary
+# - and * return these rather than equal new objects, so that the many
+# coefficients of a large normal form share a few instances.  _SHARED[a][b]
+# works for negative a and b too: a row has 2 * _SMALL + 1 slots, so index
+# -k wraps to the slot that holds -k.
+_SMALL = 8
+_SHARED = [[None] * (2 * _SMALL + 1) for _ in range(2 * _SMALL + 1)]
+for _a in range(-_SMALL, _SMALL + 1):
+    for _b in range(-_SMALL, _SMALL + 1):
+        _SHARED[_a][_b] = QJ(_a, _b)
+del _a, _b
+
+
+def _qj(a, b):
+    """QJ(a, b), the shared instance when a and b are small ints; a
+    Fraction component never keys the table."""
+    if (type(a) is int and type(b) is int
+            and -_SMALL <= a <= _SMALL and -_SMALL <= b <= _SMALL):
+        return _SHARED[a][b]
+    return QJ(a, b)
+
+
+QJ_ZERO = _SHARED[0][0]
+QJ_ONE = _SHARED[1][0]
+QJ_J = _SHARED[0][1]
+QJ_J2 = _SHARED[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +267,12 @@ def poly_gcd(a, b):
 
 
 class CycloRational:
-    """num/den of QJPoly; den monic, num/den coprime, zero is 0/1."""
+    """num/den of QJPoly; den monic, num/den coprime, zero is 0/1.
+
+    A denominator of 1 is the object P_ONE, which _reduce returns, so the
+    fast paths below test it with `is`; an equal copy would only take the
+    general path.
+    """
 
     __slots__ = ("num", "den")
 
@@ -272,15 +302,17 @@ class CycloRational:
         return hash((self.num.c, self.den.c))
 
     def __add__(self, other):
-        if self.den == P_ONE and other.den == P_ONE:
-            return CycloRational(self.num + other.num, P_ONE)
+        if self.den is P_ONE and other.den is P_ONE:
+            return CycloRational(self.num + other.num, P_ONE,
+                                 _canonical=True)
         return CycloRational(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     def __sub__(self, other):
-        if self.den == P_ONE and other.den == P_ONE:
-            return CycloRational(self.num - other.num, P_ONE)
+        if self.den is P_ONE and other.den is P_ONE:
+            return CycloRational(self.num - other.num, P_ONE,
+                                 _canonical=True)
         return CycloRational(
             self.num * other.den - other.num * self.den, self.den * other.den
         )
@@ -289,8 +321,9 @@ class CycloRational:
         return CycloRational(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
-        if self.den == P_ONE and other.den == P_ONE:
-            return CycloRational(self.num * other.num, P_ONE)
+        if self.den is P_ONE and other.den is P_ONE:
+            return CycloRational(self.num * other.num, P_ONE,
+                                 _canonical=True)
         return CycloRational(self.num * other.num, self.den * other.den)
 
     def inv(self):
@@ -350,7 +383,7 @@ ONE = CycloRational(P_ONE, P_ONE, _canonical=True)
 J = CycloRational(QJPoly((QJ_J,)), P_ONE, _canonical=True)
 J2 = CycloRational(QJPoly((QJ_J2,)), P_ONE, _canonical=True)
 Q = CycloRational(P_Q, P_ONE, _canonical=True)
-MINUS_ONE = CycloRational(QJPoly((QJ(-1, 0),)), P_ONE, _canonical=True)
+MINUS_ONE = CycloRational(QJPoly((_qj(-1, 0),)), P_ONE, _canonical=True)
 
 
 def bit_length(s):

@@ -349,6 +349,18 @@ def test_cli_q_below_cap(capsys, q, want):
     assert out == "%s\n" % (want or "%s*th*x" % Fraction(q))
 
 
+@pytest.mark.parametrize("q, want", [("-2/3", "-2/3*th*x\n"),
+                                     ("-1e-3", "-1/1000*th*x\n")])
+def test_cli_negative_q_after_space(capsys, q, want):
+    # argparse reads "-2/3" alone as an option; --q and it are joined
+    for args in (("--q", q, "x*th"), ("x*th", "--q", q),
+                 ("--q", q, "--", "x*th")):
+        assert main_cli(capsys, "reduce", "--preset", "q_plane",
+                        *args) == (0, want, "")
+    assert main_cli(capsys, "reduce", "--preset", "q_plane", "--q", q,
+                    "-x*th") == (0, want[1:], "")
+
+
 @pytest.mark.parametrize("expr, want", [("-x*th", "-th*x - h*x*x\n"),
                                         ("-h*x", "-h*x\n"),
                                         ("-h", "-h\n")])

@@ -15,7 +15,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from z3calc import presets  # noqa: E402
 from z3calc.calculus import d_cube_vanishes, random_element  # noqa: E402
-from z3calc.rewrite import Presentation  # noqa: E402
+from z3calc.freealg import NCPolynomial  # noqa: E402
+from z3calc.rewrite import DEFAULT_BUDGET, Presentation  # noqa: E402
 from z3calc.scalars import PoleError  # noqa: E402
 
 # deterministic and small: these run inside the tier-1 suite
@@ -26,6 +27,11 @@ catalog = pytest.mark.parametrize("name", list(presets.PRESETS))
 
 @functools.cache
 def _preset(name):
+    return presets.build(name)
+
+
+@functools.cache
+def _leftmost_preset(name):
     return presets.build(name)
 
 
@@ -52,6 +58,21 @@ def test_normal_form_words_contain_no_lhs(name, seed):
             n = len(r.lhs)
             assert all(word[i:i + n] != r.lhs
                        for i in range(len(word) - n + 1)), (word, r.ref)
+
+
+@pytest.mark.parametrize("name", ["q_plane", "h_plane", "hj_calculus",
+                                  "qjh_calculus"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**16), max_size=8))
+def test_suffix_first_matches_leftmost(name, picks):
+    # normal forms are unique in these presets, so reducing suffix first
+    # gives what the leftmost, first-declared rule gives
+    P = _preset(name)
+    assert P._unique_normal_forms()
+    letters = [g.name for g in P.generators]
+    word = NCPolynomial.word(letters[k % len(letters)] for k in picks)
+    assert P.normal_form(word) == _leftmost_preset(name)._nf_leftmost(
+        word, DEFAULT_BUDGET)
 
 
 @pytest.mark.parametrize("name", ["qjh_calculus", "hj_calculus"])

@@ -4,10 +4,11 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from z3calc import presets
+from z3calc import presets, rewrite
 from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
 from z3calc.rewrite import (MAX_SWEEPS, BudgetExceeded, LocalizeError,
                             Presentation, RewriteRule, TermOrder, _solve_for,
@@ -72,25 +73,31 @@ def test_budget_exceeded(monkeypatch):
         P.nf_word(("x",) * 3 + ("th",) * 2)
     e = info.value
     assert e.steps == 2
+    assert e.word == ("th", "h", "x", "x")
     assert e.rule in {r.ref for r in P.rules}
     assert "after 2 steps" in str(e) and e.rule in str(e)
     monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
+    # suffix first, the two steps rewrote x*th*th and then x*th, whose
+    # normal form was memoised before the budget ran out
+    assert P.nf_word(("x", "th")) == (NCPolynomial.word(("th", "x"))
+                                      + NCPolynomial.word(("h", "x", "x")))
     with pytest.raises(BudgetExceeded) as info:
-        P.nf_word(("x", "th"))
+        presets.build("h_plane").nf_word(("x", "th"))
     assert info.value.steps == 0 and info.value.rule is None
 
 
 def test_budget_counts_rewriting_misses(monkeypatch):
-    # reducing x^3*th^2 in a fresh h_plane rewrites 19 words the memo lacks
-    # and meets 2 irreducible ones; memo hits are free
+    # reducing x^3*th^2 in a fresh h_plane, suffix first, rewrites 18 words
+    # g*v (v irreducible) that the memo lacks and memoises 21 irreducible
+    # ones; memo hits are free
     word = ("x",) * 3 + ("th",) * 2
-    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "18")
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "17")
     with pytest.raises(BudgetExceeded):
         presets.build("h_plane").nf_word(word)
-    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "19")
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "18")
     P = presets.build("h_plane")
     nf = P.nf_word(word)
-    assert len(P._memo) == 21
+    assert len(P._memo) == 39
     monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
     assert P.nf_word(word) == nf
 
@@ -117,6 +124,54 @@ def test_long_left_side_under_default_limit(default_recursion_limit):
     P = Presentation("toy", gens, [
         RewriteRule(("a",) * 3000, NCPolynomial.word(("b",)), "a3000")], order)
     assert P.nf_word(("a",) * 3001) == NCPolynomial.word(("b", "a"))
+
+
+def test_ambiguities_of_long_left_side_are_quick():
+    # the inclusions of a^3000 are looked up only at lengths a left side
+    # has; slicing out every a^m inside it costs time cubic in 3000
+    order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
+    gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
+    P = Presentation("toy", gens, [
+        RewriteRule(("a",) * 3000, NCPolynomial.word(("b",)), "a3000")], order)
+    start = time.perf_counter()
+    assert len(list(P._ambiguities())) == 2999
+    assert time.perf_counter() - start < 5
+
+
+UNIQUE_NORMAL_FORMS = {"q_plane", "h_plane", "hj_calculus", "qjh_calculus"}
+
+
+def test_unique_normal_forms_verdicts(monkeypatch):
+    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    L = presets.glhj_localized()  # cached: a copy gets no earlier verdict
+    built = [presets.build(name) for name in presets.PRESETS] + [
+        Presentation(L.name, L.generators, L.rules, L.order, q=L.q)]
+    assert {P.name for P in built if P._unique_normal_forms()} == \
+        UNIQUE_NORMAL_FORMS
+    assert len(rewrite._VERDICTS) == len(built)
+
+
+def test_verdict_is_not_charged_and_leaves_memo_empty(monkeypatch):
+    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+
+    def public(*args):
+        raise AssertionError("the census reached a public entry point")
+
+    P = presets.build("h_plane")
+    with monkeypatch.context() as m:
+        for name in ("normal_form", "nf_word", "critical_pairs",
+                     "pair_census"):
+            m.setattr(Presentation, name, public)
+        assert P._unique_normal_forms()
+    assert P._memo == {}
+    # a fresh census runs under DEFAULT_BUDGET whatever the variable says
+    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
+    P = presets.build("h_plane")
+    with pytest.raises(BudgetExceeded) as info:
+        P.nf_word(("x", "th"))
+    assert info.value.steps == 0 and info.value.rule is None
+    assert P._unique_normal_forms()
 
 
 def test_critical_pairs_joinable_on_confluent_preset():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from z3calc.scalars import (CycloRational, PoleError, J, J2, ONE, Q, ZERO,
-                            jpow, qpow, rational, scalar_str, specialize_q)
+from z3calc.scalars import (QJ, QJ_ONE, CycloRational, PoleError, J, J2,
+                            ONE, Q, ZERO, jpow, qpow, rational, scalar_str,
+                            specialize_q)
 from z3calc.parser import parse_scalar
 
 
@@ -32,6 +33,16 @@ def test_field_axioms_spot():
     assert (a - a).is_zero()
     assert a * a.inv() == ONE
     assert (a * b) * b.inv() == a
+
+
+def test_small_qj_values_are_shared():
+    a, b = QJ(2, -1), QJ(1, 1)
+    assert (a + b) is (b + a) is (QJ(4, 0) - QJ(1, 0)) is (-QJ(-3, 0))
+    assert (a * b) is (b * a) is QJ(3, 2) * QJ_ONE
+    assert QJ(2, 0) * QJ(8, 0) == QJ(16, 0)  # beyond the table: equal only
+    half = QJ(Fraction(1, 2), 0)
+    assert (half + half) == QJ_ONE and (half - half).is_zero()
+    assert ONE * ONE is not ONE and (ONE * ONE).num.c[0] is QJ_ONE
 
 
 def test_zero_has_no_inverse():
