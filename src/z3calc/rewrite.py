@@ -9,16 +9,19 @@ each word has exactly one normal form, so any strategy gives the same
 output; normal_form then reduces suffix first, putting one letter at a
 time in front of the normal form of the rest (the stack discipline of
 Sims 1994), and memoises only words g*v with v irreducible.  The census
-that decides this runs once per rule system and process; q_plane,
-h_plane, hj_calculus and qjh_calculus pass it.  Every other presentation
-replaces the leftmost, first-declared match, and so do saturate and
-localize, whose memo bookkeeping relies on that.  The engine never
+that decides this runs once per rule system and process, or is read off
+the first critical_pairs pass; q_plane, h_plane, hj_calculus and
+qjh_calculus pass it.  Every other presentation replaces the leftmost,
+first-declared match, and so do critical_pairs, saturate and localize,
+saturate's memo bookkeeping relying on that.  The engine never
 completes a presentation behind the caller's back, it only reports
 critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, drop only the memo entries that the new rules change,
 and reduce a pair of older rules again only if one of its one-step
-reducts was dropped.
+reducts was dropped.  The engine records where it rewrote each word, so
+a memo word is scanned for the new left sides only left of that
+position, with a trie of just those left sides.
 
 Matching walks one trie over the rule left sides from each position of
 the word; the trie is built on the first reduction after the rules
@@ -130,6 +133,16 @@ def _rewrite_at(word, rule, pos):
                          for rw, rc in rule.rhs.t.items()})
 
 
+def _touches(words, word, rule, pos):
+    """Whether a word of the one-step reduct of word by rule at pos is
+    in the set words."""
+    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
+    for rw in rule.rhs.t:
+        if prefix + rw + suffix in words:
+            return True
+    return False
+
+
 def _lhs_trie(rules):
     """Trie over the left sides: letter -> [children, rule].
 
@@ -214,6 +227,11 @@ def _prepend(trie, memo, jobs, suffix):
     return acc
 
 
+# the normal form that the leftmost engine memoises for every word that
+# reduces to zero; no reader changes a memoised polynomial
+_ZERO_NF = NCPolynomial()
+
+
 class Presentation:
     def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
@@ -223,6 +241,9 @@ class Presentation:
         self.q = q  # "symbolic" or a Fraction
         self.gens = {g.name: g for g in self.generators}
         self._memo = {}
+        # while saturate runs: memo word -> position of the match that
+        # rewrote it, for _drop_changed; None otherwise
+        self._at = None
         self._append(rules)
 
     def _append(self, rules):
@@ -274,16 +295,19 @@ class Presentation:
     def _nf_leftmost(self, p, budget):
         """The normal form of p by the leftmost, first-declared rule.
         Reduction runs on a stack of frames, p's at the bottom and one above
-        it for each word being rewritten; a frame sums the normal forms of
-        its word's reducts, and the word is memoised after them.  Only a
-        memo miss that rewrites is charged against the budget."""
+        it for each word being rewritten; a frame sums c * NF for the
+        reducts of its word into one dict, and the word is memoised after
+        them.  While saturate runs, the position of the match is recorded
+        in _at for each word rewritten.  Only a memo miss that rewrites is
+        charged against the budget."""
         trie, memo, maxlen = self._index(), self._memo, self._maxlen
+        at = self._at
         left, last = budget, None  # last: ref of the last rule fired
         # a frame: [word, iterator over (middle, coefficient) of its reducts
         # prefix + middle + suffix, prefix, suffix, start (no match in a
-        # reduct starts left of it), the word's coefficient below, sum]
-        stack = [[None, iter(p.t.items()), (), (), 0, None,
-                  NCPolynomial.zero()]]
+        # reduct starts left of it), the word's coefficient below, the sum
+        # as a dict that may hold zeros]
+        stack = [[None, iter(p.t.items()), (), (), 0, None, {}]]
         while True:
             frame = stack[-1]
             _, reducts, prefix, suffix, start, _, acc = frame
@@ -295,23 +319,32 @@ class Presentation:
                     if match is not None:
                         break
                     nf = memo[w] = NCPolynomial.word(w)
-                acc = acc + nf.scale(c)
+                for u, x in nf.t.items():
+                    x = c if x is ONE else c * x
+                    y = acc.get(u)
+                    acc[u] = x if y is None else y + x
             else:
                 stack.pop()
+                nf = NCPolynomial(acc)
                 if not stack:
-                    return acc
-                memo[frame[0]] = acc
-                stack[-1][6] = stack[-1][6] + acc.scale(frame[5])
+                    return nf
+                memo[frame[0]] = nf if nf.t else _ZERO_NF
+                c, acc = frame[5], stack[-1][6]
+                for u, x in nf.t.items():
+                    x = c if x is ONE else c * x
+                    y = acc.get(u)
+                    acc[u] = x if y is None else y + x
                 continue
-            frame[6] = acc
             i, rule = match
             left -= 1
             if left < 0:
                 raise BudgetExceeded(w, max(budget, 0), last)
             last = rule.ref
+            if at is not None:
+                at[w] = i
             stack.append([w, iter(rule.rhs.t.items()), w[:i],
                           w[i + len(rule.lhs):], max(0, i - maxlen + 1), c,
-                          NCPolynomial.zero()])
+                          {}])
 
     def _nf_suffix_first(self, p, budget):
         """The normal form of p, which is unique: a word's is its first
@@ -351,17 +384,21 @@ class Presentation:
         census runs once per rule system in a process, with the leftmost
         engine on a copy that has its own memo, under DEFAULT_BUDGET,
         and stops at the first pair that does not join; running out of
-        budget counts as not joinable."""
+        budget counts as not joinable.  A critical_pairs pass that finds no
+        verdict records one from its own results instead."""
         if self._verdict is None:
-            key = (tuple((r.lhs, frozenset(r.rhs.t.items()))
-                         for r in self.rules),
-                   tuple(sorted(self.order.weights.items())),
-                   tuple(self.order.precedence), self.q)
+            key = self._verdict_key()
             verdict = _VERDICTS.get(key)
             if verdict is None:
                 verdict = _VERDICTS[key] = self._census_joins()
             self._verdict = verdict
         return self._verdict
+
+    def _verdict_key(self):
+        """The rule system, as _VERDICTS keys it."""
+        return (tuple((r.lhs, frozenset(r.rhs.t.items())) for r in self.rules),
+                tuple(sorted(self.order.weights.items())),
+                tuple(self.order.precedence), self.q)
 
     def _census_joins(self):
         if self.check_termination():
@@ -386,15 +423,24 @@ class Presentation:
     # -- critical pairs -----------------------------------------------------
 
     def critical_pairs(self):
-        """All overlap and containment ambiguities, each reduced both ways.
+        """All overlap and containment ambiguities, each reduced both ways
+        by the leftmost, first-declared rule.
 
         Returns a list of dicts with the ambiguous word, the two rule
         refs, both normal forms, and whether they agree.  No completion
-        is attempted.
+        is attempted.  When no verdict on unique normal forms is known for
+        the rules, this pass is that census: the verdict is whether the
+        rules are oriented and every pair joins.
         """
         rules = self.rules
-        return [self._pair_entry(word, rules[i1], 0, rules[i2], p2)
-                for i1, i2, word, p2 in self._ambiguities()]
+        pairs = [self._pair_entry(word, rules[i1], 0, rules[i2], p2)
+                 for i1, i2, word, p2 in self._ambiguities()]
+        if self._verdict is None:
+            self._verdict = _VERDICTS.setdefault(
+                self._verdict_key(),
+                not self.check_termination()
+                and all(p["joinable"] for p in pairs))
+        return pairs
 
     def _ambiguities(self):
         """(i1, i2, word, p2) for each ambiguity: rules[i1] applies to word
@@ -435,8 +481,9 @@ class Presentation:
                     yield i1, i2, l1 + rules[i2].lhs[x:], n1 - x
 
     def _pair_entry(self, word, r1, p1, r2, p2):
-        nf1 = self.normal_form(_rewrite_at(word, r1, p1))
-        nf2 = self.normal_form(_rewrite_at(word, r2, p2))
+        budget = _step_budget()
+        nf1 = self._nf_leftmost(_rewrite_at(word, r1, p1), budget)
+        nf2 = self._nf_leftmost(_rewrite_at(word, r2, p2), budget)
         return {
             "word": word,
             "rules": (r1.ref, r2.ref),
@@ -603,9 +650,12 @@ def saturate(pres, skip=None):
     drops exactly the memo words whose reduction they change: a word
     whose leftmost match starts right of a new left side's occurrence
     (anywhere, for an irreducible word), and a word whose rewrite step
-    produced a dropped word.  An ambiguity of two rules that the
-    previous sweep already had is skipped when none of its one-step
-    reducts was dropped.  Its difference is then the one that sweep saw,
+    produced a dropped word.  The leftmost engine records where it
+    rewrote each word, so only the part left of that position is
+    scanned, for the new left sides alone.  An ambiguity of two rules
+    that the previous sweep already had is skipped when none of its
+    one-step reducts was dropped, which its words tell before any
+    polynomial is built.  Its difference is then the one that sweep saw,
     and that sweep added its leading word as a rule or refused it (the
     word was a left side already or skip held), so it can add nothing
     now.  The rules, their order and every normal form are those of
@@ -614,6 +664,7 @@ def saturate(pres, skip=None):
     """
     P = Presentation(pres.name, pres.generators, pres.rules, pres.order,
                      q=pres.q)
+    P._at = {}
     key, budget = pres.order.key, _step_budget()
     seen = {r.lhs for r in P.rules}
     old, dropped = 0, set()
@@ -621,13 +672,12 @@ def saturate(pres, skip=None):
         rules = P.rules
         new = []
         for i1, i2, word, p2 in P._ambiguities():
-            step1 = _rewrite_at(word, rules[i1], 0)
-            step2 = _rewrite_at(word, rules[i2], p2)
-            if (i1 < old and i2 < old and dropped.isdisjoint(step1.t)
-                    and dropped.isdisjoint(step2.t)):
+            r1, r2 = rules[i1], rules[i2]
+            if (i1 < old and i2 < old and not _touches(dropped, word, r1, 0)
+                    and not _touches(dropped, word, r2, p2)):
                 continue
-            d = (P._nf_leftmost(step1, budget)
-                 - P._nf_leftmost(step2, budget))
+            d = (P._nf_leftmost(_rewrite_at(word, r1, 0), budget)
+                 - P._nf_leftmost(_rewrite_at(word, r2, p2), budget))
             if d.is_zero():
                 continue
             lead = max(d.support(), key=key)
@@ -642,33 +692,32 @@ def saturate(pres, skip=None):
     # the pairs' words would only hold memory, and later reductions are
     # charged against the step budget as in a fresh presentation
     P._memo.clear()
+    P._at = None
     return P
 
 
 def _drop_changed(P, new):
     """Declare the rules new after P's rules, then drop from P's memo, and
     return, every word whose reduction that changes.  Its leftmost match
-    may now be a new rule: at the old match the old rule still wins, and
-    left of it only a new left side can match (saturate never declares a
-    left side twice, so a rule is new when its left side is one of new's).
-    Or its rewrite step produced a dropped word, which the memo lists first."""
+    may now be a new rule: at the old match, P._at[w], the old rule still
+    wins, as it was declared first, and left of it only a new left side
+    can match, so only that part is scanned, with a trie of new's left
+    sides (all of an irreducible word).  Or its rewrite step produced a
+    dropped word, which the memo lists first."""
     P._append(new)
-    trie, memo = P._index(), P._memo
-    fresh = {r.lhs for r in new}
+    trie, memo, at = P._index(), P._memo, P._at
+    fresh = _lhs_trie(new)
     dropped = set()
     for w in memo:
-        match = _leftmost(trie, w, 0, len(w))
-        if match is None:
-            continue
-        i, rule = match
-        if rule.lhs in fresh:
+        i = at.get(w)
+        if _leftmost(fresh, w, 0, len(w) if i is None else i) is not None:
             dropped.add(w)
-        elif dropped:
-            prefix, suffix = w[:i], w[i + len(rule.lhs):]
-            if any(prefix + rw + suffix in dropped for rw in rule.rhs.t):
-                dropped.add(w)
+        elif (i is not None and dropped
+              and _touches(dropped, w, _leftmost(trie, w, i, i + 1)[1], i)):
+            dropped.add(w)
     for w in dropped:
         del memo[w]
+        at.pop(w, None)
     return dropped
 
 

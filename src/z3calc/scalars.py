@@ -22,6 +22,13 @@ alike, so nothing outside QJ sees the difference.  For the same reason
 QJ arithmetic hands out one shared instance for each value with small
 integral components, and a sum or product of two scalars whose denominators
 are 1 is canonical as it stands, so it skips _reduce.
+
+A constant is a CycloRational whose denominator is P_ONE and whose
+numerator has one coefficient; at q = 1 every nonzero coefficient is one.
+Each shared QJ value has one shared constant (ONE, J and J2 among them),
++, -, * and unary - of two constants compute on their QJ components and
+return the shared constant when there is one, and * by the object ONE
+returns the other operand.
 """
 
 from __future__ import annotations
@@ -119,8 +126,6 @@ def _qj(a, b):
 
 QJ_ZERO = _SHARED[0][0]
 QJ_ONE = _SHARED[1][0]
-QJ_J = _SHARED[0][1]
-QJ_J2 = _SHARED[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +308,10 @@ class CycloRational:
 
     def __add__(self, other):
         if self.den is P_ONE and other.den is P_ONE:
+            x, y = self.num.c, other.num.c
+            if len(x) == 1 and len(y) == 1:
+                x, y = x[0], y[0]
+                return _const(x.a + y.a, x.b + y.b)
             return CycloRational(self.num + other.num, P_ONE,
                                  _canonical=True)
         return CycloRational(
@@ -311,6 +320,10 @@ class CycloRational:
 
     def __sub__(self, other):
         if self.den is P_ONE and other.den is P_ONE:
+            x, y = self.num.c, other.num.c
+            if len(x) == 1 and len(y) == 1:
+                x, y = x[0], y[0]
+                return _const(x.a - y.a, x.b - y.b)
             return CycloRational(self.num - other.num, P_ONE,
                                  _canonical=True)
         return CycloRational(
@@ -318,10 +331,22 @@ class CycloRational:
         )
 
     def __neg__(self):
+        x = self.num.c
+        if self.den is P_ONE and len(x) == 1:
+            return _const(-x[0].a, -x[0].b)
         return CycloRational(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         if self.den is P_ONE and other.den is P_ONE:
+            x, y = self.num.c, other.num.c
+            if len(x) == 1 and len(y) == 1:
+                a0, a1, b0, b1 = x[0].a, x[0].b, y[0].a, y[0].b
+                t = a1 * b1
+                return _const(a0 * b0 - t, a0 * b1 + a1 * b0 - t)
             return CycloRational(self.num * other.num, P_ONE,
                                  _canonical=True)
         return CycloRational(self.num * other.num, self.den * other.den)
@@ -372,18 +397,36 @@ def specialize_q(s, q0):
     if d.is_zero():
         raise PoleError("pole at q = %s" % q0)
     v = s.num.eval_at(q0) * d.inv()
-    return CycloRational(QJPoly.const(v), P_ONE)
+    return _const(v.a, v.b)
 
 
 # ---------------------------------------------------------------------------
 # constants and small builders
 
-ZERO = CycloRational(P_ZERO, P_ONE, _canonical=True)
-ONE = CycloRational(P_ONE, P_ONE, _canonical=True)
-J = CycloRational(QJPoly((QJ_J,)), P_ONE, _canonical=True)
-J2 = CycloRational(QJPoly((QJ_J2,)), P_ONE, _canonical=True)
+# the constant of each QJ in _SHARED, indexed the same way; the one of
+# zero is ZERO, whose numerator has no coefficient
+_CONSTS = [[CycloRational(QJPoly.const(v), P_ONE, _canonical=True)
+            for v in row] for row in _SHARED]
+
+
+def _const(a, b):
+    """The constant a + b*j, the shared one when a and b are small ints."""
+    if type(a) is not int:
+        a = _canon(a)
+    if type(b) is not int:
+        b = _canon(b)
+    if (type(a) is int and type(b) is int
+            and -_SMALL <= a <= _SMALL and -_SMALL <= b <= _SMALL):
+        return _CONSTS[a][b]
+    return CycloRational(QJPoly((QJ(a, b),)), P_ONE, _canonical=True)
+
+
+ZERO = _CONSTS[0][0]
+ONE = _CONSTS[1][0]
+J = _CONSTS[0][1]
+J2 = _CONSTS[-1][-1]
 Q = CycloRational(P_Q, P_ONE, _canonical=True)
-MINUS_ONE = CycloRational(QJPoly((_qj(-1, 0),)), P_ONE, _canonical=True)
+MINUS_ONE = _CONSTS[-1][0]
 
 
 def bit_length(s):
@@ -398,7 +441,7 @@ def bit_length(s):
 
 def rational(x):
     """Embed an int or Fraction."""
-    return CycloRational(QJPoly.const(QJ(x)))
+    return _const(x, 0)
 
 
 def jpow(k):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -149,6 +150,28 @@ def test_unique_normal_forms_verdicts(monkeypatch):
     assert {P.name for P in built if P._unique_normal_forms()} == \
         UNIQUE_NORMAL_FORMS
     assert len(rewrite._VERDICTS) == len(built)
+
+
+def test_census_records_the_verdict(monkeypatch):
+    # critical_pairs reduces each pair with the leftmost engine, so where no
+    # verdict is known its pass decides one and no second census runs
+    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+
+    def census_joins(self):
+        raise AssertionError("the pairs were reduced a second time")
+
+    monkeypatch.setattr(Presentation, "_census_joins", census_joins)
+    P = presets.build("qjh_calculus")
+    census = P.pair_census()
+    assert census["pairs"] == census["joinable"] == 199
+    assert P._unique_normal_forms()
+    L = presets.glhj_localized()
+    for P in [presets.build(name) for name in presets.PRESETS] + [
+            Presentation(L.name, L.generators, L.rules, L.order, q=L.q)]:
+        P.critical_pairs()
+        again = Presentation(P.name, P.generators, P.rules, P.order, q=P.q)
+        assert again._unique_normal_forms() == \
+            (P.name in UNIQUE_NORMAL_FORMS), P.name
 
 
 def test_verdict_is_not_charged_and_leaves_memo_empty(monkeypatch):
@@ -455,6 +478,35 @@ def test_saturate_matches_reference_on_relations(name):
                         [r for r in P.rules if not r.ref.startswith("derived:")],
                         P.order, q=P.q)
     assert _listed(saturate(base)) == _listed(reference_saturate(base))
+
+
+# pairs that saturate reduces in each sweep of the two glhj stages
+_GLHJ_SWEEP_PAIRS = ([67, 131, 193, 151, 44, 30],
+                     [723, 1601, 1147, 207, 90, 37, 19])
+
+
+def test_saturate_pairs_per_sweep_on_glhj_stages(monkeypatch):
+    # each pair is two leftmost reductions on the sweep's presentation,
+    # whose rule count tells the sweeps apart; the drop bookkeeping may
+    # neither skip a pair nor reduce one more
+    skip = presets._gl_runaway
+    nf, calls = Presentation._nf_leftmost, Counter()
+
+    def counting(self, p, budget):
+        calls[len(self.rules)] += 1
+        return nf(self, p, budget)
+
+    def sweeps(pres):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Presentation, "_nf_leftmost", counting)
+            out = saturate(pres, skip=skip)
+        return out, [calls[k] for k in sorted(calls)]
+
+    base, first = sweeps(presets.build("glhj"))
+    _, second = sweeps(localize(localize(base, "dT", "dTinv"), "a", "ainv"))
+    assert (first, second) == tuple([2 * n for n in pairs]
+                                    for pairs in _GLHJ_SWEEP_PAIRS)
 
 
 def test_saturate_reexamines_pair_of_old_rules():

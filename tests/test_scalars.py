@@ -42,7 +42,7 @@ def test_small_qj_values_are_shared():
     assert QJ(2, 0) * QJ(8, 0) == QJ(16, 0)  # beyond the table: equal only
     half = QJ(Fraction(1, 2), 0)
     assert (half + half) == QJ_ONE and (half - half).is_zero()
-    assert ONE * ONE is not ONE and (ONE * ONE).num.c[0] is QJ_ONE
+    assert ONE * ONE is ONE and J * J2 is ONE
 
 
 def test_zero_has_no_inverse():

@@ -9,8 +9,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from z3calc.scalars import (QJ, ONE, ZERO, PoleError, jpow, qpow,  # noqa: E402
-                            rational, specialize_q)
+from z3calc.scalars import (_CONSTS, _SMALL, QJ, QJ_ONE, ONE,  # noqa: E402
+                            P_ONE, ZERO, CycloRational, PoleError, QJPoly,
+                            jpow, qpow, rational, specialize_q)
 
 # deterministic and small: these run inside the tier-1 suite
 quick = settings(max_examples=60, deadline=None, derandomize=True)
@@ -113,3 +114,49 @@ def test_qj_components(x, y):
     if not v.is_zero():
         assert _canonical_component(v.inv().a)
         assert v * v.inv() == QJ(1, 0)
+
+
+# a + b*j with a, b on both sides of the shared table's -8..8 and not
+# always integral
+components = st.one_of(st.integers(-30, 30),
+                       st.fractions(min_value=-30, max_value=30,
+                                    max_denominator=6))
+
+
+def _constant(a, b):
+    return CycloRational(QJPoly.const(QJ(a, b)))
+
+
+def _general(s):
+    """s with an equal copy of P_ONE as denominator, which takes the
+    general path of +, - and *."""
+    return CycloRational(s.num, QJPoly((QJ_ONE,)), _canonical=True)
+
+
+@quick
+@given(components, components, components, components)
+def test_constant_fast_paths(a0, a1, b0, b1):
+    x, y = _constant(a0, a1), _constant(b0, b1)
+    # the oracle: Q(j) by hand, j*j = -1 - j
+    t = a1 * b1
+    for got, general, (r0, r1) in (
+            (x + y, _general(x) + _general(y), (a0 + b0, a1 + b1)),
+            (x - y, _general(x) - _general(y), (a0 - b0, a1 - b1)),
+            (x * y, _general(x) * _general(y),
+             (a0 * b0 - t, a0 * b1 + a1 * b0 - t)),
+            (-x, -_general(x), (-a0, -a1))):
+        assert got == general == _constant(r0, r1)
+        assert got.den is P_ONE and _canonical(got)
+        # zero has no coefficient, so it is no constant and takes the
+        # polynomial path
+        r0, r1 = QJ(r0, r1).a, QJ(r0, r1).b
+        if (x and y and type(r0) is int and type(r1) is int
+                and max(abs(r0), abs(r1)) <= _SMALL):
+            assert got is _CONSTS[r0][r1]
+    assert x * ONE is x and ONE * x is x
+
+
+@quick
+@given(scalars)
+def test_times_one_is_the_other_operand(a):
+    assert a * ONE is a and ONE * a is a
