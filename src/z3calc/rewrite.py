@@ -9,13 +9,12 @@ each word has exactly one normal form, so any strategy gives the same
 output; normal_form then reduces suffix first, putting one letter at a
 time in front of the normal form of the rest (the stack discipline of
 Sims 1994), and memoises only words g*v with v irreducible.  The census
-that decides this runs once per rule system and process, or is read off
-the first critical_pairs pass; q_plane, h_plane, hj_calculus and
-qjh_calculus pass it.  Every other presentation replaces the leftmost,
-first-declared match, and so do critical_pairs, saturate and localize,
-saturate's memo bookkeeping relying on that.  The engine never
-completes a presentation behind the caller's back, it only reports
-critical pairs.
+that decides this runs once per rule system and process; q_plane,
+h_plane, hj_calculus and qjh_calculus pass it.  Every other presentation
+replaces the leftmost, first-declared match, and so do critical_pairs,
+saturate and localize, saturate's memo bookkeeping relying on that.  The
+engine never completes a presentation behind the caller's back, it only
+reports critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, drop only the memo entries that the new rules change,
 and reduce a pair of older rules again only if one of its one-step
@@ -118,9 +117,13 @@ class RewriteRule:
     ref: str = ""
 
 
-def _solve_for(d, lead):
+def _solve_for(d, lead, source="the difference"):
     """The rule lead -> ... that the identity d = 0 gives, lead being the
-    leading word of the nonzero d, so every other word lies below it."""
+    leading word of the nonzero d, so every other word lies below it.  A
+    nonzero scalar d, named source in the error, says 1 = 0."""
+    if not lead:
+        raise ValueError(source + " is a nonzero scalar: the relations "
+                         "make 1 = 0")
     c = d.coeff(lead)
     rhs = (d - NCPolynomial.word(lead, c)).scale(-(c.inv()))
     return RewriteRule(lead, rhs, "derived:" + ".".join(lead))
@@ -384,38 +387,26 @@ class Presentation:
         census runs once per rule system in a process, with the leftmost
         engine on a copy that has its own memo, under DEFAULT_BUDGET,
         and stops at the first pair that does not join; running out of
-        budget counts as not joinable.  A critical_pairs pass that finds no
-        verdict records one from its own results instead."""
+        budget counts as not joinable."""
         if self._verdict is None:
-            key = self._verdict_key()
+            key = (tuple((r.lhs, frozenset(r.rhs.t.items()))
+                         for r in self.rules),
+                   tuple(sorted(self.order.weights.items())),
+                   tuple(self.order.precedence), self.q)
             verdict = _VERDICTS.get(key)
             if verdict is None:
                 verdict = _VERDICTS[key] = self._census_joins()
             self._verdict = verdict
         return self._verdict
 
-    def _verdict_key(self):
-        """The rule system, as _VERDICTS keys it."""
-        return (tuple((r.lhs, frozenset(r.rhs.t.items())) for r in self.rules),
-                tuple(sorted(self.order.weights.items())),
-                tuple(self.order.precedence), self.q)
-
     def _census_joins(self):
-        if self.check_termination():
-            return False
         P = Presentation(self.name, self.generators, self.rules, self.order,
                          q=self.q)
-        rules = P.rules
         try:
-            for i1, i2, word, p2 in P._ambiguities():
-                if (P._nf_leftmost(_rewrite_at(word, rules[i1], 0),
-                                   DEFAULT_BUDGET)
-                        != P._nf_leftmost(_rewrite_at(word, rules[i2], p2),
-                                          DEFAULT_BUDGET)):
-                    return False
+            return not self.check_termination() and all(
+                nf1 == nf2 for *_, nf1, nf2 in P._pairs(DEFAULT_BUDGET))
         except BudgetExceeded:
             return False
-        return True
 
     def nf_word(self, word):
         return self.normal_form(NCPolynomial.word(word))
@@ -428,19 +419,27 @@ class Presentation:
 
         Returns a list of dicts with the ambiguous word, the two rule
         refs, both normal forms, and whether they agree.  No completion
-        is attempted.  When no verdict on unique normal forms is known for
-        the rules, this pass is that census: the verdict is whether the
-        rules are oriented and every pair joins.
+        is attempted.
         """
+        return [{"word": word, "rules": (r1.ref, r2.ref), "nf1": nf1,
+                 "nf2": nf2, "joinable": nf1 == nf2}
+                for r1, r2, word, nf1, nf2 in self._pairs(_step_budget())]
+
+    def _pairs(self, budget, old=0, dropped=()):
+        """(r1, r2, word, nf1, nf2) for each ambiguity, in _ambiguities()
+        order: r1 and r2 apply to word, and nf1 and nf2 are their one-step
+        reducts reduced by the leftmost, first-declared rule.  A pair of two
+        rules below index old is skipped when no word of either reduct is in
+        dropped, as saturate's rescan needs; the defaults keep every pair."""
         rules = self.rules
-        pairs = [self._pair_entry(word, rules[i1], 0, rules[i2], p2)
-                 for i1, i2, word, p2 in self._ambiguities()]
-        if self._verdict is None:
-            self._verdict = _VERDICTS.setdefault(
-                self._verdict_key(),
-                not self.check_termination()
-                and all(p["joinable"] for p in pairs))
-        return pairs
+        for i1, i2, word, p2 in self._ambiguities():
+            r1, r2 = rules[i1], rules[i2]
+            if (i1 < old and i2 < old and not _touches(dropped, word, r1, 0)
+                    and not _touches(dropped, word, r2, p2)):
+                continue
+            yield (r1, r2, word,
+                   self._nf_leftmost(_rewrite_at(word, r1, 0), budget),
+                   self._nf_leftmost(_rewrite_at(word, r2, p2), budget))
 
     def _ambiguities(self):
         """(i1, i2, word, p2) for each ambiguity: rules[i1] applies to word
@@ -479,18 +478,6 @@ class Presentation:
                     yield i1, i2, l1, x
                 else:
                     yield i1, i2, l1 + rules[i2].lhs[x:], n1 - x
-
-    def _pair_entry(self, word, r1, p1, r2, p2):
-        budget = _step_budget()
-        nf1 = self._nf_leftmost(_rewrite_at(word, r1, p1), budget)
-        nf2 = self._nf_leftmost(_rewrite_at(word, r2, p2), budget)
-        return {
-            "word": word,
-            "rules": (r1.ref, r2.ref),
-            "nf1": nf1,
-            "nf2": nf2,
-            "joinable": nf1 == nf2,
-        }
 
     def pair_census(self):
         pairs = self.critical_pairs()
@@ -669,25 +656,20 @@ def saturate(pres, skip=None):
     seen = {r.lhs for r in P.rules}
     old, dropped = 0, set()
     for _ in range(MAX_SWEEPS):
-        rules = P.rules
         new = []
-        for i1, i2, word, p2 in P._ambiguities():
-            r1, r2 = rules[i1], rules[i2]
-            if (i1 < old and i2 < old and not _touches(dropped, word, r1, 0)
-                    and not _touches(dropped, word, r2, p2)):
-                continue
-            d = (P._nf_leftmost(_rewrite_at(word, r1, 0), budget)
-                 - P._nf_leftmost(_rewrite_at(word, r2, p2), budget))
+        for r1, r2, word, nf1, nf2 in P._pairs(budget, old, dropped):
+            d = nf1 - nf2
             if d.is_zero():
                 continue
             lead = max(d.support(), key=key)
             if lead in seen or (skip is not None and skip(lead)):
                 continue
             seen.add(lead)
-            new.append(_solve_for(d, lead))
+            new.append(_solve_for(d, lead, "the ambiguity %s of rules %s and %s"
+                                  % ("*".join(word), r1.ref, r2.ref)))
         if not new:
             break
-        old = len(rules)
+        old = len(P.rules)
         dropped = _drop_changed(P, new)
     # the pairs' words would only hold memory, and later reductions are
     # charged against the step budget as in a fresh presentation
@@ -810,5 +792,6 @@ def localize(pres, v, vinv):
             if lead in seen_extra:
                 raise LocalizeError("derived rule for %r fails multiply-back" % (lhs,))
             seen_extra.add(lead)
-            extra.append(_solve_for(res, lead))
+            extra.append(_solve_for(res, lead, "the multiply-back residual "
+                                    "of %s" % "*".join(lhs)))
     raise LocalizeError("localization of %s did not stabilise" % v)

@@ -319,16 +319,7 @@ class CycloRational:
         )
 
     def __sub__(self, other):
-        if self.den is P_ONE and other.den is P_ONE:
-            x, y = self.num.c, other.num.c
-            if len(x) == 1 and len(y) == 1:
-                x, y = x[0], y[0]
-                return _const(x.a - y.a, x.b - y.b)
-            return CycloRational(self.num - other.num, P_ONE,
-                                 _canonical=True)
-        return CycloRational(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + (-other)
 
     def __neg__(self):
         x = self.num.c

@@ -14,7 +14,7 @@ from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
 from z3calc.rewrite import (MAX_SWEEPS, BudgetExceeded, LocalizeError,
                             Presentation, RewriteRule, TermOrder, _solve_for,
                             localize, saturate)
-from z3calc.scalars import J, ONE
+from z3calc.scalars import J, ONE, rational
 
 
 def test_term_order_weight_dominates():
@@ -103,6 +103,37 @@ def test_budget_counts_rewriting_misses(monkeypatch):
     assert P.nf_word(word) == nf
 
 
+def test_leftmost_budget_counts_rewriting_misses(monkeypatch):
+    # glhj has no unique normal forms, so a*b*g*dT is rewritten at the
+    # leftmost match: 57 words the memo lacks, 63 memoised in all
+    word = ("a", "b", "g", "dT")
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "56")
+    P = presets.build("glhj")
+    with pytest.raises(BudgetExceeded) as info:
+        P.nf_word(word)
+    e = info.value
+    assert (e.steps, e.word, e.rule) == (56, ("b", "h", "h", "a", "b", "dT"),
+                                         "gl:bh")
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "57")
+    P = presets.build("glhj")
+    nf = P.nf_word(word)
+    assert len(P._memo) == 63
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
+    assert P.nf_word(word) == nf
+
+
+def test_pairs_run_under_the_variable_and_the_census_under_default(
+        monkeypatch):
+    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "2")
+    with pytest.raises(BudgetExceeded) as info:
+        presets.build("qjh_calculus").pair_census()
+    e = info.value
+    assert (e.steps, e.word, e.rule) == (2, ("th", "th", "th", "x"),
+                                         "plane:xth")
+    assert presets.build("qjh_calculus")._unique_normal_forms()
+
+
 def test_import_keeps_recursion_limit():
     code = ("import sys; n = sys.getrecursionlimit(); import z3calc.cli; "
             "print(n, sys.getrecursionlimit())")
@@ -153,25 +184,22 @@ def test_unique_normal_forms_verdicts(monkeypatch):
 
 
 def test_census_records_the_verdict(monkeypatch):
-    # critical_pairs reduces each pair with the leftmost engine, so where no
-    # verdict is known its pass decides one and no second census runs
+    # the census alone records a verdict: pair_census and critical_pairs
+    # reduce the pairs without running it and leave _VERDICTS as it was
     monkeypatch.setattr(rewrite, "_VERDICTS", {})
 
     def census_joins(self):
         raise AssertionError("the pairs were reduced a second time")
 
-    monkeypatch.setattr(Presentation, "_census_joins", census_joins)
-    P = presets.build("qjh_calculus")
-    census = P.pair_census()
+    with monkeypatch.context() as m:
+        m.setattr(Presentation, "_census_joins", census_joins)
+        census = presets.build("qjh_calculus").pair_census()
     assert census["pairs"] == census["joinable"] == 199
-    assert P._unique_normal_forms()
     L = presets.glhj_localized()
     for P in [presets.build(name) for name in presets.PRESETS] + [
             Presentation(L.name, L.generators, L.rules, L.order, q=L.q)]:
         P.critical_pairs()
-        again = Presentation(P.name, P.generators, P.rules, P.order, q=P.q)
-        assert again._unique_normal_forms() == \
-            (P.name in UNIQUE_NORMAL_FORMS), P.name
+    assert rewrite._VERDICTS == {}
 
 
 def test_verdict_is_not_charged_and_leaves_memo_empty(monkeypatch):
@@ -289,6 +317,33 @@ def test_localize_missing_passage_rule():
         localize(P, "a", "ainv")
 
 
+def test_saturate_refuses_one_equals_zero():
+    # a*b = 1 and b*a = 2 give a = 2*a, so a = b = 0 and 1 = a*b = 0
+    order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
+    gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
+    P = Presentation("toy", gens, [
+        RewriteRule(("a", "b"), NCPolynomial.unit(), "ab"),
+        RewriteRule(("b", "a"), NCPolynomial.unit(rational(2)), "ba")], order)
+    with pytest.raises(ValueError) as info:
+        saturate(P)
+    assert str(info.value) == ("the ambiguity a*b of rules ab and derived:a "
+                               "is a nonzero scalar: the relations make 1 = 0")
+
+
+def test_localize_refuses_one_equals_zero():
+    # g = 2 and g*v = v*g + 1 give 2*v = 2*v + 1
+    order = TermOrder({"v": 1, "g": 1}, ["v", "g"])
+    gens = [GeneratorInfo("v", 0, 1), GeneratorInfo("g", 0, 1)]
+    P = Presentation("toy", gens, [
+        RewriteRule(("g",), NCPolynomial.unit(rational(2)), "g"),
+        RewriteRule(("g", "v"), NCPolynomial.word(("v", "g"))
+                    + NCPolynomial.unit(), "gv")], order)
+    with pytest.raises(ValueError) as info:
+        localize(P, "v", "vinv")
+    assert str(info.value) == ("the multiply-back residual of g*vinv is a "
+                               "nonzero scalar: the relations make 1 = 0")
+
+
 def test_json_round_trip_all_presets():
     built = [presets.build(name) for name in presets.PRESETS]
     for P in built + [presets.glhj_localized()]:
@@ -362,18 +417,23 @@ def reference_nf(P, word):
 
 def reference_pairs(P):
     """The ambiguities in the order of the nested loops over rule pairs."""
+    def entry(word, r1, r2, p2):
+        nf1 = P._nf_leftmost(rewrite._rewrite_at(word, r1, 0), 10**6)
+        nf2 = P._nf_leftmost(rewrite._rewrite_at(word, r2, p2), 10**6)
+        return {"word": word, "rules": (r1.ref, r2.ref), "nf1": nf1,
+                "nf2": nf2, "joinable": nf1 == nf2}
+
     out = []
     for i1, r1 in enumerate(P.rules):
         for i2, r2 in enumerate(P.rules):
             l1, l2 = r1.lhs, r2.lhs
             for k in range(1, min(len(l1), len(l2))):
                 if l1[-k:] == l2[:k]:
-                    out.append(P._pair_entry(l1 + l2[k:], r1, 0, r2,
-                                             len(l1) - k))
+                    out.append(entry(l1 + l2[k:], r1, r2, len(l1) - k))
             if len(l2) < len(l1) or (len(l2) == len(l1) and i1 < i2):
                 for p in range(len(l1) - len(l2) + 1):
                     if l1[p:p + len(l2)] == l2:
-                        out.append(P._pair_entry(l1, r1, 0, r2, p))
+                        out.append(entry(l1, r1, r2, p))
     return out
 
 
