@@ -11,7 +11,7 @@ Grammar (left associative, ^ binds tightest):
 NAME is q, j, or a generator of the active preset.  Division requires a
 scalar divisor, negative exponents a scalar base.  Errors carry the
 byte offset of the offending token.  Powers are expanded by repeated
-multiplication, so exponents above MAX_EXPONENT are refused, and so are
+squaring.  Exponents above MAX_EXPONENT are refused, and so are
 a*b and p^k whose term bound len(a)*len(b) or len(p)^k exceeds
 MAX_TERMS, before any term is built, and nesting (parentheses or signs)
 deeper than MAX_DEPTH, which would exhaust the recursion limit.  A
@@ -154,8 +154,12 @@ class _Parser:
         elif len(p.t) ** k > MAX_TERMS:
             raise ParseError("power of more than %d terms" % MAX_TERMS, off)
         out = NCPolynomial.unit()
-        for _ in range(k):
-            out = _bounded(out * p, off)
+        while k:  # out gathers p^(2^i) for each bit i set in k
+            if k & 1:
+                out = _bounded(out * p, off)
+            k >>= 1
+            if k:
+                p = _bounded(p * p, off)
         return out
 
     def atom(self):

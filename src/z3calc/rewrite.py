@@ -2,23 +2,27 @@
 
 A Presentation bundles an alphabet, a term order, and a list of
 oriented rules lhs -> rhs where lhs is a word and rhs a polynomial in
-strictly smaller words.  Reduction works from an explicit stack with
-memoisation rather than by recursion, in one of two ways.  When every
-critical pair of the rules joins, Bergman's diamond lemma (1978) says
-each word has exactly one normal form, so any strategy gives the same
-output; normal_form then reduces suffix first, putting one letter at a
-time in front of the normal form of the rest (the stack discipline of
-Sims 1994), and memoises only words g*v with v irreducible.  The census
-that decides this runs once per rule system and process; q_plane,
-h_plane, hj_calculus and qjh_calculus pass it.  Every other presentation
-replaces the leftmost, first-declared match, and so do critical_pairs,
-saturate and localize, saturate's memo bookkeeping relying on that.  The
-engine never completes a presentation behind the caller's back, it only
-reports critical pairs.
+strictly smaller words.  Reduction is one loop over an explicit stack of
+frames rather than recursion: each frame is a generator that yields the
+words it needs rewritten, is sent their normal forms, and returns its
+sum; the loop charges the step budget, memoises each rewritten word and
+pushes a frame for its reducts.  There are two kinds of frame, one per
+strategy.  A leftmost frame rewrites the leftmost, first-declared match.
+When every critical pair of the rules joins, Bergman's diamond lemma
+(1978) says each word has exactly one normal form, so any strategy gives
+the same output; normal_form then uses suffix-first frames, which put
+one letter at a time in front of the normal form of the rest (the stack
+discipline of Sims 1994) and so reduce and memoise only words g*v with v
+irreducible.  The census that decides this runs once per rule system and
+process; q_plane, h_plane, hj_calculus and qjh_calculus pass it.  Every
+other presentation reduces leftmost, and so do critical_pairs, saturate
+and localize, saturate's memo bookkeeping relying on that.  Reduction
+never completes a presentation behind the caller's back, it only reports
+critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, drop only the memo entries that the new rules change,
 and reduce a pair of older rules again only if one of its one-step
-reducts was dropped.  The engine records where it rewrote each word, so
+reducts was dropped.  The loop records where it rewrote each word, so
 a memo word is scanned for the new left sides only left of that
 position, with a trie of just those left sides.
 
@@ -196,13 +200,36 @@ def _leftmost(trie, word, start, stop):
     return None
 
 
+def _leftmost_frame(trie, memo, reducts, prefix, suffix, start):
+    """A frame of the leftmost strategy: the sum of c * NF(prefix + middle
+    + suffix) over the (middle, c) of reducts, as a dict that may hold
+    zeros, no match in such a word starting left of start.  Each word is
+    looked up in memo, memoised there if irreducible, and else yielded
+    with its leftmost match, to be sent back its normal form."""
+    acc = {}
+    for middle, c in reducts:
+        w = prefix + middle + suffix
+        nf = memo.get(w)
+        if nf is None:
+            match = _leftmost(trie, w, start, len(w))
+            if match is None:
+                nf = memo[w] = NCPolynomial.word(w)
+            else:
+                nf = yield w, match
+        for u, x in nf.t.items():
+            x = c if x is ONE else c * x
+            y = acc.get(u)
+            acc[u] = x if y is None else y + x
+    return acc
+
+
 def _prepend(trie, memo, jobs, suffix):
-    """A frame of the suffix-first engine: the sum of c * NF(letters +
+    """A frame of the suffix-first strategy: the sum of c * NF(letters +
     suffix) over the (letters, c) of jobs, suffix being irreducible, as a
     dict that may hold zeros.  The letters are put in front of the normal
     form one at a time, last first.  Each word g*v this needs is looked up
-    in memo, memoised there if irreducible, and else yielded with the rule
-    that matches it at 0, to be sent back its normal form."""
+    in memo, memoised there if irreducible, and else yielded with the
+    match at 0, to be sent back its normal form."""
     acc = {}
     for letters, coeff in jobs:
         terms = {suffix: coeff}
@@ -218,7 +245,7 @@ def _prepend(trie, memo, jobs, suffix):
                     if match is None:
                         nf = memo[w] = NCPolynomial.word(w)
                     else:
-                        nf = yield w, match[1]
+                        nf = yield w, match
                 for u, x in nf.t.items():
                     x = c if x is ONE else c * x  # ONE: w is irreducible
                     y = nxt.get(u)
@@ -230,8 +257,8 @@ def _prepend(trie, memo, jobs, suffix):
     return acc
 
 
-# the normal form that the leftmost engine memoises for every word that
-# reduces to zero; no reader changes a memoised polynomial
+# the normal form memoised for every word that reduces to zero; no reader
+# changes a memoised polynomial
 _ZERO_NF = NCPolynomial()
 
 
@@ -291,101 +318,57 @@ class Presentation:
         """The normal form of the polynomial p, suffix first when every
         word has one normal form (see _unique_normal_forms), else by the
         leftmost, first-declared rule."""
-        engine = (self._nf_suffix_first if self._unique_normal_forms()
-                  else self._nf_leftmost)
-        return engine(p, _step_budget())
+        return self._reduce(p, _step_budget(), self._unique_normal_forms())
 
-    def _nf_leftmost(self, p, budget):
-        """The normal form of p by the leftmost, first-declared rule.
-        Reduction runs on a stack of frames, p's at the bottom and one above
-        it for each word being rewritten; a frame sums c * NF for the
-        reducts of its word into one dict, and the word is memoised after
-        them.  While saturate runs, the position of the match is recorded
-        in _at for each word rewritten.  Only a memo miss that rewrites is
-        charged against the budget."""
-        trie, memo, maxlen = self._index(), self._memo, self._maxlen
-        at = self._at
+    def _reduce(self, p, budget, suffix_first=False):
+        """The normal form of p by the leftmost, first-declared rule, or,
+        if suffix_first, by putting one letter at a time in front of the
+        normal form of the rest, which gives the same result when normal
+        forms are unique.  Reduction runs on a stack of frames, p's at the
+        bottom and one above it for each word being rewritten: a generator
+        (_leftmost_frame or _prepend) that yields each word it needs
+        rewritten with its match, is sent the word's normal form, and
+        returns its sum.  The word is memoised when its frame returns.
+        While saturate runs, the position of the match is recorded in _at
+        for each word rewritten.  Only a memo miss that rewrites is charged
+        against the budget."""
+        trie, memo, at = self._index(), self._memo, self._at
+        maxlen = self._maxlen
         left, last = budget, None  # last: ref of the last rule fired
-        # a frame: [word, iterator over (middle, coefficient) of its reducts
-        # prefix + middle + suffix, prefix, suffix, start (no match in a
-        # reduct starts left of it), the word's coefficient below, the sum
-        # as a dict that may hold zeros]
-        stack = [[None, iter(p.t.items()), (), (), 0, None, {}]]
+        stack = [_prepend(trie, memo, p.t.items(), ()) if suffix_first
+                 else _leftmost_frame(trie, memo, p.t.items(), (), (), 0)]
+        words, nf = [], None
         while True:
-            frame = stack[-1]
-            _, reducts, prefix, suffix, start, _, acc = frame
-            for middle, c in reducts:
-                w = prefix + middle + suffix
-                nf = memo.get(w)
-                if nf is None:
-                    match = _leftmost(trie, w, start, len(w))
-                    if match is not None:
-                        break
-                    nf = memo[w] = NCPolynomial.word(w)
-                for u, x in nf.t.items():
-                    x = c if x is ONE else c * x
-                    y = acc.get(u)
-                    acc[u] = x if y is None else y + x
-            else:
+            try:
+                w, (i, rule) = stack[-1].send(nf)
+            except StopIteration as done:
                 stack.pop()
-                nf = NCPolynomial(acc)
+                nf = NCPolynomial(done.value)
                 if not stack:
                     return nf
-                memo[frame[0]] = nf if nf.t else _ZERO_NF
-                c, acc = frame[5], stack[-1][6]
-                for u, x in nf.t.items():
-                    x = c if x is ONE else c * x
-                    y = acc.get(u)
-                    acc[u] = x if y is None else y + x
+                memo[words.pop()] = nf if nf.t else _ZERO_NF
                 continue
-            i, rule = match
             left -= 1
             if left < 0:
                 raise BudgetExceeded(w, max(budget, 0), last)
             last = rule.ref
             if at is not None:
                 at[w] = i
-            stack.append([w, iter(rule.rhs.t.items()), w[:i],
-                          w[i + len(rule.lhs):], max(0, i - maxlen + 1), c,
-                          {}])
-
-    def _nf_suffix_first(self, p, budget):
-        """The normal form of p, which is unique: a word's is its first
-        letter times the normal form of the rest, reduced.  So only words
-        g*v with v irreducible are reduced and memoised, and such a word can
-        match only at 0.  Each reduction is a frame on a stack, a _prepend
-        generator that yields the words it needs rewritten and is sent their
-        normal forms.  Only a memo miss that rewrites is charged against the
-        budget."""
-        trie, memo = self._index(), self._memo
-        left, last = budget, None  # last: ref of the last rule fired
-        stack, words, nf = [_prepend(trie, memo, p.t.items(), ())], [], None
-        while True:
-            try:
-                w, rule = stack[-1].send(nf)
-            except StopIteration as done:
-                stack.pop()
-                nf = NCPolynomial(done.value)
-                if not stack:
-                    return nf
-                memo[words.pop()] = nf
-                continue
-            left -= 1
-            if left < 0:
-                raise BudgetExceeded(w, max(budget, 0), last)
-            last = rule.ref
-            stack.append(_prepend(trie, memo, rule.rhs.t.items(),
-                                  w[len(rule.lhs):]))
+            reducts, suffix = rule.rhs.t.items(), w[i + len(rule.lhs):]
+            stack.append(
+                _prepend(trie, memo, reducts, suffix) if suffix_first
+                else _leftmost_frame(trie, memo, reducts, w[:i], suffix,
+                                     max(0, i - maxlen + 1)))
             words.append(w)
             nf = None
 
     def _unique_normal_forms(self):
         """Whether every word has one normal form, so that any strategy
-        gives the leftmost engine's result.  By Bergman's diamond lemma
+        gives the leftmost strategy's result.  By Bergman's diamond lemma
         (1978) it holds when the rules are oriented by the term order, a
         well-founded semigroup order, and every ambiguity is joinable.  The
-        census runs once per rule system in a process, with the leftmost
-        engine on a copy that has its own memo, under DEFAULT_BUDGET,
+        census runs once per rule system in a process, reducing leftmost
+        on a copy that has its own memo, under DEFAULT_BUDGET,
         and stops at the first pair that does not join; running out of
         budget counts as not joinable."""
         if self._verdict is None:
@@ -438,8 +421,8 @@ class Presentation:
                     and not _touches(dropped, word, r2, p2)):
                 continue
             yield (r1, r2, word,
-                   self._nf_leftmost(_rewrite_at(word, r1, 0), budget),
-                   self._nf_leftmost(_rewrite_at(word, r2, p2), budget))
+                   self._reduce(_rewrite_at(word, r1, 0), budget),
+                   self._reduce(_rewrite_at(word, r2, p2), budget))
 
     def _ambiguities(self):
         """(i1, i2, word, p2) for each ambiguity: rules[i1] applies to word
@@ -553,6 +536,9 @@ class Presentation:
                 raise ValueError("generator #%d needs a name and an integer "
                                  "grade and weight; a nilpotency is an "
                                  "integer and a d_image a string" % n)
+            if any(g.name == d["name"] for g in gens):
+                raise ValueError("generator #%d repeats the name %r"
+                                 % (n, d["name"]))
             gens.append(GeneratorInfo(d["name"], d["grade"], d["weight"],
                                       d.get("nilpotency"), d.get("d_image")))
         names = {g.name for g in gens}
@@ -637,7 +623,7 @@ def saturate(pres, skip=None):
     drops exactly the memo words whose reduction they change: a word
     whose leftmost match starts right of a new left side's occurrence
     (anywhere, for an irreducible word), and a word whose rewrite step
-    produced a dropped word.  The leftmost engine records where it
+    produced a dropped word.  Leftmost reduction records where it
     rewrote each word, so only the part left of that position is
     scanned, for the new left sides alone.  An ambiguity of two rules
     that the previous sweep already had is skipped when none of its
@@ -769,7 +755,7 @@ def localize(pres, v, vinv):
             for w, c in rest.t.items():
                 wrapped = wrapped + NCPolynomial.word((vinv,) + w + (vinv,), c)
             x = (NCPolynomial.word(lhs[::-1])
-                 - trial._nf_leftmost(wrapped, budget)).scale(c0.inv())
+                 - trial._reduce(wrapped, budget)).scale(c0.inv())
             if candidates.get(lhs) != x:
                 candidates[lhs] = x
                 changed = True
@@ -781,8 +767,8 @@ def localize(pres, v, vinv):
         for lhs, c0, rest, g, left in targets:
             x = candidates[lhs]
             prod = NCPolynomial.gen(v) * x if left else x * NCPolynomial.gen(v)
-            res = (trial._nf_leftmost(prod, budget)
-                   - trial._nf_leftmost(NCPolynomial.gen(g), budget))
+            res = (trial._reduce(prod, budget)
+                   - trial._reduce(NCPolynomial.gen(g), budget))
             if not res.is_zero():
                 bad.append((lhs, res))
         if not bad:

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from z3calc import cli, presets
+from z3calc import cli, parser, presets
 from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
 from z3calc.parser import (MAX_BITS, MAX_EXPONENT, MAX_TERMS, ParseError,
-                           parse, parse_scalar)
-from z3calc.scalars import J, J2, ONE, Q, rational
+                           _bounded, parse, parse_scalar)
+from z3calc.scalars import (J, J2, ONE, QJ_ONE, QJ_ZERO, CycloRational, Q,
+                            QJPoly, rational)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,26 @@ def test_parse_exponent_cap(P):
     with pytest.raises(ParseError) as err:
         parse("x^%d" % (MAX_EXPONENT + 1), P)
     assert err.value.offset == 2
+
+
+def test_parse_power_by_squaring(P, monkeypatch):
+    # q^k's numerator is the monomial of degree k; each power builds at
+    # most one square and one partial product per bit of k, all bounded
+    k = MAX_EXPONENT
+    qk = CycloRational(QJPoly((QJ_ZERO,) * k + (QJ_ONE,)), _canonical=True)
+    calls = []
+
+    def bounded(p, off):
+        calls.append(off)
+        return _bounded(p, off)
+
+    monkeypatch.setattr(parser, "_bounded", bounded)
+    for text, want in [("q^%d" % k, NCPolynomial.unit(qk)),
+                       ("q^-%d" % k, NCPolynomial.unit(qk.inv())),
+                       ("x^%d" % k, NCPolynomial.word(("x",) * k))]:
+        calls.clear()
+        assert parse(text, P) == want, text
+        assert 0 < len(calls) <= 2 * k.bit_length(), text
 
 
 def test_parse_nesting_cap(P):

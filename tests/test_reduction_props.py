@@ -75,7 +75,7 @@ def test_suffix_first_matches_leftmost(name, picks):
     assert P._unique_normal_forms()
     letters = [g.name for g in P.generators]
     word = NCPolynomial.word(letters[k % len(letters)] for k in picks)
-    assert P.normal_form(word) == _leftmost_preset(name)._nf_leftmost(
+    assert P.normal_form(word) == _leftmost_preset(name)._reduce(
         word, DEFAULT_BUDGET)
 
 
