@@ -146,6 +146,8 @@ def random_element(preset, rng, max_len=5, terms=4):
         word = tuple(rng.choice(letters) for _ in range(k))
         c = (rational(rng.choice([1, 2, 3, -1, -2])) * jpow(rng.randint(0, 2))
              * qpow(rng.randint(-1, 1)))
+        if preset.q != "symbolic":  # the power of q at the bound q
+            c = specialize_q(c, preset.q)
         out = out + NCPolynomial.word(word, c)
     return out
 
@@ -451,6 +453,7 @@ def replay(suite):
     elif suite in _SUITES:
         out = _SUITES[suite]()
     else:
-        raise KeyError("unknown suite %r" % suite)
+        raise KeyError("unknown suite %r (choose from %s)"
+                       % (suite, ", ".join(SUITE_NAMES)))
     out["ok"] = all_pass(out["checks"])
     return out

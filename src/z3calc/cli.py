@@ -90,6 +90,19 @@ def _read_json(path):
     return json.loads(text)
 
 
+def _print_nf(args, nf, key, **fields):
+    """Print the normal form nf, its words ordered by key, in args.format:
+    as JSON after the command's own fields, or as text, unicode or LaTeX."""
+    if args.format == "json":
+        _emit({**fields, "normal_form": fa_str(nf, key),
+               "terms": term_list(nf, key)})
+        return 0
+    style = ("latex" if args.format == "latex" else
+             "unicode" if getattr(args, "unicode", False) else "text")
+    print(fa_str(nf, key, style))
+    return 0
+
+
 def _dispatch(args):
     if args.cmd == "reduce":
         pres = _load_preset(args.preset, args.q)
@@ -98,25 +111,13 @@ def _dispatch(args):
         if any(bit_length(c) > MAX_BITS for c in nf.t.values()):
             raise ValueError("%s: normal form has a coefficient longer than "
                              "%d bits" % (args.expr, MAX_BITS))
-        if args.format == "json":
-            _emit({
-                "preset": args.preset,
-                "q": "symbolic" if pres.q == "symbolic" else str(pres.q),
-                "input": args.expr,
-                "normal_form": fa_str(nf, pres.order.key),
-                "terms": term_list(nf, pres.order.key),
-            })
-        else:
-            style = "latex" if args.format == "latex" else (
-                "unicode" if args.unicode else "text")
-            print(fa_str(nf, pres.order.key, style))
-        return 0
+        return _print_nf(args, nf, pres.order.key, preset=args.preset,
+                         q="symbolic" if pres.q == "symbolic" else str(pres.q),
+                         input=args.expr)
 
-    if args.cmd == "verify":
-        if args.suite not in _calculus.SUITE_NAMES:
-            raise KeyError("unknown suite %r (choose from %s)" %
-                           (args.suite, ", ".join(_calculus.SUITE_NAMES)))
-        doc = _calculus.replay(args.suite)
+    if args.cmd in ("verify", "supergroup"):
+        doc = (_calculus.replay(args.suite) if args.cmd == "verify"
+               else _supergroup.verify(args.check))
         _emit(doc)
         return 0 if doc["ok"] else 1
 
@@ -149,20 +150,9 @@ def _dispatch(args):
         })
         return 0 if not (bad_h or bad_t) else 1
 
-    if args.cmd == "supergroup":
-        doc = _supergroup.verify(args.check)
-        _emit(doc)
-        return 0 if doc["ok"] else 1
-
     if args.cmd == "sdet":
-        nf, text, L = _supergroup.sdet(
-            "latex" if args.format == "latex" else "text")
-        if args.format == "json":
-            _emit({"normal_form": fa_str(nf, L.order.key),
-                   "terms": term_list(nf, L.order.key)})
-        else:
-            print(text)
-        return 0
+        nf, _, L = _supergroup.sdet()
+        return _print_nf(args, nf, L.order.key)
 
     raise ValueError("no command")
 

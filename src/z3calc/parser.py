@@ -8,7 +8,8 @@ Grammar (left associative, ^ binds tightest):
     power := atom ("^" ["-"] NUMBER)?
     atom  := NUMBER | NAME | "(" expr ")"
 
-NAME is q, j, or a generator of the active preset.  Division requires a
+NAME is q, j, or a generator of the active preset; q reads as the
+preset's value when the preset binds one.  Division requires a
 scalar divisor, negative exponents a scalar base.  Errors carry the
 byte offset of the offending token.  Powers are expanded by repeated
 squaring.  Exponents above MAX_EXPONENT are refused, and so are
@@ -76,11 +77,12 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, alphabet):
+    def __init__(self, text, alphabet, q="symbolic"):
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.alphabet = alphabet  # set of generator names, or None for scalar-only
+        self.q = Q if q == "symbolic" else rational(q)
 
     def peek(self):
         return self.toks[self.pos]
@@ -173,7 +175,7 @@ class _Parser:
             return p
         if kind == "name":
             if text == "q":
-                return NCPolynomial.unit(Q)
+                return NCPolynomial.unit(self.q)
             if text == "j":
                 return NCPolynomial.unit(J)
             if self.alphabet is None:
@@ -213,15 +215,17 @@ def _bounded(p, off):
 def parse(text, preset=None):
     """Parse a CLI expression into an NCPolynomial.
 
-    With a preset, its generator names are in scope; without, only
-    scalars (numbers, q, j) are accepted.
+    With a preset, its generator names are in scope and q is its value
+    of q; without, only scalars (numbers, q, j) are accepted.
     """
-    alphabet = set(preset.gens) if preset is not None else None
-    return _Parser(text, alphabet).parse()
+    if preset is None:
+        return _Parser(text, None).parse()
+    return _Parser(text, set(preset.gens), preset.q).parse()
 
 
-def parse_scalar(text):
-    p = _Parser(text, None).parse()
+def parse_scalar(text, q="symbolic"):
+    """The scalar text spells; q reads as the value q unless "symbolic"."""
+    p = _Parser(text, None, q).parse()
     if list(p.support()) not in ([], [()]):
         raise ParseError("expected a scalar expression", 0)
     return p.coeff(())

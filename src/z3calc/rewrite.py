@@ -559,6 +559,13 @@ class Presentation:
                                  % (tag, w))
             return tuple(w)
 
+        q = doc.get("q", "symbolic")
+        if q != "symbolic":
+            try:
+                q = Fraction(str(q))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("q must be \"symbolic\" or a rational, not %r"
+                                 % (q,)) from None
         rules, owner = [], {}
         for n, rd in enumerate(doc["rules"]):
             if not (isinstance(rd, dict) and "lhs" in rd
@@ -581,15 +588,8 @@ class Presentation:
                     raise ValueError("rule %s: rhs term %r needs a coeff string "
                                      "and a word" % (tag, t))
                 rhs = rhs + NCPolynomial.word(word(t["word"], tag),
-                                              parse_scalar(t["coeff"]))
+                                              parse_scalar(t["coeff"], q))
             rules.append(RewriteRule(lhs, rhs, rd.get("ref", "")))
-        q = doc.get("q", "symbolic")
-        if q != "symbolic":
-            try:
-                q = Fraction(str(q))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("q must be \"symbolic\" or a rational, not %r"
-                                 % (q,)) from None
         return Presentation(doc["name"], gens, rules, order, q=q)
 
     def dumps(self):

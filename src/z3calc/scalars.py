@@ -454,6 +454,13 @@ def qpow(k):
 # a multiplicative prefix.  Unit coefficients print as 1 / j / j^2; a QJ with
 # both components is shown in whichever of the bases {1, j}, {1, j^2} has the
 # smaller magnitude, ties to {1, j}.
+#
+# A polynomial prints in one loop over its nonzero q-terms, highest degree
+# first, with the leading term's sign taken out: the first term prints
+# unsigned and the rest join with + or -.  A coefficient prefixes its
+# q-power, in parentheses when composite and not at all when 1; a composite
+# constant is wrapped only behind other terms.  The body needs parentheses
+# when it is a sum: two or more terms, or one composite constant.
 
 
 def _qj_factor(v):
@@ -484,52 +491,23 @@ def _qj_factor(v):
     return sign, head + op + tail, True
 
 
-def _qterm(k):
-    if k == 0:
-        return ""
-    if k == 1:
-        return "q"
-    return "q^%d" % k
-
-
 def _poly_factor(p):
-    if p.is_zero():
+    terms = [(k, v) for k, v in enumerate(p.c) if v]
+    if not terms:
         return 1, "0", False
-    terms = [(k, v) for k, v in enumerate(p.c) if not v.is_zero()]
-    if len(terms) == 1:
-        k, v = terms[0]
-        sign, body, comp = _qj_factor(v)
-        qpart = _qterm(k)
-        if not qpart:
-            return sign, body, comp
-        if body == "1":
-            return sign, qpart, False
-        if comp:
+    lead = _qj_factor(terms[-1][1])[0]
+    text = ""
+    for k, v in reversed(terms):
+        sign, body, comp = _qj_factor(v if lead > 0 else -v)
+        if comp and (k or text):
             body = "(" + body + ")"
-        return sign, body + "*" + qpart, False
-    # multi-term: highest degree first, overall sign from the leading term
-    terms.reverse()
-    lead_sign = 1 if _qj_factor(terms[0][1])[0] > 0 else -1
-    chunks = []
-    for k, v in terms:
-        if lead_sign < 0:
-            v = -v
-        sign, body, comp = _qj_factor(v)
-        qpart = _qterm(k)
-        if qpart:
-            if body == "1":
-                body = qpart
-            else:
-                if comp:
-                    body = "(" + body + ")"
-                body = body + "*" + qpart
-        elif comp:
-            body = "(" + body + ")"
-        if not chunks:
-            chunks.append(body if sign > 0 else "-" + body)
-        else:
-            chunks.append((" + " if sign > 0 else " - ") + body)
-    return lead_sign, "".join(chunks), True
+        if k:
+            qk = "q" if k == 1 else "q^%d" % k
+            body = qk if body == "1" else body + "*" + qk
+        if text:
+            body = (" + " if sign > 0 else " - ") + body
+        text += body
+    return lead, text, len(terms) > 1 or (comp and not k)
 
 
 def scalar_factor(s):

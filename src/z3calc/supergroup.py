@@ -139,10 +139,10 @@ def sdet_element():
     return _m("a") * t_inverse().entry(1, 1)
 
 
-def sdet(style="text"):
+def sdet():
     L = _presets.glhj_localized()
     nf = L.normal_form(sdet_element())
-    return nf, fa_str(nf, L.order.key, style), L
+    return nf, fa_str(nf, L.order.key), L
 
 
 def verify_sdet():

@@ -70,6 +70,15 @@ def test_d_cube_randomized(P):
         assert d_cube_vanishes(P, random_element(P, rng, max_len=4))
 
 
+def test_random_element_follows_preset_q():
+    """On a preset bound to q = 1 no coefficient carries a power of q."""
+    P1 = presets.build("hj_calculus")
+    rng = random.Random(5)
+    coeffs = [c for _ in range(20)
+              for c in random_element(P1, rng).t.values()]
+    assert coeffs and all(c == specialize_q(c, 1) for c in coeffs)
+
+
 def test_partial_basics(P):
     part = PartialOperator(P)
     gen, word = NCPolynomial.gen, NCPolynomial.word

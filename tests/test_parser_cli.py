@@ -197,6 +197,22 @@ def test_cli_reduce_pinned_qjh_at_one(capsys):
     assert out == "j*dx*th - j^2*h*dx*x\n"
 
 
+@pytest.mark.parametrize("args, want", [
+    (("--preset", "qjh_calculus", "--q", "1", "q*x"), "x\n"),
+    (("--preset", "h_plane", "q*x*th"), "th*x + h*x*x\n"),
+    (("--preset", "qjh_calculus", "q*x"), "q*x\n"),
+])
+def test_cli_reduce_reads_q_as_bound_value(capsys, args, want):
+    assert main_cli(capsys, "reduce", *args) == (0, want, "")
+
+
+def test_cli_reduce_pole_at_bound_q(capsys):
+    rc, out, err = main_cli(capsys, "reduce", "--preset", "qjh_calculus",
+                            "--q", "1", "1/(q-1)*x")
+    assert (rc, out) == (2, "")
+    assert "division by zero" in err
+
+
 def test_cli_reduce_deterministic():
     # two processes, two hash seeds
     a = run_cli("reduce", "--preset", "qjh_calculus", "th*th*dx*x")

@@ -394,6 +394,18 @@ def test_from_json_rejects_malformed(edit, message):
         Presentation.from_json(_malformed(edit))
 
 
+def test_from_json_reads_q_as_bound_value():
+    """h_plane is bound to q = 1, so a coefficient written q*c is c."""
+    P = presets.build("h_plane")
+    doc = json.loads(P.dumps())
+    term = doc["rules"][0]["rhs"][0]
+    term["coeff"] = "q*(%s)" % term["coeff"]
+    assert Presentation.from_json(doc).dumps() == P.dumps()
+    term["coeff"] = "1/(q-1)"
+    with pytest.raises(ValueError, match="division by zero"):
+        Presentation.from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # the trie index against the scans it replaced
 

@@ -84,7 +84,7 @@ def test_inverse_is_two_sided():
 
 
 def test_sdet_normal_form_pinned():
-    nf, text, L = supergroup.sdet("text")
+    nf, text, L = supergroup.sdet()
     assert text == "g*b*dTinv*dTinv + dTinv*a + 2*j*h*b*dTinv"
     assert fa_str(nf, L.order.key) == text
 
