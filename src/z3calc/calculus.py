@@ -138,10 +138,10 @@ def verify_df_decomposition(preset, f):
 # ---------------------------------------------------------------------------
 # randomized identities
 
-def random_element(preset, rng, max_len=5, terms=4):
+def random_element(preset, rng, max_len=5):
     letters = [g.name for g in preset.generators]
     out = NCPolynomial.zero()
-    for _ in range(terms):
+    for _ in range(4):
         k = rng.randint(0, max_len)
         word = tuple(rng.choice(letters) for _ in range(k))
         c = (rational(rng.choice([1, 2, 3, -1, -2])) * jpow(rng.randint(0, 2))

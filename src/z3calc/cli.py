@@ -17,12 +17,11 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .scalars import PoleError, bit_length
 from .freealg import fa_str, term_list
 from .rewrite import BudgetExceeded, Presentation
-from .parser import MAX_BITS, MAX_DEPTH, ParseError, parse
+from .parser import MAX_BITS, MAX_DEPTH, ParseError, parse, q_value
 from . import presets as _presets
 from . import calculus as _calculus
 from . import supergroup as _supergroup
@@ -32,33 +31,10 @@ def _emit(doc):
     print(json.dumps(doc, indent=2, ensure_ascii=False))
 
 
-# an integer with more decimal digits than 2**MAX_BITS is longer than that
-_MAX_DIGITS = len(str(2 ** MAX_BITS))
-
-
-def _q_value(qarg):
-    """Fraction(qarg), refused before it is built when its numerator or
-    denominator could be longer than MAX_BITS: a side of a/b with more
-    than _MAX_DIGITS digits, or an exponent above _MAX_DIGITS."""
-    e = re.search(r"e[-+]?([\d_]+)", qarg, re.I)
-    long = (max(sum(map(str.isdigit, side)) for side in qarg.split("/"))
-            > _MAX_DIGITS
-            or e and int(e.group(1).replace("_", "") or 0) > _MAX_DIGITS)
-    try:
-        q0 = None if long else Fraction(qarg)
-    except ZeroDivisionError:
-        raise ValueError("--q %s divides by zero" % qarg) from None
-    if long or max(q0.numerator.bit_length(),
-                   q0.denominator.bit_length()) > MAX_BITS:
-        raise ValueError("--q: numerator or denominator longer than %d bits"
-                         % MAX_BITS)
-    return q0
-
-
 def _load_preset(name, qarg):
     pres = _presets.build(name)
     if qarg is not None:
-        q0 = _q_value(qarg)
+        q0 = q_value(qarg)
         if pres.q == "symbolic":
             pres = pres.specialize(q0)
         elif pres.q != q0:
@@ -112,8 +88,7 @@ def _dispatch(args):
             raise ValueError("%s: normal form has a coefficient longer than "
                              "%d bits" % (args.expr, MAX_BITS))
         return _print_nf(args, nf, pres.order.key, preset=args.preset,
-                         q="symbolic" if pres.q == "symbolic" else str(pres.q),
-                         input=args.expr)
+                         q=str(pres.q), input=args.expr)
 
     if args.cmd in ("verify", "supergroup"):
         doc = (_calculus.replay(args.suite) if args.cmd == "verify"

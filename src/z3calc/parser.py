@@ -23,6 +23,9 @@ it is built.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 from .scalars import J, Q, bit_length, rational
 from .freealg import _UNICODE, NCPolynomial
 
@@ -33,6 +36,8 @@ MAX_EXPONENT = 5000
 # bits of the longest integer in a coefficient: 4,215 decimal digits, below
 # the 4,300 that Python converts to a string by default
 MAX_BITS = 14000
+# an integer with more decimal digits than 2**MAX_BITS is longer than that
+_MAX_DIGITS = len(str(2 ** MAX_BITS))
 MAX_DEPTH = 100
 MAX_TERMS = 100000
 
@@ -77,7 +82,7 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, alphabet, q="symbolic"):
+    def __init__(self, text, alphabet, q):
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -212,14 +217,9 @@ def _bounded(p, off):
     return p
 
 
-def parse(text, preset=None):
-    """Parse a CLI expression into an NCPolynomial.
-
-    With a preset, its generator names are in scope and q is its value
-    of q; without, only scalars (numbers, q, j) are accepted.
-    """
-    if preset is None:
-        return _Parser(text, None).parse()
+def parse(text, preset):
+    """Parse a CLI expression into an NCPolynomial: the preset's generator
+    names are in scope, and q is its value of q."""
     return _Parser(text, set(preset.gens), preset.q).parse()
 
 
@@ -229,3 +229,23 @@ def parse_scalar(text, q="symbolic"):
     if list(p.support()) not in ([], [()]):
         raise ParseError("expected a scalar expression", 0)
     return p.coeff(())
+
+
+def q_value(text, name="--q"):
+    """Fraction(text), a q given from outside and called name in errors,
+    refused before it is built when its numerator or denominator could be
+    longer than MAX_BITS: a side of a/b with more than _MAX_DIGITS digits,
+    or an exponent above _MAX_DIGITS."""
+    e = re.search(r"e[-+]?([\d_]+)", text, re.I)
+    long = (max(sum(map(str.isdigit, side)) for side in text.split("/"))
+            > _MAX_DIGITS
+            or e and int(e.group(1).replace("_", "") or 0) > _MAX_DIGITS)
+    try:
+        q0 = None if long else Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("%s %s divides by zero" % (name, text)) from None
+    if long or max(q0.numerator.bit_length(),
+                   q0.denominator.bit_length()) > MAX_BITS:
+        raise ValueError("%s: numerator or denominator longer than %d bits"
+                         % (name, MAX_BITS))
+    return q0

@@ -512,13 +512,13 @@ class Presentation:
             "rules": rules,
             "order": {"weights": dict(self.order.weights),
                       "precedence": list(self.order.precedence)},
-            "q": "symbolic" if self.q == "symbolic" else str(self.q),
+            "q": str(self.q),
         }
 
     @staticmethod
     def from_json(doc):
         """Inverse of to_json; a malformed document raises ValueError."""
-        from .parser import parse_scalar
+        from .parser import parse_scalar, q_value
 
         if not (isinstance(doc, dict) and isinstance(doc.get("name"), str)
                 and isinstance(doc.get("generators"), list)
@@ -562,10 +562,10 @@ class Presentation:
         q = doc.get("q", "symbolic")
         if q != "symbolic":
             try:
-                q = Fraction(str(q))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("q must be \"symbolic\" or a rational, not %r"
-                                 % (q,)) from None
+                q = q_value(str(q), "q")
+            except ValueError as e:
+                raise ValueError("q must be \"symbolic\" or a rational: %s"
+                                 % e) from None
         rules, owner = [], {}
         for n, rd in enumerate(doc["rules"]):
             if not (isinstance(rd, dict) and "lhs" in rd
@@ -692,15 +692,17 @@ def _drop_changed(P, new):
 def localize(pres, v, vinv):
     """Adjoin a two-sided inverse vinv for the generator v.
 
-    Each pass builds one presentation from the base, extra, inverse and
-    candidate rules and recomputes every candidate vinv*g -> X (or
-    g*vinv -> X) against it; the nilpotent corrections make them settle.
-    A pass that changes no candidate multiplies each back on the same
-    presentation.  A nonzero residual is a valid identity of the
-    localized ring (the candidate equals vinv*g there by construction),
-    so it is solved for its leading word as an extra rule and the passes
-    go on; this absorbs relations that only appear once v can be
-    cancelled.  Orientation is left to check_termination.
+    For each other generator g, the passage rule v*g -> c0 * g*v + rest
+    gives the candidate vinv*g -> (g*vinv - vinv*rest*vinv) / c0, and a
+    rule g*v gives the mirror image.  Each pass builds one presentation
+    from the base, extra, inverse and candidate rules and recomputes
+    every candidate against it; the nilpotent corrections make them
+    settle.  A pass that changes no candidate multiplies each back on the
+    same presentation.  A nonzero residual is a valid identity of the
+    localized ring (the candidate equals vinv*g there by construction), so
+    it is solved for its leading word as an extra rule and the passes go
+    on; this absorbs relations that only appear once v can be cancelled.
+    Orientation is left to check_termination.
     """
     gv = pres.gens[v]
     generators = list(pres.generators) + [
@@ -712,59 +714,51 @@ def localize(pres, v, vinv):
     precedence.insert(precedence.index(v), vinv)  # vinv just below v
     order = TermOrder(weights, precedence)
 
-    base_rules = list(pres.rules)
     inv_rules = [
         RewriteRule((v, vinv), NCPolynomial.unit(), "inv:%s" % v),
         RewriteRule((vinv, v), NCPolynomial.unit(), "inv:%s" % vinv),
     ]
-    base_by_pair = {r.lhs: r for r in base_rules if len(r.lhs) == 2}
+    by_lhs = {r.lhs: r for r in pres.rules}
 
-    # (lhs, c0, rest, g, left): lhs is vinv*g if left, else g*vinv, and
-    # the passage rule of v*g (or g*v) reads c0 * g*v + rest (c0 * v*g + rest)
+    # (lhs, g, left, vinv*rest*vinv, 1/c0), lhs vinv*g if left, else g*vinv
     targets = []
     for g in order.precedence:
         if g in (v, vinv):
             continue
         left = order.index(g) < order.index(vinv)
         pair = (v, g) if left else (g, v)
-        base = base_by_pair.get(pair)
+        base = by_lhs.get(pair)
         if base is None:
             raise LocalizeError("no passage rule for (%s, %s)" % pair)
         c0 = base.rhs.t.get(pair[::-1])
         if c0 is None:
             raise LocalizeError("passage rule %r has no %r term"
                                 % (pair, pair[::-1]))
-        rest = base.rhs - NCPolynomial.word(pair[::-1], c0)
-        targets.append(((vinv, g) if left else (g, vinv), c0, rest, g, left))
+        wrapped = NCPolynomial({(vinv,) + w + (vinv,): c for w, c
+                                in base.rhs.t.items() if w != pair[::-1]})
+        targets.append(((vinv, g) if left else (g, vinv), g, left, wrapped,
+                        c0.inv()))
 
     candidates = {}
     extra = []
-    seen_extra = set()
     budget = _step_budget()
     for _ in range(MAX_SWEEPS * MAX_SWEEPS):
         trial = Presentation(
             pres.name + "_loc_" + v, generators,
-            base_rules + extra + inv_rules
+            pres.rules + extra + inv_rules
             + [RewriteRule(lhs, rhs, "derived:%s*%s" % lhs)
                for lhs, rhs in candidates.items()],
             order, q=pres.q)
-        changed = False
-        for lhs, c0, rest, g, left in targets:
-            # vinv*g = (g*vinv - vinv*rest*vinv) / c0, and mirrored
-            wrapped = NCPolynomial.zero()
-            for w, c in rest.t.items():
-                wrapped = wrapped + NCPolynomial.word((vinv,) + w + (vinv,), c)
-            x = (NCPolynomial.word(lhs[::-1])
-                 - trial._reduce(wrapped, budget)).scale(c0.inv())
-            if candidates.get(lhs) != x:
-                candidates[lhs] = x
-                changed = True
-        if changed:
+        new = {lhs: (NCPolynomial.word(lhs[::-1])
+                     - trial._reduce(wrapped, budget)).scale(cinv)
+               for lhs, g, left, wrapped, cinv in targets}
+        if new != candidates:
+            candidates = new
             continue
 
         # multiply-back check: v * (vinv*g) == g and (g*vinv) * v == g
         bad = []
-        for lhs, c0, rest, g, left in targets:
+        for lhs, g, left, _, _ in targets:
             x = candidates[lhs]
             prod = NCPolynomial.gen(v) * x if left else x * NCPolynomial.gen(v)
             res = (trial._reduce(prod, budget)
@@ -775,9 +769,8 @@ def localize(pres, v, vinv):
             return trial
         for lhs, res in bad:
             lead = max(res.support(), key=order.key)
-            if lead in seen_extra:
+            if any(r.lhs == lead for r in extra):
                 raise LocalizeError("derived rule for %r fails multiply-back" % (lhs,))
-            seen_extra.add(lead)
             extra.append(_solve_for(res, lead, "the multiply-back residual "
                                     "of %s" % "*".join(lhs)))
     raise LocalizeError("localization of %s did not stabilise" % v)

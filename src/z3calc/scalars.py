@@ -8,10 +8,10 @@ is a primitive cube root of unity.  Representation, bottom up:
     QJPoly         dense tuple of QJ coefficients, constant term first
     CycloRational  num/den pair of QJPoly with den monic and gcd(num, den) = 1
 
-All three are immutable and canonical, so == is structural equality and
-values can key dictionaries.  q never becomes a float: evaluation at a
-rational point happens only through specialize_q, which raises PoleError
-when the denominator vanishes there.
+All three are immutable and canonical, so == is structural equality, and
+a QJ or CycloRational can key a dictionary.  q never becomes a float:
+evaluation at a rational point happens only through specialize_q, which
+raises PoleError when the denominator vanishes there.
 
 Almost every coefficient that rewriting produces is an integer combination
 of 1 and j, so QJ keeps integral components as plain ints: int arithmetic
@@ -45,9 +45,7 @@ class PoleError(ArithmeticError):
 
 
 def _canon(x):
-    """x as an int when integral, else as a Fraction with denominator > 1."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    """The int or Fraction x as an int when integral, else as it is."""
     return x.numerator if x.denominator == 1 else x
 
 
@@ -172,9 +170,6 @@ class QJPoly:
     def __eq__(self, other):
         return isinstance(other, QJPoly) and self.c == other.c
 
-    def __hash__(self):
-        return hash(self.c)
-
     def __add__(self, other):
         a, b = self.c, other.c
         if len(a) < len(b):
@@ -187,19 +182,14 @@ class QJPoly:
     def __neg__(self):
         return QJPoly(tuple(-v for v in self.c))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         a, b = self.c, other.c
         if not a or not b:
             return P_ZERO
         if len(a) == 1:
-            u = a[0]
-            return QJPoly(tuple(u * v for v in b))
+            return other.scale(a[0])
         if len(b) == 1:
-            u = b[0]
-            return QJPoly(tuple(v * u for v in a))
+            return self.scale(b[0])
         out = [QJ_ZERO] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
             if u.is_zero():
@@ -210,8 +200,6 @@ class QJPoly:
         return QJPoly(out)
 
     def scale(self, u):
-        if u.is_zero():
-            return P_ZERO
         return QJPoly(tuple(u * v for v in self.c))
 
     def divmod(self, other):

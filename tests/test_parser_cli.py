@@ -461,6 +461,44 @@ def test_cli_presets_import_rejects_malformed(tmp_path, capsys, doc, message):
     assert err.startswith("error: ") and message in err
 
 
+def _import_h_plane(tmp_path, capsys, change, timeout=None):
+    """main_cli of presets import on the h_plane export with change(doc)
+    applied."""
+    doc = json.loads(presets.build("h_plane").dumps())
+    change(doc)
+    path = tmp_path / "h_plane.json"
+    path.write_text(json.dumps(doc))
+    return main_cli(capsys, "presets", "import", str(path), timeout=timeout)
+
+
+@pytest.mark.parametrize("q", ["1e20000000", "1e100000"])
+def test_cli_import_long_q_is_bad_input(tmp_path, capsys, q):
+    # a preset file's q is held to the bound of --q, before it is built
+    rc, out, err = _import_h_plane(tmp_path, capsys,
+                                   lambda d: d.update(q=q), timeout=1)
+    assert (rc, out) == (2, "")
+    assert err == ("error: q must be \"symbolic\" or a rational: q: numerator "
+                   "or denominator longer than %d bits\n" % MAX_BITS)
+
+
+def test_cli_presets_import_rejects_zero_weight(tmp_path, capsys):
+    rc, out, err = _import_h_plane(
+        tmp_path, capsys, lambda d: d["order"]["weights"].update(x=0))
+    assert (rc, out) == (2, "")
+    assert err == "error: generator 'x' needs a positive integer weight\n"
+
+
+def test_cli_presets_import_reports_inhomogeneous(tmp_path, capsys):
+    def add_x(doc):  # x*th -> th*x + h*x*x + x
+        rule = doc["rules"][0]
+        assert rule["ref"] == "plane:xth"
+        rule["rhs"].append({"coeff": "1", "word": ["x"]})
+
+    rc, out, err = _import_h_plane(tmp_path, capsys, add_x)
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["homogeneous"] is False
+
+
 @pytest.mark.parametrize("text, message", [
     # decoded under the recursion limit rewrite used to raise, this
     # overflowed the C stack (SIGSEGV) before the nesting bound

@@ -134,6 +134,18 @@ def test_pairs_run_under_the_variable_and_the_census_under_default(
     assert presets.build("qjh_calculus")._unique_normal_forms()
 
 
+def test_census_out_of_budget_is_not_joinable(monkeypatch):
+    word = ("x",) * 5 + ("dth",)
+    want = presets.build("qjh_calculus").nf_word(word)
+    monkeypatch.setattr(rewrite, "DEFAULT_BUDGET", 2)
+    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    # reduction itself keeps room; only the census runs under 2 steps
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", str(10**6))
+    P = presets.build("qjh_calculus")
+    assert not P._unique_normal_forms()
+    assert P.nf_word(word) == want
+
+
 def test_import_keeps_recursion_limit():
     code = ("import sys; n = sys.getrecursionlimit(); import z3calc.cli; "
             "print(n, sys.getrecursionlimit())")
@@ -317,6 +329,17 @@ def test_localize_missing_passage_rule():
         localize(P, "a", "ainv")
 
 
+def test_localize_passage_rule_without_swapped_term():
+    # g sits left of vinv, so the passage rule is v*g, and it has no g*v
+    order = TermOrder({"g": 1, "v": 1}, ["g", "v"])
+    gens = [GeneratorInfo("g", 0, 1), GeneratorInfo("v", 0, 1)]
+    P = Presentation("toy", gens, [
+        RewriteRule(("v", "g"), NCPolynomial.gen("g"), "vg")], order)
+    with pytest.raises(LocalizeError) as info:
+        localize(P, "v", "vinv")
+    assert str(info.value) == "passage rule ('v', 'g') has no ('g', 'v') term"
+
+
 def test_saturate_refuses_one_equals_zero():
     # a*b = 1 and b*a = 2 give a = 2*a, so a = b = 0 and 1 = a*b = 0
     order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
@@ -388,6 +411,7 @@ def _malformed(edit):
     (lambda d: d.update(q="1/0"), "rational"),
     (lambda d: d["generators"].append(dict(d["generators"][0], grade=2)),
      "repeats the name"),
+    (lambda d: d["rules"][0].pop("rhs"), "needs an lhs and an rhs list"),
 ])
 def test_from_json_rejects_malformed(edit, message):
     with pytest.raises(ValueError, match=message):
