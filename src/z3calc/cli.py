@@ -7,8 +7,9 @@ coefficient longer than parser.MAX_BITS, malformed preset JSON), 3 step
 budget exceeded.
 Z3CALC_STEP_BUDGET (default 10**6 rewrite steps) caps every reduction a
 command makes: reduce, the pair census, the supergroup and sdet checks,
-and the saturate/localize builds of cartan and glhj_localized.  Only the
-census that picks a preset's reduction order runs under the default.
+and the localize step of cartan's build; glhj_localized is read from
+its package file, not built.  Only the census that picks a preset's
+reduction order runs under the default.
 """
 
 from __future__ import annotations

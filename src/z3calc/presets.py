@@ -26,8 +26,10 @@ sdet = a*(T^-1)_22, built from supergroup.t_inverse.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from .scalars import ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational
 from .freealg import GeneratorInfo, NCPolynomial
@@ -313,8 +315,25 @@ def _gl_runaway(word):
     return False
 
 
+_GLHJ_LOCALIZED_JSON = Path(__file__).with_name("glhj_localized.json")
+
+
 @functools.cache
 def glhj_localized():
+    """glhj with both diagonal entries inverted, read from the package
+    file glhj_localized.json: the dumps() of _build_glhj_localized(),
+    whose two saturations and two localizations cost far more than the
+    read.  test_saturated_builds_pinned in tests/test_presets.py ties the
+    file to the build; after a change to the build, `PYTHONPATH=src
+    python tests/test_presets.py > src/z3calc/glhj_localized.json`
+    rewrites it.  The result is cached: callers share one instance and
+    must not mutate it.
+    """
+    return Presentation.from_json(
+        json.loads(_GLHJ_LOCALIZED_JSON.read_text(encoding="utf-8")))
+
+
+def _build_glhj_localized():
     """glhj with both diagonal entries inverted.
 
     The derived passage rules cannot be oriented by any additive weight
@@ -327,8 +346,7 @@ def glhj_localized():
     before inverting and the result is saturated again to absorb the
     relations that only appear once a diagonal entry can be cancelled.
     Both sweeps stop at the _gl_runaway cutoff, so this is a partial
-    saturation, not a confluent system.  The build is cached: callers
-    share one instance and must not mutate it.
+    saturation, not a confluent system.
     """
     base = saturate(glhj(), skip=_gl_runaway)
     loc = localize(localize(base, "dT", "dTinv"), "a", "ainv")

@@ -458,8 +458,6 @@ def _qj_factor(v):
     else:
         parts = [(a, ""), (b, "j")]
     parts = [(r, tag) for r, tag in parts if r]
-    if not parts:
-        return 1, "0", False
     if len(parts) == 1:
         r, tag = parts[0]
         sign = 1 if r > 0 else -1

@@ -55,8 +55,9 @@ def _id(argv, budget):
 def digest(argv, budget):
     """(SHA-256 hex, exit code, stdout, stderr) of cli.main(argv) under
     the given step budget.  A budgeted command finds glhj_localized
-    uncached, so that sdet rebuilds it under the budget, and leaves no
-    instance built under it in the cache."""
+    uncached, so that sdet reloads it from its file and reduces on an
+    empty memo as a cold process does, and leaves no instance whose memo
+    it filled in the cache."""
     saved = os.environ.get("Z3CALC_STEP_BUDGET")
     if budget is not None:
         os.environ["Z3CALC_STEP_BUDGET"] = budget

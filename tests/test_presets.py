@@ -1,6 +1,8 @@
 """Shipped presentation catalog."""
 
+import fnmatch
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -187,12 +189,40 @@ _SATURATED_SHA256 = {
 
 
 def test_saturated_builds_pinned():
+    # the build and the shipped file it is read from must both match the
+    # pin, so neither can drift from the other
     texts = {
-        "glhj_localized": presets.glhj_localized().dumps(),
+        "glhj_localized": presets._build_glhj_localized().dumps(),
         "glhj": saturate(presets.glhj(), skip=presets._gl_runaway).dumps(),
     }
     assert {k: hashlib.sha256(t.encode()).hexdigest()
             for k, t in texts.items()} == _SATURATED_SHA256
+    shipped = presets._GLHJ_LOCALIZED_JSON.read_bytes()
+    assert hashlib.sha256(shipped).hexdigest() == \
+        _SATURATED_SHA256["glhj_localized"]
+
+
+def test_glhj_localized_is_read_not_built(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("glhj_localized() ran a build step")
+
+    presets.glhj_localized.cache_clear()
+    try:
+        monkeypatch.setattr(presets, "saturate", build)
+        monkeypatch.setattr(presets, "localize", build)
+        L = presets.glhj_localized()
+    finally:
+        presets.glhj_localized.cache_clear()
+    assert hashlib.sha256(L.dumps().encode()).hexdigest() == \
+        _SATURATED_SHA256["glhj_localized"]
+
+
+def test_package_data_ships_glhj_localized():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["z3calc"]
+    assert any(fnmatch.fnmatch(presets._GLHJ_LOCALIZED_JSON.name, g)
+               for g in globs)
 
 
 def test_glhj_localized_cached():
@@ -201,3 +231,7 @@ def test_glhj_localized_cached():
 
 def test_glhj_localized_not_in_catalog():
     assert "glhj_localized" not in presets.PRESETS
+
+
+if __name__ == "__main__":
+    print(presets._build_glhj_localized().dumps(), end="")

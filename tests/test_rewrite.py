@@ -571,7 +571,7 @@ def test_saturate_matches_reference_on_glhj_stages():
     base = reference_saturate(G, skip)
     assert _listed(saturate(G, skip=skip)) == _listed(base)
     loc = localize(localize(base, "dT", "dTinv"), "a", "ainv")
-    assert _listed(presets.glhj_localized()) == \
+    assert _listed(presets._build_glhj_localized()) == \
         _listed(reference_saturate(loc, skip))
 
 
