@@ -6,12 +6,14 @@ is a primitive cube root of unity.  Representation, bottom up:
 
     QJ             a + b*j with rational a, b; products reduced via j*j = -1 - j
     QJPoly         dense tuple of QJ coefficients, constant term first
-    CycloRational  num/den pair of QJPoly with den monic and gcd(num, den) = 1
+    CycloRational  q^e * n/d with e an int and n, d QJPoly that q does not
+                   divide, d monic and gcd(n, d) = 1; zero is 0/1 with e = 0
 
 All three are immutable and canonical, so == is structural equality, and
 a QJ or CycloRational can key a dictionary.  q never becomes a float:
 evaluation at a rational point happens only through specialize_q, which
-raises PoleError when the denominator vanishes there.
+raises PoleError when the denominator vanishes there.  The properties num
+and den give the dense pair, with q^e put back, for printing.
 
 Almost every coefficient that rewriting produces is an integer combination
 of 1 and j, so QJ keeps integral components as plain ints: int arithmetic
@@ -20,15 +22,18 @@ reduction with symbolic q.  A component is an int exactly when it is
 integral, so the form stays unique; int and Fraction compare, hash and print
 alike, so nothing outside QJ sees the difference.  For the same reason
 QJ arithmetic hands out one shared instance for each value with small
-integral components, and a sum or product of two scalars whose denominators
-are 1 is canonical as it stands, so it skips _reduce.
+integral components.
 
-A constant is a CycloRational whose denominator is P_ONE and whose
-numerator has one coefficient; at q = 1 every nonzero coefficient is one.
-Each shared QJ value has one shared constant (ONE, J and J2 among them),
-+, -, * and unary - of two constants compute on their QJ components and
-return the shared constant when there is one, and * by the object ONE
-returns the other operand.
+Most coefficients with symbolic q are monomials c*q^e, since the relations
+put q or 1/q beside a unit of Q(j).  A monomial is a CycloRational whose d
+is P_ONE and whose n has one coefficient; a constant is one with e = 0, and
+at q = 1 every nonzero coefficient is one.  Keeping q^e apart means that a
+product of monomials is one QJ product and an add of exponents, where a
+dense tuple would pad q^20 with twenty zeros and 1/q would need a gcd.
++, -, * and unary - of monomials compute on their QJ components and return
+the shared instance of c*q^e for c a shared QJ and |e| <= 16, ONE, J, J2
+and Q among them.  * by the object ONE returns the other operand, and a
+sum or product that needs no gcd skips _reduce.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ class QJ:
         n = self.a * self.a - self.a * self.b + self.b * self.b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(j)")
-        return QJ(Fraction(self.a - self.b, n), Fraction(-self.b, n))
+        return _qj(_canon(Fraction(self.a - self.b, n)),
+                   _canon(Fraction(-self.b, n)))
 
     def __repr__(self):
         return "QJ(%s, %s)" % (self.a, self.b)
@@ -157,15 +163,12 @@ class QJPoly:
     def const_value(self):
         return self.c[0] if self.c else QJ_ZERO
 
-    def valuation(self):
-        """Index of the lowest nonzero coefficient (0 for the zero poly)."""
-        for i, v in enumerate(self.c):
-            if not v.is_zero():
-                return i
-        return 0
-
-    def shift_down(self, k):
-        return QJPoly(self.c[k:]) if k else self
+    def split_q(self):
+        """(k, p) with self = q^k * p and q not dividing p; k = 0 for zero."""
+        for k, v in enumerate(self.c):
+            if v:
+                return k, (QJPoly(self.c[k:]) if k else self)
+        return 0, self
 
     def __eq__(self, other):
         return isinstance(other, QJPoly) and self.c == other.c
@@ -200,6 +203,8 @@ class QJPoly:
         return QJPoly(out)
 
     def scale(self, u):
+        if u is QJ_ONE:
+            return self
         return QJPoly(tuple(u * v for v in self.c))
 
     def divmod(self, other):
@@ -243,7 +248,6 @@ class QJPoly:
 
 P_ZERO = QJPoly(())
 P_ONE = QJPoly((QJ_ONE,))
-P_Q = QJPoly((QJ_ZERO, QJ_ONE))
 
 
 def poly_gcd(a, b):
@@ -260,95 +264,141 @@ def poly_gcd(a, b):
 
 
 class CycloRational:
-    """num/den of QJPoly; den monic, num/den coprime, zero is 0/1.
+    """q^e * n/d with n, d QJPoly: q divides neither n nor d, d is monic
+    and prime to n, and zero is 0/1 with e = 0.
 
-    A denominator of 1 is the object P_ONE, which _reduce returns, so the
-    fast paths below test it with `is`; an equal copy would only take the
-    general path.
+    A denominator of 1 is the object P_ONE, so the fast paths below test
+    it with `is`; an equal copy would only take the general path.  The
+    constructor takes a dense pair num/den, reduced unless _canonical
+    says it already is; num and den return that pair.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("e", "n", "d")
 
     def __init__(self, num, den=P_ONE, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        v, den = den.split_q()
+        if v or not _canonical:  # a den of q^v leaves a copy of P_ONE
+            num, den = _reduce(num, den)
+        s = _over(-v, num, den)
+        self.e, self.n, self.d = s.e, s.n, s.d
+
+    @property
+    def num(self):
+        return _shift_up(self.n, self.e) if self.e > 0 else self.n
+
+    @property
+    def den(self):
+        return _shift_up(self.d, -self.e) if self.e < 0 else self.d
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.n.c
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.n.c)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CycloRational)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return (isinstance(other, CycloRational) and self.e == other.e
+                and self.n == other.n and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.num.c, self.den.c))
+        return hash((self.e, self.n.c, self.d.c))
 
     def __add__(self, other):
-        if self.den is P_ONE and other.den is P_ONE:
-            x, y = self.num.c, other.num.c
-            if len(x) == 1 and len(y) == 1:
-                x, y = x[0], y[0]
-                return _const(x.a + y.a, x.b + y.b)
-            return CycloRational(self.num + other.num, P_ONE,
-                                 _canonical=True)
-        return CycloRational(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        x, y = self.n.c, other.n.c
+        e = self.e
+        if (e == other.e and len(x) == 1 and len(y) == 1
+                and self.d is P_ONE and other.d is P_ONE):
+            x, y = x[0], y[0]
+            return _mono(e, x.a + y.a, x.b + y.b)
+        if not x:
+            return other
+        if not y:
+            return self
+        n1, d1, n2, d2 = self.n, self.d, other.n, other.d
+        if e < other.e:
+            n2 = _shift_up(n2, other.e - e)
+        elif e > other.e:
+            n1, e = _shift_up(n1, e - other.e), other.e
+        # n1 + n2*d1 is prime to d1, and n1*d2 + n2 to d2
+        if d2 is P_ONE:
+            return _over(e, n1 + n2 * d1, d1)
+        if d1 is P_ONE:
+            return _over(e, n1 * d2 + n2, d2)
+        return _over(e, *_reduce(n1 * d2 + n2 * d1, d1 * d2))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        x = self.num.c
-        if self.den is P_ONE and len(x) == 1:
-            return _const(-x[0].a, -x[0].b)
-        return CycloRational(-self.num, self.den, _canonical=True)
+        x = self.n.c
+        if len(x) == 1 and self.d is P_ONE:
+            return _mono(self.e, -x[0].a, -x[0].b)
+        return _scalar(self.e, -self.n, self.d) if x else self
 
     def __mul__(self, other):
         if other is ONE:
             return self
         if self is ONE:
             return other
-        if self.den is P_ONE and other.den is P_ONE:
-            x, y = self.num.c, other.num.c
-            if len(x) == 1 and len(y) == 1:
-                a0, a1, b0, b1 = x[0].a, x[0].b, y[0].a, y[0].b
-                t = a1 * b1
-                return _const(a0 * b0 - t, a0 * b1 + a1 * b0 - t)
-            return CycloRational(self.num * other.num, P_ONE,
-                                 _canonical=True)
-        return CycloRational(self.num * other.num, self.den * other.den)
+        x, y = self.n.c, other.n.c
+        if (len(x) == 1 and len(y) == 1
+                and self.d is P_ONE and other.d is P_ONE):
+            a0, a1, b0, b1 = x[0].a, x[0].b, y[0].a, y[0].b
+            t = a1 * b1
+            return _mono(self.e + other.e, a0 * b0 - t, a0 * b1 + a1 * b0 - t)
+        if not x or not y:
+            return ZERO
+        e = self.e + other.e
+        if len(x) == 1 and self.d is P_ONE:
+            return _scalar(e, other.n.scale(x[0]), other.d)
+        if len(y) == 1 and other.d is P_ONE:
+            return _scalar(e, self.n.scale(y[0]), self.d)
+        return _over(e, *_reduce(self.n * other.n, self.d * other.d))
 
     def inv(self):
-        if self.num.is_zero():
+        x = self.n.c
+        if not x:
             raise ZeroDivisionError("inverse of zero scalar")
-        return CycloRational(self.den, self.num)
+        u = x[-1].inv()
+        if len(x) == 1:
+            return _over(-self.e, self.d.scale(u), P_ONE)
+        return _scalar(-self.e, self.d.scale(u), self.n.scale(u))
 
     def __repr__(self):
         return "CycloRational(%s)" % scalar_str(self)
 
 
+def _scalar(e, n, d):
+    """q^e * n/d as it stands: n, d canonical and nonzero n."""
+    s = object.__new__(CycloRational)
+    s.e, s.n, s.d = e, n, d
+    return s
+
+
+def _shift_up(p, k):
+    """q^k * p for k > 0."""
+    return QJPoly((QJ_ZERO,) * k + p.c)
+
+
+def _over(e, num, den):
+    """q^e * num/den for num prime to den, and den monic and prime to q;
+    the power of q that divides num moves into e."""
+    c = num.c
+    if not c:
+        return ZERO
+    if not c[0]:
+        v, num = num.split_q()
+        e, c = e + v, num.c
+    if len(c) == 1 and den is P_ONE:
+        return _mono(e, c[0].a, c[0].b)
+    return _scalar(e, num, den)
+
+
 def _reduce(num, den):
-    """Canonical form: den monic, common factors (incl. powers of q) removed."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return P_ZERO, P_ONE
-    v = min(num.valuation(), den.valuation())
-    if v:
-        num = num.shift_down(v)
-        den = den.shift_down(v)
+    """num/den with den monic and common factors removed, for den prime
+    to q; a constant den returns P_ONE."""
     if den.is_const():
         u = den.const_value()
         if u == QJ_ONE:
@@ -372,46 +422,64 @@ def _reduce(num, den):
 def specialize_q(s, q0):
     """Value of s at q = q0 (exact rational), j kept symbolic."""
     q0 = Fraction(q0)
-    d = s.den.eval_at(q0)
-    if d.is_zero():
+    d = s.d.eval_at(q0)
+    if d.is_zero() or (s.e < 0 and not q0):
         raise PoleError("pole at q = %s" % q0)
-    v = s.num.eval_at(q0) * d.inv()
-    return _const(v.a, v.b)
+    v = s.n.eval_at(q0) * d.inv()
+    if s.e:
+        v = v * QJ(q0 ** s.e, 0)
+    return _mono(0, v.a, v.b)
 
 
 # ---------------------------------------------------------------------------
-# constants and small builders
+# constants, shared monomials and small builders
 
 # the constant of each QJ in _SHARED, indexed the same way; the one of
 # zero is ZERO, whose numerator has no coefficient
-_CONSTS = [[CycloRational(QJPoly.const(v), P_ONE, _canonical=True)
-            for v in row] for row in _SHARED]
-
-
-def _const(a, b):
-    """The constant a + b*j, the shared one when a and b are small ints."""
-    if type(a) is not int:
-        a = _canon(a)
-    if type(b) is not int:
-        b = _canon(b)
-    if (type(a) is int and type(b) is int
-            and -_SMALL <= a <= _SMALL and -_SMALL <= b <= _SMALL):
-        return _CONSTS[a][b]
-    return CycloRational(QJPoly((QJ(a, b),)), P_ONE, _canonical=True)
-
-
+_CONSTS = [[_scalar(0, QJPoly.const(v), P_ONE) for v in row]
+           for row in _SHARED]
 ZERO = _CONSTS[0][0]
+
+# _MONOS[e][a][b] is the shared q^e * (a + b*j) for |e| <= _QMAX and each
+# shared QJ value, filled on first use; index -e wraps as in _SHARED, and
+# the plane e = 0 is _CONSTS.  Each shares its one-entry n with _CONSTS.
+_QMAX = 16
+_MONOS = [[[None] * (2 * _SMALL + 1) for _ in _SHARED]
+          for _ in range(2 * _QMAX + 1)]
+_MONOS[0] = _CONSTS
+
+
+def _mono(e, a, b):
+    """q^e * (a + b*j), the shared one when a and b are small ints and
+    |e| <= _QMAX."""
+    if type(a) is not int or type(b) is not int:
+        a, b = _canon(a), _canon(b)
+        if type(a) is not int or type(b) is not int:
+            return _scalar(e, QJPoly((QJ(a, b),)), P_ONE)
+    if -_SMALL <= a <= _SMALL and -_SMALL <= b <= _SMALL:
+        if -_QMAX <= e <= _QMAX:
+            row = _MONOS[e][a]
+            s = row[b]
+            if s is None:
+                s = row[b] = (_scalar(e, _CONSTS[a][b].n, P_ONE)
+                              if a or b else ZERO)
+            return s
+        return _scalar(e, _CONSTS[a][b].n, P_ONE) if a or b else ZERO
+    return _scalar(e, QJPoly((QJ(a, b),)), P_ONE)
+
+
 ONE = _CONSTS[1][0]
 J = _CONSTS[0][1]
 J2 = _CONSTS[-1][-1]
-Q = CycloRational(P_Q, P_ONE, _canonical=True)
+Q = _mono(1, 1, 0)
 MINUS_ONE = _CONSTS[-1][0]
 
 
 def bit_length(s):
-    """The bit length of the longest numerator or denominator in s."""
+    """The bit length of the longest numerator or denominator in s.  The
+    dense form pads n or d with e zeros, which never set the maximum."""
     n = 0
-    for poly in (s.num, s.den):
+    for poly in (s.n, s.d):
         for v in poly.c:
             for r in (v.a, v.b):
                 n = max(n, r.numerator.bit_length(), r.denominator.bit_length())
@@ -420,7 +488,7 @@ def bit_length(s):
 
 def rational(x):
     """Embed an int or Fraction."""
-    return _const(x, 0)
+    return _mono(0, x, 0)
 
 
 def jpow(k):
@@ -429,9 +497,7 @@ def jpow(k):
 
 def qpow(k):
     """q**k for any integer k."""
-    if k >= 0:
-        return CycloRational(QJPoly((QJ_ZERO,) * k + (QJ_ONE,)))
-    return CycloRational(P_ONE, QJPoly((QJ_ZERO,) * (-k) + (QJ_ONE,)))
+    return _mono(k, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Exact arithmetic in Q(j)(q)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from z3calc.scalars import (QJ, QJ_ONE, CycloRational, PoleError, J, J2,
-                            ONE, Q, ZERO, jpow, qpow, rational, scalar_str,
-                            specialize_q)
-from z3calc.parser import parse_scalar
+from z3calc import calculus, presets
+from z3calc.scalars import (_MONOS, _QMAX, P_ONE, QJ, QJ_ONE, CycloRational,
+                            PoleError, J, J2, ONE, Q, ZERO, jpow, qpow,
+                            rational, scalar_str, specialize_q)
+from z3calc.parser import parse, parse_scalar
 
 
 def test_cube_root_relations():
@@ -43,6 +45,61 @@ def test_small_qj_values_are_shared():
     half = QJ(Fraction(1, 2), 0)
     assert (half + half) == QJ_ONE and (half - half).is_zero()
     assert ONE * ONE is ONE and J * J2 is ONE
+
+
+def test_small_monomials_are_shared():
+    assert qpow(3) is qpow(3)
+    assert J * qpow(-2) is qpow(-2) * J
+    assert Q * Q is qpow(2) and qpow(_QMAX) is qpow(_QMAX - 1) * Q
+    assert qpow(-_QMAX) is qpow(1 - _QMAX) * qpow(-1)
+    assert (J * qpow(5) + J * qpow(5)) is (rational(2) * J) * qpow(5)
+    assert (J * qpow(5) - J * qpow(5)) is ZERO
+    assert qpow(_QMAX + 1) == Q * qpow(_QMAX)  # beyond the table: equal only
+
+
+def _terms(p):
+    return sum(1 for v in p.c if v)
+
+
+def _shared(c):
+    """c is the table's instance of its value: a one-term n over P_ONE,
+    with |e| <= _QMAX and a coefficient of the shared grid."""
+    if c.d is not P_ONE or len(c.n.c) != 1 or abs(c.e) > _QMAX:
+        return False
+    v = c.n.c[0]
+    return c is _MONOS[c.e][v.a][v.b]
+
+
+def test_random_element_coefficients_are_shared():
+    P = presets.build("qjh_calculus")
+    rng = random.Random(7)
+    coeffs = [c for _ in range(40)
+              for c in calculus.random_element(P, rng).t.values()]
+    # words drawn twice add their coefficients, and c*q + c' is no
+    # monomial; every other coefficient is shared
+    monomials = [c for c in coeffs if _terms(c.num) == _terms(c.den) == 1]
+    assert len(coeffs) > 120 and len(monomials) > 0.9 * len(coeffs)
+    assert all(_shared(c) for c in monomials)
+
+
+def test_monomials_have_one_entry():
+    # the power of q lives in e, so q^30 or 1/q^5 is no padded tuple
+    P = presets.build("qjh_calculus")
+    nf = P.normal_form(parse("x^30*dth", P))
+    monomials = [c for c in nf.t.values()
+                 if _terms(c.num) == 1 and _terms(c.den) == 1]
+    assert monomials and max(abs(c.e) for c in monomials) >= 16
+    for c in monomials:
+        assert len(c.n.c) == 1 and c.d is P_ONE
+
+
+def test_dense_pair_gives_the_q_degree():
+    # len(num.c) - 1 and len(den.c) - 1 read the degree in q
+    for k in range(40):
+        assert len(qpow(k).num.c) - 1 == k and qpow(k).den is P_ONE
+        assert len(qpow(-k).den.c) - 1 == k and qpow(-k).num.c == (QJ_ONE,)
+        assert CycloRational(qpow(k).num, qpow(k).num) == ONE
+        assert CycloRational(qpow(-k).num, qpow(-k).den) == qpow(-k)
 
 
 def test_zero_has_no_inverse():

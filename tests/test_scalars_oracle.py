@@ -6,7 +6,8 @@ cube root of unity (-1 + sqrt(-3))/2.  Seeded random expressions built
 from rational / jpow / qpow with + - * and inv are evaluated on both
 sides; each result is compared by cross-multiplying numerators and
 denominators in the polynomial ring, since neither side's fraction form
-is assumed to match the other's.
+is assumed to match the other's.  Values that sympy finds equal must also
+be equal, with equal hashes, in z3calc however they were built.
 """
 
 import random
@@ -16,7 +17,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from z3calc.scalars import jpow, qpow, rational  # noqa: E402
+from z3calc.scalars import (ONE, CycloRational, jpow, qpow,  # noqa: E402
+                            rational)
 
 QQ = sympy.QQ
 K = QQ.algebraic_field(sympy.sqrt(-3))
@@ -35,7 +37,7 @@ def _leaf(rng):
     if kind == 1:
         k = rng.randint(-2, 4)
         return jpow(k), J_SYM ** (k % 3)
-    k = rng.randint(-3, 3)
+    k = rng.randint(-40, 40)
     return qpow(k), Q_SYM ** k
 
 
@@ -82,6 +84,49 @@ def test_random_expressions_match_sympy(seed):
     for _ in range(15):
         ours, theirs = _expr(rng, 3)
         assert _agrees(ours, theirs), ours
+
+
+def _same(ours, theirs):
+    """Both pairs hold one value: sympy says so, and z3calc's forms are
+    equal and hash alike."""
+    (x, sx), (y, sy) = ours, theirs
+    assert not (sx - sy), (x, y)
+    assert x == y and hash(x) == hash(y), (x, y)
+
+
+def test_canonical_across_construction_paths():
+    q, one = qpow(1), rational(1)
+    _same(((q + one) * (q - one) - q * q,
+           (Q_SYM + 1) * (Q_SYM - 1) - Q_SYM ** 2),
+          (rational(-1), F.convert(QQ(-1))))
+    for k in range(-40, 41):
+        _same((qpow(k) * qpow(-k), Q_SYM ** k * Q_SYM ** -k), (ONE, F.one))
+    rng = random.Random(11)
+    for _ in range(40):
+        (a, sa), (b, sb) = _expr(rng, 2), _expr(rng, 2)
+        _same(((a + b) - b, (sa + sb) - sb), (a, sa))
+        _same((CycloRational(a.num, a.den), sa), (a, sa))
+        if not b.is_zero():
+            _same((a * b * b.inv(), sa * sb / sb), (a, sa))
+            _same(((a * b + b) * b.inv(), (sa * sb + sb) / sb),
+                  (a + one, sa + 1))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_equal_in_sympy_means_equal_here(seed):
+    rng = random.Random(20 + seed)
+    # shallow expressions meet often, deeper ones rarely
+    exprs = ([_expr(rng, 1) for _ in range(35)]
+             + [_expr(rng, 2) for _ in range(10)])
+    equal = 0
+    for i, (x, sx) in enumerate(exprs):
+        for y, sy in exprs[:i]:
+            if not (sx - sy):
+                equal += 1
+                assert x == y and hash(x) == hash(y), (x, y)
+            else:
+                assert x != y, (x, y)
+    assert equal  # two construction paths met at least once
 
 
 def test_oracle_rejects_a_wrong_answer():

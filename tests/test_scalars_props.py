@@ -11,7 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from z3calc.scalars import (_CONSTS, _SMALL, QJ, QJ_ONE, ONE,  # noqa: E402
                             P_ONE, ZERO, CycloRational, PoleError, QJPoly,
-                            jpow, qpow, rational, specialize_q)
+                            jpow, poly_gcd, qpow, rational, specialize_q)
 
 # deterministic and small: these run inside the tier-1 suite
 quick = settings(max_examples=60, deadline=None, derandomize=True)
@@ -20,7 +20,7 @@ small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 leaves = st.one_of(
     small.map(rational),
     st.integers(0, 2).map(jpow),
-    st.integers(-3, 3).map(qpow),
+    st.integers(-20, 20).map(qpow),
 )
 
 
@@ -43,8 +43,17 @@ def _canonical_component(x):
 
 
 def _canonical(s):
-    return all(_canonical_component(v.a) and _canonical_component(v.b)
-               for p in (s.num, s.den) for v in p.c)
+    """s = q^e * n/d in canonical form: every component is canonical, q
+    divides neither n nor d, d is monic and prime to n, a constant d is
+    the object P_ONE, and zero is 0/1 with e = 0."""
+    n, d = s.n.c, s.d.c
+    if not n:
+        return s.e == 0 and s.d is P_ONE
+    return (all(_canonical_component(v.a) and _canonical_component(v.b)
+                for v in n + d)
+            and bool(n[0]) and bool(d[0]) and d[-1] == QJ_ONE
+            and (len(d) == 1) == (s.d is P_ONE)
+            and poly_gcd(s.n, s.d) == P_ONE)
 
 
 def _specialize(s, q0):
@@ -94,10 +103,12 @@ def test_specialize_commutes_with_inv(a, q0):
 @quick
 @given(scalars, scalars)
 def test_components_are_int_exactly_when_integral(a, b):
-    for s in (a, b, a + b, a - b, a * b):
+    for s in (a, b, a + b, a - b, b - a, a * b, -a, a * a, a + a,
+              CycloRational(a.num, a.den),
+              CycloRational(a.num, a.den, _canonical=True)):
         assert _canonical(s)
     if not b.is_zero():
-        assert _canonical(a * b.inv())
+        assert _canonical(a * b.inv()) and _canonical(b.inv())
     # one value reached two ways: equal and equal hashes
     again = (a + b) - b
     assert again == a and hash(again) == hash(a)
