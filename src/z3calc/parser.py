@@ -224,11 +224,10 @@ def parse(text, preset):
 
 
 def parse_scalar(text, q="symbolic"):
-    """The scalar text spells; q reads as the value q unless "symbolic"."""
-    p = _Parser(text, None, q).parse()
-    if list(p.support()) not in ([], [()]):
-        raise ParseError("expected a scalar expression", 0)
-    return p.coeff(())
+    """The scalar text spells; q reads as the value q unless "symbolic".
+    Every name other than q and j is an unknown scalar symbol, so the
+    expression holds no word."""
+    return _Parser(text, None, q).parse().coeff(())
 
 
 def q_value(text, name="--q"):

@@ -454,6 +454,11 @@ def verify_contraction():
     the full calculus, with the commutation matrix forced by a linear
     system whose solution is checked here coefficient by coefficient.
     Every coefficient is read from the rules of qjh_calculus.
+
+    The result is a dict of bools, one per check, not the entries of
+    calculus.replay and supergroup.verify: bench/workloads.py check()
+    reads it in this shape, so it changes with that reader when the
+    reports move to one schema.
     """
     P = qjh_calculus()
     rhs = {r.ref: r.rhs.coeff for r in P.rules}

@@ -518,7 +518,7 @@ class Presentation:
     @staticmethod
     def from_json(doc):
         """Inverse of to_json; a malformed document raises ValueError."""
-        from .parser import parse_scalar, q_value
+        from .parser import ParseError, parse_scalar, q_value
 
         if not (isinstance(doc, dict) and isinstance(doc.get("name"), str)
                 and isinstance(doc.get("generators"), list)
@@ -582,13 +582,17 @@ class Presentation:
                                  % (tag, owner[lhs]))
             owner[lhs] = tag
             rhs = NCPolynomial.zero()
-            for t in rd["rhs"]:
+            for k, t in enumerate(rd["rhs"]):
                 if not (isinstance(t, dict) and isinstance(t.get("coeff"), str)
                         and "word" in t):
                     raise ValueError("rule %s: rhs term %r needs a coeff string "
                                      "and a word" % (tag, t))
-                rhs = rhs + NCPolynomial.word(word(t["word"], tag),
-                                              parse_scalar(t["coeff"], q))
+                try:
+                    c = parse_scalar(t["coeff"], q)
+                except ParseError as e:  # the coeff itself may be huge
+                    raise ValueError("rule %s: rhs term %d: %s"
+                                     % (tag, k, e)) from None
+                rhs = rhs + NCPolynomial.word(word(t["word"], tag), c)
             rules.append(RewriteRule(lhs, rhs, rd.get("ref", "")))
         return Presentation(doc["name"], gens, rules, order, q=q)
 

@@ -12,8 +12,10 @@ is a primitive cube root of unity.  Representation, bottom up:
 All three are immutable and canonical, so == is structural equality, and
 a QJ or CycloRational can key a dictionary.  q never becomes a float:
 evaluation at a rational point happens only through specialize_q, which
-raises PoleError when the denominator vanishes there.  The properties num
-and den give the dense pair, with q^e put back, for printing.
+raises PoleError when the denominator vanishes there.  CycloRational(e,
+n, d) stores a canonical triple as given; outside this module a scalar
+comes from rational, jpow, qpow and the arithmetic.  The properties num
+and den, the dense pair with q^e put back, remain only for bench/tracer.py.
 
 Almost every coefficient that rewriting produces is an integer combination
 of 1 and j, so QJ keeps integral components as plain ints: int arithmetic
@@ -160,9 +162,6 @@ class QJPoly:
     def is_const(self):
         return len(self.c) <= 1
 
-    def const_value(self):
-        return self.c[0] if self.c else QJ_ZERO
-
     def split_q(self):
         """(k, p) with self = q^k * p and q not dividing p; k = 0 for zero."""
         for k, v in enumerate(self.c):
@@ -267,23 +266,19 @@ class CycloRational:
     """q^e * n/d with n, d QJPoly: q divides neither n nor d, d is monic
     and prime to n, and zero is 0/1 with e = 0.
 
-    A denominator of 1 is the object P_ONE, so the fast paths below test
-    it with `is`; an equal copy would only take the general path.  The
-    constructor takes a dense pair num/den, reduced unless _canonical
-    says it already is; num and den return that pair.
+    CycloRational(e, n, d) stores the triple as given; the arithmetic
+    below and _over pass it canonical ones.  A denominator of 1 is the
+    object P_ONE, so the fast paths test it with `is`; an equal copy
+    would only take the general path.
     """
 
     __slots__ = ("e", "n", "d")
 
-    def __init__(self, num, den=P_ONE, _canonical=False):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        v, den = den.split_q()
-        if v or not _canonical:  # a den of q^v leaves a copy of P_ONE
-            num, den = _reduce(num, den)
-        s = _over(-v, num, den)
-        self.e, self.n, self.d = s.e, s.n, s.d
+    def __init__(self, e, n, d):
+        self.e, self.n, self.d = e, n, d
 
+    # the dense pair with q^e put back, read only by bench/tracer.py for
+    # the degree in q; once it reads e, n and d these two go
     @property
     def num(self):
         return _shift_up(self.n, self.e) if self.e > 0 else self.n
@@ -335,7 +330,7 @@ class CycloRational:
         x = self.n.c
         if len(x) == 1 and self.d is P_ONE:
             return _mono(self.e, -x[0].a, -x[0].b)
-        return _scalar(self.e, -self.n, self.d) if x else self
+        return CycloRational(self.e, -self.n, self.d) if x else self
 
     def __mul__(self, other):
         if other is ONE:
@@ -352,9 +347,9 @@ class CycloRational:
             return ZERO
         e = self.e + other.e
         if len(x) == 1 and self.d is P_ONE:
-            return _scalar(e, other.n.scale(x[0]), other.d)
+            return CycloRational(e, other.n.scale(x[0]), other.d)
         if len(y) == 1 and other.d is P_ONE:
-            return _scalar(e, self.n.scale(y[0]), self.d)
+            return CycloRational(e, self.n.scale(y[0]), self.d)
         return _over(e, *_reduce(self.n * other.n, self.d * other.d))
 
     def inv(self):
@@ -364,17 +359,10 @@ class CycloRational:
         u = x[-1].inv()
         if len(x) == 1:
             return _over(-self.e, self.d.scale(u), P_ONE)
-        return _scalar(-self.e, self.d.scale(u), self.n.scale(u))
+        return CycloRational(-self.e, self.d.scale(u), self.n.scale(u))
 
     def __repr__(self):
         return "CycloRational(%s)" % scalar_str(self)
-
-
-def _scalar(e, n, d):
-    """q^e * n/d as it stands: n, d canonical and nonzero n."""
-    s = object.__new__(CycloRational)
-    s.e, s.n, s.d = e, n, d
-    return s
 
 
 def _shift_up(p, k):
@@ -393,30 +381,18 @@ def _over(e, num, den):
         e, c = e + v, num.c
     if len(c) == 1 and den is P_ONE:
         return _mono(e, c[0].a, c[0].b)
-    return _scalar(e, num, den)
+    return CycloRational(e, num, den)
 
 
 def _reduce(num, den):
-    """num/den with den monic and common factors removed, for den prime
-    to q; a constant den returns P_ONE."""
-    if den.is_const():
-        u = den.const_value()
-        if u == QJ_ONE:
-            return num, P_ONE
-        return num.scale(u.inv()), P_ONE
-    if not num.is_const():
+    """num/den with common factors removed, for den monic and prime to q;
+    a constant den, which is then 1, returns P_ONE."""
+    if not num.is_const() and not den.is_const():
         g = poly_gcd(num, den)
         if not g.is_const():
             num = num.divmod(g)[0]
             den = den.divmod(g)[0]
-            if den.is_const():
-                return _reduce(num, den)
-    lc = den.c[-1]
-    if lc != QJ_ONE:
-        u = lc.inv()
-        num = num.scale(u)
-        den = den.scale(u)
-    return num, den
+    return num, (P_ONE if den.is_const() else den)
 
 
 def specialize_q(s, q0):
@@ -436,7 +412,7 @@ def specialize_q(s, q0):
 
 # the constant of each QJ in _SHARED, indexed the same way; the one of
 # zero is ZERO, whose numerator has no coefficient
-_CONSTS = [[_scalar(0, QJPoly.const(v), P_ONE) for v in row]
+_CONSTS = [[CycloRational(0, QJPoly.const(v), P_ONE) for v in row]
            for row in _SHARED]
 ZERO = _CONSTS[0][0]
 
@@ -455,17 +431,17 @@ def _mono(e, a, b):
     if type(a) is not int or type(b) is not int:
         a, b = _canon(a), _canon(b)
         if type(a) is not int or type(b) is not int:
-            return _scalar(e, QJPoly((QJ(a, b),)), P_ONE)
+            return CycloRational(e, QJPoly((QJ(a, b),)), P_ONE)
     if -_SMALL <= a <= _SMALL and -_SMALL <= b <= _SMALL:
         if -_QMAX <= e <= _QMAX:
             row = _MONOS[e][a]
             s = row[b]
             if s is None:
-                s = row[b] = (_scalar(e, _CONSTS[a][b].n, P_ONE)
+                s = row[b] = (CycloRational(e, _CONSTS[a][b].n, P_ONE)
                               if a or b else ZERO)
             return s
-        return _scalar(e, _CONSTS[a][b].n, P_ONE) if a or b else ZERO
-    return _scalar(e, QJPoly((QJ(a, b),)), P_ONE)
+        return CycloRational(e, _CONSTS[a][b].n, P_ONE) if a or b else ZERO
+    return CycloRational(e, QJPoly((QJ(a, b),)), P_ONE)
 
 
 ONE = _CONSTS[1][0]
@@ -543,8 +519,9 @@ def _qj_factor(v):
     return sign, head + op + tail, True
 
 
-def _poly_factor(p):
-    terms = [(k, v) for k, v in enumerate(p.c) if v]
+def _poly_factor(p, shift):
+    """The factor that prints q^shift * p."""
+    terms = [(k + shift, v) for k, v in enumerate(p.c) if v]
     if not terms:
         return 1, "0", False
     lead = _qj_factor(terms[-1][1])[0]
@@ -563,10 +540,11 @@ def _poly_factor(p):
 
 
 def scalar_factor(s):
-    sign, ntext, npar = _poly_factor(s.num)
-    if s.den == P_ONE:
+    e = s.e
+    sign, ntext, npar = _poly_factor(s.n, max(e, 0))
+    if e >= 0 and s.d == P_ONE:
         return sign, ntext, npar
-    _, dtext, dpar = _poly_factor(s.den)
+    _, dtext, dpar = _poly_factor(s.d, max(-e, 0))
     if npar:
         ntext = "(" + ntext + ")"
     if dpar:

@@ -34,6 +34,16 @@ def test_d_images(P):
     assert d(gen("d2th")).is_zero()
 
 
+def test_operators_name_a_letter_they_do_not_reach():
+    # weyl's partial letters have no d image and no row of their own
+    W = presets.build("weyl")
+    px = NCPolynomial.gen("px")
+    with pytest.raises(KeyError, match="d undefined on generator 'px'"):
+        DifferentialOperator(W)(px)
+    with pytest.raises(KeyError, match="undefined past generator 'px'"):
+        PartialOperator(W)("x", px)
+
+
 def test_d_squared_not_zero(P):
     d = DifferentialOperator(P)
     d2x = d(d(NCPolynomial.gen("x")))

@@ -42,6 +42,12 @@ COMMANDS = (
        ((*_QJH, "--format", "json", "(1+j)*q^-2*th*dx"), None),
        (("reduce", "--preset", "h_plane", "--unicode", "x*th*th"), None),
        (("reduce", "--preset", "glhj", "--q", "2", "x"), None),
+       (("reduce", "--preset", "q_plane", "x/(q^2*(q+1))"), None),
+       (("reduce", "--preset", "q_plane", "(q^3+q^5)/(q-1)^2*x"), None),
+       ((*_QJH, "x$"), None),
+       ((*_QJH, "(x"), None),
+       ((*_QJH, "x^y"), None),
+       (("presets", "import"), None),
        (("pairs", "--preset", "qjh_calculus"), "2"),
        (("sdet",), "50")]
 )
@@ -80,7 +86,7 @@ def digest(argv, budget):
 
 def test_golden_covers_every_command():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert len(COMMANDS) == 47
+    assert len(COMMANDS) == 53
     assert sorted(golden) == sorted(_id(*c) for c in COMMANDS)
 
 

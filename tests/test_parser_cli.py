@@ -14,8 +14,7 @@ from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
 from z3calc.parser import (MAX_BITS, MAX_EXPONENT, MAX_TERMS, ParseError,
                            _bounded, parse, parse_scalar)
-from z3calc.scalars import (J, J2, ONE, QJ_ONE, QJ_ZERO, CycloRational, Q,
-                            QJPoly, rational)
+from z3calc.scalars import J, J2, ONE, P_ONE, CycloRational, Q, rational
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +82,10 @@ def test_parse_exponent_cap(P):
 
 
 def test_parse_power_by_squaring(P, monkeypatch):
-    # q^k's numerator is the monomial of degree k; each power builds at
-    # most one square and one partial product per bit of k, all bounded
+    # q^k is the canonical triple (k, 1, 1); each power builds at most
+    # one square and one partial product per bit of k, all bounded
     k = MAX_EXPONENT
-    qk = CycloRational(QJPoly((QJ_ZERO,) * k + (QJ_ONE,)), _canonical=True)
+    qk = CycloRational(k, P_ONE, P_ONE)
     calls = []
 
     def bounded(p, off):

@@ -412,6 +412,8 @@ def _malformed(edit):
     (lambda d: d["generators"].append(dict(d["generators"][0], grade=2)),
      "repeats the name"),
     (lambda d: d["rules"][0].pop("rhs"), "needs an lhs and an rhs list"),
+    (lambda d: d["rules"][0]["rhs"][0].update(coeff="x"),
+     "^rule .+: rhs term 0: unknown scalar symbol 'x'"),
 ])
 def test_from_json_rejects_malformed(edit, message):
     with pytest.raises(ValueError, match=message):

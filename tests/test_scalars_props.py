@@ -12,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from z3calc.scalars import (_CONSTS, _SMALL, QJ, QJ_ONE, ONE,  # noqa: E402
                             P_ONE, ZERO, CycloRational, PoleError, QJPoly,
                             jpow, poly_gcd, qpow, rational, specialize_q)
+from test_scalars import _dense  # noqa: E402
 
 # deterministic and small: these run inside the tier-1 suite
 quick = settings(max_examples=60, deadline=None, derandomize=True)
@@ -103,10 +104,11 @@ def test_specialize_commutes_with_inv(a, q0):
 @quick
 @given(scalars, scalars)
 def test_components_are_int_exactly_when_integral(a, b):
-    for s in (a, b, a + b, a - b, b - a, a * b, -a, a * a, a + a,
-              CycloRational(a.num, a.den),
-              CycloRational(a.num, a.den, _canonical=True)):
+    # a from its dense pair, and from the pair without q^e
+    dense = (_dense(a.num, a.den), _dense(a.n, a.d) * qpow(a.e))
+    for s in (a, b, a + b, a - b, b - a, a * b, -a, a * a, a + a, *dense):
         assert _canonical(s)
+    assert dense == (a, a)
     if not b.is_zero():
         assert _canonical(a * b.inv()) and _canonical(b.inv())
     # one value reached two ways: equal and equal hashes
@@ -135,13 +137,13 @@ components = st.one_of(st.integers(-30, 30),
 
 
 def _constant(a, b):
-    return CycloRational(QJPoly.const(QJ(a, b)))
+    return CycloRational(0, QJPoly.const(QJ(a, b)), P_ONE)
 
 
 def _general(s):
     """s with an equal copy of P_ONE as denominator, which takes the
     general path of +, - and *."""
-    return CycloRational(s.num, QJPoly((QJ_ONE,)), _canonical=True)
+    return CycloRational(s.e, s.n, QJPoly((QJ_ONE,)))
 
 
 @quick
