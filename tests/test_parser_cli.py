@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from z3calc import cli, parser, presets
+from z3calc import calculus, cli, parser, presets
 from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
 from z3calc.parser import (MAX_BITS, MAX_EXPONENT, MAX_TERMS, ParseError,
@@ -410,6 +410,20 @@ def test_cli_expression_may_start_with_minus(capsys, expr, want):
 def test_cli_reduce_help_is_long_form_only():
     r = run_cli("reduce", "--help")
     assert r.returncode == 0 and r.stdout.startswith("usage: z3calc reduce")
+
+
+def test_cli_verify_usage_lists_the_suites():
+    # in a fresh process, where nothing has loaded calculus beforehand;
+    # argparse wraps the usage line to the terminal width
+    usage = "usage: z3calc verify [-h] --suite " + "|".join(calculus.SUITE_NAMES)
+    r = run_cli("verify")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert " ".join(r.stderr.split()).startswith(usage + " z3calc verify: ")
+    r = run_cli("verify", "--help")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert " ".join(r.stdout.split()).startswith(usage + " options: ")
+    assert r.stdout.rstrip().endswith(
+        "--suite " + "|".join(calculus.SUITE_NAMES))
 
 
 def test_cli_exit_code_budget():
