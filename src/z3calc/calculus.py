@@ -34,7 +34,8 @@ import functools
 
 from .scalars import (ONE, J, J2, MINUS_ONE, jpow, qpow, rational,
                       specialize_q)
-from .freealg import NCPolynomial, apply_hom, fa_str, word_grade
+from .freealg import NCPolynomial, apply_hom, word_grade
+from .report import all_pass, flag, zero_entry
 from . import presets as _presets
 
 
@@ -175,29 +176,6 @@ def monomial_basis(amax=2, bmax=2, cmax=6):
         for b in range(bmax + 1):
             for c in range(cmax + 1):
                 yield ("h",) * a + ("th",) * b + ("x",) * c
-
-
-# ---------------------------------------------------------------------------
-# report entries, shared with the supergroup checks
-
-def flag(name, ok, witness=None):
-    """One report entry: name, pass or fail, and the witness if not empty."""
-    entry = {"name": name, "status": "pass" if ok else "fail"}
-    if witness:
-        entry["witness"] = witness
-    return entry
-
-
-def zero_entry(name, preset, poly):
-    """Passes when poly reduces to zero; otherwise its normal form is the
-    witness."""
-    nf = preset.normal_form(poly)
-    ok = nf.is_zero()
-    return flag(name, ok, None if ok else fa_str(nf, preset.order.key))
-
-
-def all_pass(entries):
-    return all(e["status"] == "pass" for e in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ command makes: reduce, the pair census, the supergroup and sdet checks,
 and the localize step of cartan's build; glhj_localized is read from
 its package file, not built.  Only the census that picks a preset's
 reduction order runs under the default.
+Only verify loads the calculus module, for its suite names and its
+suites; every other command starts without it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .freealg import fa_str, term_list
 from .rewrite import BudgetExceeded, Presentation
 from .parser import MAX_BITS, MAX_DEPTH, ParseError, parse, q_value
 from . import presets as _presets
-from . import calculus as _calculus
 from . import supergroup as _supergroup
 
 
@@ -92,8 +93,11 @@ def _dispatch(args):
                          q=str(pres.q), input=args.expr)
 
     if args.cmd in ("verify", "supergroup"):
-        doc = (_calculus.replay(args.suite) if args.cmd == "verify"
-               else _supergroup.verify(args.check))
+        if args.cmd == "verify":
+            from .calculus import replay
+            doc = replay(args.suite)
+        else:
+            doc = _supergroup.verify(args.check)
         _emit(doc)
         return 0 if doc["ok"] else 1
 
@@ -156,6 +160,7 @@ def _expr_last(argv):
 
 
 def main(argv=None):
+    argv = _expr_last(argv)
     ap = argparse.ArgumentParser(
         prog="z3calc",
         description="exact rewriting in graded deformed plane algebras")
@@ -175,8 +180,10 @@ def main(argv=None):
     p.add_argument("expr")
 
     p = sub.add_parser("verify", help="run a replay suite")
-    p.add_argument("--suite", required=True,
-                   metavar="|".join(_calculus.SUITE_NAMES))
+    if argv[:1] == ["verify"]:  # the one command that loads calculus
+        from . import calculus
+        p.add_argument("--suite", required=True,
+                       metavar="|".join(calculus.SUITE_NAMES))
 
     p = sub.add_parser("pairs", help="critical pair census for a preset")
     p.add_argument("--preset", required=True)
@@ -194,7 +201,7 @@ def main(argv=None):
     p.add_argument("--format", choices=["text", "json", "latex"],
                    default="text")
 
-    args = ap.parse_args(_expr_last(argv))
+    args = ap.parse_args(argv)
     try:
         return _dispatch(args)
     except BudgetExceeded as e:

@@ -18,18 +18,19 @@ belong to the rewrite module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .scalars import CycloRational, ONE, ZERO, scalar_factor, scalar_str
 
 
-@dataclass(frozen=True)
 class GeneratorInfo:
-    name: str
-    grade: int
-    weight: int  # effective Z3 commutation weight
-    nilpotency: int | None = None
-    d_image: str | None = None  # generator name, "zero", or None (d undefined)
+    """A letter: its name, declared grade, effective Z3 commutation weight,
+    nilpotency or None, and d image (a generator name, "zero", or None
+    where d is undefined)."""
+
+    __slots__ = ("name", "grade", "weight", "nilpotency", "d_image")
+
+    def __init__(self, name, grade, weight, nilpotency=None, d_image=None):
+        self.name, self.grade, self.weight = name, grade, weight
+        self.nilpotency, self.d_image = nilpotency, d_image
 
 
 def word_grade(word, gens):

@@ -48,6 +48,14 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+def _echo(token):
+    """token quoted for an error message; past its first 40 characters a
+    name or number is cut, and its length given instead."""
+    if len(token) <= 40:
+        return repr(token)
+    return "%r… of %d characters" % (token[:40], len(token))
+
+
 def _tokenize(text):
     toks = []
     i, n = 0, len(text)
@@ -95,8 +103,8 @@ class _Parser:
     def take(self, kind=None):
         tok = self.toks[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ParseError("expected %s, got %r" % (kind, tok[1] or "end of input"),
-                             tok[2])
+            raise ParseError("expected %s, got %s"
+                             % (kind, _echo(tok[1] or "end of input")), tok[2])
         self.pos += 1
         return tok
 
@@ -104,7 +112,7 @@ class _Parser:
         p = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ParseError("trailing input %r" % tok[1], tok[2])
+            raise ParseError("trailing input %s" % _echo(tok[1]), tok[2])
         return p
 
     def expr(self):
@@ -184,11 +192,12 @@ class _Parser:
             if text == "j":
                 return NCPolynomial.unit(J)
             if self.alphabet is None:
-                raise ParseError("unknown scalar symbol %r" % text, off)
+                raise ParseError("unknown scalar symbol %s" % _echo(text), off)
             if text not in self.alphabet:
-                raise ParseError("unknown generator %r" % text, off)
+                raise ParseError("unknown generator %s" % _echo(text), off)
             return NCPolynomial.gen(text)
-        raise ParseError("expected a value, got %r" % (text or "end of input"), off)
+        raise ParseError("expected a value, got %s"
+                         % _echo(text or "end of input"), off)
 
     @staticmethod
     def _scalar_of(p, off):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,8 +254,8 @@ def cartan():
         ("cartan:ud2th", ("u", "d2th"), (_QI, ("d2th", "u")),
          (J - J2, ("xinv", "th", "d2x", "u")), (-(_QI * J2), ("h", "d2x", "u"))),
     ])
-    gens = [replace(g, nilpotency=2) if g.name == "h" else g
-            for g in loc.generators]
+    gens = [GeneratorInfo("h", g.grade, g.weight, 2, g.d_image)
+            if g.name == "h" else g for g in loc.generators]
     return Presentation("cartan", gens, loc.rules + xinv_rules, loc.order,
                         q="symbolic")
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ONE, specialize_q
@@ -96,7 +95,7 @@ class TermOrder:
     def __init__(self, weights, precedence):
         for g in precedence:
             w = weights.get(g)
-            if not isinstance(w, int) or w <= 0:
+            if type(w) is not int or w <= 0:  # bool is an int subclass
                 raise ValueError("generator %r needs a positive integer weight" % g)
         self.weights = dict(weights)
         self.precedence = list(precedence)
@@ -114,11 +113,13 @@ class TermOrder:
         return self._idx[g]
 
 
-@dataclass(frozen=True)
 class RewriteRule:
-    lhs: tuple
-    rhs: NCPolynomial
-    ref: str = ""
+    """lhs -> rhs: a word, the polynomial it rewrites to, and a label."""
+
+    __slots__ = ("lhs", "rhs", "ref")
+
+    def __init__(self, lhs, rhs, ref=""):
+        self.lhs, self.rhs, self.ref = lhs, rhs, ref
 
 
 def _solve_for(d, lead, source="the difference"):
@@ -529,9 +530,9 @@ class Presentation:
         gens = []
         for n, d in enumerate(doc["generators"]):
             if not (isinstance(d, dict) and isinstance(d.get("name"), str)
-                    and isinstance(d.get("grade"), int)
-                    and isinstance(d.get("weight"), int)
-                    and isinstance(d.get("nilpotency", 0), int)
+                    and type(d.get("grade")) is int  # not a bool
+                    and type(d.get("weight")) is int
+                    and type(d.get("nilpotency", 0)) is int
                     and isinstance(d.get("d_image", ""), str)):
                 raise ValueError("generator #%d needs a name and an integer "
                                  "grade and weight; a nilpotency is an "
@@ -566,7 +567,8 @@ class Presentation:
             except ValueError as e:
                 raise ValueError("q must be \"symbolic\" or a rational: %s"
                                  % e) from None
-        rules, owner = [], {}
+        # each distinct coefficient string is parsed once per call
+        rules, owner, coeffs = [], {}, {}
         for n, rd in enumerate(doc["rules"]):
             if not (isinstance(rd, dict) and "lhs" in rd
                     and isinstance(rd.get("rhs"), list)):
@@ -587,11 +589,13 @@ class Presentation:
                         and "word" in t):
                     raise ValueError("rule %s: rhs term %r needs a coeff string "
                                      "and a word" % (tag, t))
-                try:
-                    c = parse_scalar(t["coeff"], q)
-                except ParseError as e:  # the coeff itself may be huge
-                    raise ValueError("rule %s: rhs term %d: %s"
-                                     % (tag, k, e)) from None
+                c = coeffs.get(t["coeff"])
+                if c is None:
+                    try:
+                        c = coeffs[t["coeff"]] = parse_scalar(t["coeff"], q)
+                    except ParseError as e:  # the coeff itself may be huge
+                        raise ValueError("rule %s: rhs term %d: %s"
+                                         % (tag, k, e)) from None
                 rhs = rhs + NCPolynomial.word(word(t["word"], tag), c)
             rules.append(RewriteRule(lhs, rhs, rd.get("ref", "")))
         return Presentation(doc["name"], gens, rules, order, q=q)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .scalars import J, J2
 from .freealg import NCPolynomial, apply_hom, fa_str
 from .rewrite import Presentation
-from .calculus import all_pass, flag, zero_entry
+from .report import all_pass, flag, zero_entry
 from . import presets as _presets
 
 

@@ -327,6 +327,17 @@ def test_cli_long_coefficient_is_bad_input(capsys, expr):
     assert err.startswith("error: ") and "bits" in err
 
 
+@pytest.mark.parametrize("expr, offset", [
+    ("x*" + "a" * 5000, 2), ("x^" + "a" * 5000, 2), ("x " + "9" * 5000, 2),
+    ("x*(" + "b" * 5000, 3)], ids=["generator", "exponent", "trailing", "value"])
+def test_cli_long_token_is_clipped(capsys, expr, offset):
+    # the message gives the token's first 40 characters and its length
+    rc, out, err = main_cli(capsys, "reduce", "--preset", "q_plane", expr)
+    assert (rc, out) == (2, "")
+    assert len(err) < 200 and err.endswith("(at byte %d)\n" % offset)
+    assert "'%s'… of 5000 characters" % expr[offset:offset + 40] in err
+
+
 def test_cli_prints_long_coefficient(capsys):
     got = main_cli(capsys, "reduce", "--preset", "q_plane", "2^5000",
                    timeout=5)
@@ -426,6 +437,25 @@ def test_cli_verify_usage_lists_the_suites():
         "--suite " + "|".join(calculus.SUITE_NAMES))
 
 
+def test_cold_sdet_and_supergroup_load_no_calculus():
+    # a cold process pays for every module it imports; these commands use
+    # neither calculus nor dataclasses, which imports inspect and ast
+    code = """if True:
+        import contextlib, io, sys
+        before = set(sys.modules)
+        from z3calc.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            for args in (["sdet"], ["supergroup", "--check", "inverse"],
+                         ["supergroup", "--check", "sdet"]):
+                assert main(args) == 0, args
+        print(*sorted(set(sys.modules) - before))
+    """
+    new = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout.split())
+    assert "z3calc.supergroup" in new
+    assert not new & {"dataclasses", "inspect", "z3calc.calculus"}
+
+
 def test_cli_exit_code_budget():
     r = run_cli("reduce", "--preset", "qjh_calculus", "th*th*dx*dx*x",
                 env={"Z3CALC_STEP_BUDGET": "2"})
@@ -499,6 +529,20 @@ def test_cli_presets_import_rejects_zero_weight(tmp_path, capsys):
         tmp_path, capsys, lambda d: d["order"]["weights"].update(x=0))
     assert (rc, out) == (2, "")
     assert err == "error: generator 'x' needs a positive integer weight\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["generators"][0].update(grade=True), "integer grade"),
+    (lambda d: d["generators"][0].update(nilpotency=False), "nilpotency"),
+    (lambda d: d["order"]["weights"].update(x=True),
+     "generator 'x' needs a positive integer weight"),
+], ids=["grade", "nilpotency", "weight"])
+def test_cli_presets_import_rejects_booleans(tmp_path, capsys, change,
+                                             message):
+    # JSON true and false decode to bool, which Python counts as an int
+    rc, out, err = _import_h_plane(tmp_path, capsys, change)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_presets_import_reports_inhomogeneous(tmp_path, capsys):

@@ -414,10 +414,55 @@ def _malformed(edit):
     (lambda d: d["rules"][0].pop("rhs"), "needs an lhs and an rhs list"),
     (lambda d: d["rules"][0]["rhs"][0].update(coeff="x"),
      "^rule .+: rhs term 0: unknown scalar symbol 'x'"),
+    # JSON true and false are Python ints too
+    (lambda d: d["generators"][0].update(grade=True), "integer grade"),
+    (lambda d: d["generators"][0].update(nilpotency=False), "nilpotency"),
+    (lambda d: d["order"]["weights"].update(h=True),
+     "'h' needs a positive integer weight"),
 ])
 def test_from_json_rejects_malformed(edit, message):
     with pytest.raises(ValueError, match=message):
         Presentation.from_json(_malformed(edit))
+
+
+def test_from_json_clips_a_long_coefficient_token():
+    # the message names the rule and term, not 100,000 letters
+    doc = _malformed(lambda d: d["rules"][3]["rhs"][0].update(coeff="a" * 10**5))
+    with pytest.raises(ValueError) as err:
+        Presentation.from_json(doc)
+    msg = str(err.value)
+    assert len(msg) < 200
+    assert msg.startswith("rule passage:xh: rhs term 0: unknown scalar "
+                          "symbol '%s'… of 100000 characters" % ("a" * 40))
+
+
+def test_from_json_parses_each_coefficient_string_once(monkeypatch):
+    from z3calc import parser
+    parse_scalar = parser.parse_scalar
+    doc = json.loads(presets.glhj_localized().dumps())
+    calls = Counter()
+
+    def counted(text, q="symbolic"):
+        calls[text] += 1
+        return parse_scalar(text, q)
+
+    monkeypatch.setattr(parser, "parse_scalar", counted)
+    L = Presentation.from_json(doc)
+    assert calls and set(calls.values()) == {1}
+    # equal strings load as equal scalars, the scalar each spells
+    for r, rd in zip(L.rules, doc["rules"]):
+        for t in rd["rhs"]:
+            assert r.rhs.coeff(t["word"]) == parse_scalar(t["coeff"], L.q)
+    # a bad string met twice fails where it first occurs, and the next
+    # call parses it afresh
+    def twice(d):
+        d["rules"][0]["rhs"][1].update(coeff="1/zz")
+        d["rules"][3]["rhs"][0].update(coeff="1/zz")
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            Presentation.from_json(_malformed(twice))
+        assert str(err.value) == ("rule plane:xth: rhs term 1: unknown scalar "
+                                  "symbol 'zz' (at byte 2)")
 
 
 def test_from_json_reads_q_as_bound_value():
