@@ -531,20 +531,6 @@ def test_cli_presets_import_rejects_zero_weight(tmp_path, capsys):
     assert err == "error: generator 'x' needs a positive integer weight\n"
 
 
-@pytest.mark.parametrize("change, message", [
-    (lambda d: d["generators"][0].update(grade=True), "integer grade"),
-    (lambda d: d["generators"][0].update(nilpotency=False), "nilpotency"),
-    (lambda d: d["order"]["weights"].update(x=True),
-     "generator 'x' needs a positive integer weight"),
-], ids=["grade", "nilpotency", "weight"])
-def test_cli_presets_import_rejects_booleans(tmp_path, capsys, change,
-                                             message):
-    # JSON true and false decode to bool, which Python counts as an int
-    rc, out, err = _import_h_plane(tmp_path, capsys, change)
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: ") and message in err
-
-
 def test_cli_presets_import_reports_inhomogeneous(tmp_path, capsys):
     def add_x(doc):  # x*th -> th*x + h*x*x + x
         rule = doc["rules"][0]
