@@ -48,12 +48,17 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-def _echo(token):
-    """token quoted for an error message; past its first 40 characters a
-    name or number is cut, and its length given instead."""
+def _echo(token, show=repr):
+    """show(token) for an error message; past its first 40 characters a
+    name, ref or number is cut, and so is a word past its first 40
+    letters, and its length given instead.  Any other value is cut as
+    the text show makes of it."""
+    if not isinstance(token, (str, list, tuple)):
+        token, show = show(token), str
     if len(token) <= 40:
-        return repr(token)
-    return "%r… of %d characters" % (token[:40], len(token))
+        return show(token)
+    return "%s… of %d %s" % (show(token[:40]), len(token), "characters"
+                             if isinstance(token, str) else "letters")
 
 
 def _tokenize(text):

@@ -16,15 +16,12 @@ discipline of Sims 1994) and so reduce and memoise only words g*v with v
 irreducible.  The census that decides this runs once per rule system and
 process; q_plane, h_plane, hj_calculus and qjh_calculus pass it.  Every
 other presentation reduces leftmost, and so do critical_pairs, saturate
-and localize, saturate's memo bookkeeping relying on that.  Reduction
-never completes a presentation behind the caller's back, it only reports
-critical pairs.
+and localize.  Reduction never completes a presentation behind the
+caller's back, it only reports critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
-one presentation, drop only the memo entries that the new rules change,
-and reduce a pair of older rules again only if one of its one-step
-reducts was dropped.  The loop records where it rewrote each word, so
-a memo word is scanned for the new left sides only left of that
-position, with a trie of just those left sides.
+one presentation, which drops only the memo entries that the new rules
+change, and reduce a pair of older rules again only if one of its
+one-step reducts was dropped.
 
 Matching walks one trie over the rule left sides from each position of
 the word; the trie is built on the first reduction after the rules
@@ -50,6 +47,7 @@ from fractions import Fraction
 
 from .scalars import ONE, specialize_q
 from .freealg import GeneratorInfo, NCPolynomial, word_grade, fa_str, term_list
+from .parser import _echo
 
 # Every reduction may take at most Z3CALC_STEP_BUDGET rewrite steps, this
 # many when the variable is unset.
@@ -69,8 +67,8 @@ def _step_budget():
     try:
         return int(raw)
     except ValueError:
-        raise ValueError("Z3CALC_STEP_BUDGET=%r is not an integer"
-                         % raw) from None
+        raise ValueError("Z3CALC_STEP_BUDGET=%s is not an integer"
+                         % _echo(raw)) from None
 
 
 class BudgetExceeded(RuntimeError):
@@ -79,7 +77,7 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, word, steps, rule):
         super().__init__("step budget exceeded after %d steps while reducing "
-                         "%r (last rule fired: %s)" % (steps, word, rule))
+                         "%s (last rule fired: %s)" % (steps, _echo(word), rule))
         self.word = word
         self.steps = steps
         self.rule = rule
@@ -96,7 +94,8 @@ class TermOrder:
         for g in precedence:
             w = weights.get(g)
             if type(w) is not int or w <= 0:  # bool is an int subclass
-                raise ValueError("generator %r needs a positive integer weight" % g)
+                raise ValueError("generator %s needs a positive integer weight"
+                                 % _echo(g))
         self.weights = dict(weights)
         self.precedence = list(precedence)
         self._idx = {g: i for i, g in enumerate(precedence)}
@@ -183,7 +182,7 @@ def _lhs_trie(rules):
 def _leftmost(trie, word, start, stop):
     """(position, rule) of the leftmost match of the trie in word that
     starts in range(start, stop), or None.  It is the one scan: every
-    reduction and every memo check of saturate finds its matches here."""
+    reduction and every memo check of _append finds its matches here."""
     n = len(word)
     for i in range(start, stop):
         node = trie.get(word[i])
@@ -272,20 +271,38 @@ class Presentation:
         self.q = q  # "symbolic" or a Fraction
         self.gens = {g.name: g for g in self.generators}
         self._memo = {}
-        # while saturate runs: memo word -> position of the match that
-        # rewrote it, for _drop_changed; None otherwise
-        self._at = None
+        self._verdict = None
         self._append(rules)
 
     def _append(self, rules):
-        """Declare rules after the existing ones.  The caller keeps the
-        memo valid; the trie is rebuilt on next use."""
+        """Declare rules after the existing ones, then drop from the memo,
+        and return, every word whose reduction that changes: its leftmost
+        match is now a new rule (at the old match the old rule still wins,
+        as it was declared first), or its one-step reduct holds a dropped
+        word, which the memo lists first.  While normal forms are unique
+        the memo may hold suffix-first entries, which fold g*v instead of
+        following a rule, so it is dropped whole."""
         for r in rules:
             if not r.lhs:
-                raise ValueError("rule %s has an empty lhs" % (r.ref or "?"))
+                raise ValueError("rule %s has an empty lhs"
+                                 % _echo(r.ref or "?", str))
         self.rules.extend(rules)
         self._trie = None
-        self._verdict = None
+        memo, unique, self._verdict = self._memo, self._verdict, None
+        if unique:
+            dropped = set(memo)
+        else:
+            dropped, fresh = set(), set(rules)
+            trie = self._index() if memo else None
+            for w in memo:
+                match = _leftmost(trie, w, 0, len(w))
+                if match is not None and (
+                        match[1] in fresh
+                        or dropped and _touches(dropped, w, match[1], match[0])):
+                    dropped.add(w)
+        for w in dropped:
+            del memo[w]
+        return dropped
 
     def _index(self):
         """The trie over the left sides, built on first use after the
@@ -330,10 +347,8 @@ class Presentation:
         (_leftmost_frame or _prepend) that yields each word it needs
         rewritten with its match, is sent the word's normal form, and
         returns its sum.  The word is memoised when its frame returns.
-        While saturate runs, the position of the match is recorded in _at
-        for each word rewritten.  Only a memo miss that rewrites is charged
-        against the budget."""
-        trie, memo, at = self._index(), self._memo, self._at
+        Only a memo miss that rewrites is charged against the budget."""
+        trie, memo = self._index(), self._memo
         maxlen = self._maxlen
         left, last = budget, None  # last: ref of the last rule fired
         stack = [_prepend(trie, memo, p.t.items(), ()) if suffix_first
@@ -353,8 +368,6 @@ class Presentation:
             if left < 0:
                 raise BudgetExceeded(w, max(budget, 0), last)
             last = rule.ref
-            if at is not None:
-                at[w] = i
             reducts, suffix = rule.rhs.t.items(), w[i + len(rule.lhs):]
             stack.append(
                 _prepend(trie, memo, reducts, suffix) if suffix_first
@@ -538,8 +551,8 @@ class Presentation:
                                  "grade and weight; a nilpotency is an "
                                  "integer and a d_image a string" % n)
             if any(g.name == d["name"] for g in gens):
-                raise ValueError("generator #%d repeats the name %r"
-                                 % (n, d["name"]))
+                raise ValueError("generator #%d repeats the name %s"
+                                 % (n, _echo(d["name"])))
             gens.append(GeneratorInfo(d["name"], d["grade"], d["weight"],
                                       d.get("nilpotency"), d.get("d_image")))
         names = {g.name for g in gens}
@@ -556,8 +569,8 @@ class Presentation:
         def word(w, tag):
             if not (isinstance(w, list)
                     and all(isinstance(g, str) and g in names for g in w)):
-                raise ValueError("rule %s: %r is not a word in the generators"
-                                 % (tag, w))
+                raise ValueError("rule %s: %s is not a word in the generators"
+                                 % (tag, _echo(w)))
             return tuple(w)
 
         q = doc.get("q", "symbolic")
@@ -575,7 +588,7 @@ class Presentation:
                 raise ValueError("rule #%d needs an lhs and an rhs list" % n)
             if not isinstance(rd.get("ref", ""), str):
                 raise ValueError("rule #%d: its ref is not a string" % n)
-            tag = rd.get("ref") or "#%d" % n
+            tag = _echo(rd.get("ref") or "#%d" % n, str)
             lhs = word(rd["lhs"], tag)
             if not lhs:
                 raise ValueError("rule %s has an empty lhs" % tag)
@@ -587,8 +600,8 @@ class Presentation:
             for k, t in enumerate(rd["rhs"]):
                 if not (isinstance(t, dict) and isinstance(t.get("coeff"), str)
                         and "word" in t):
-                    raise ValueError("rule %s: rhs term %r needs a coeff string "
-                                     "and a word" % (tag, t))
+                    raise ValueError("rule %s: rhs term %s needs a coeff string "
+                                     "and a word" % (tag, _echo(t)))
                 c = coeffs.get(t["coeff"])
                 if c is None:
                     try:
@@ -627,13 +640,9 @@ def saturate(pres, skip=None):
     off the runaway families and accepts partial saturation instead of
     confluence.
 
-    All sweeps share one presentation and its memo.  Appending rules
-    drops exactly the memo words whose reduction they change: a word
-    whose leftmost match starts right of a new left side's occurrence
-    (anywhere, for an irreducible word), and a word whose rewrite step
-    produced a dropped word.  Leftmost reduction records where it
-    rewrote each word, so only the part left of that position is
-    scanned, for the new left sides alone.  An ambiguity of two rules
+    All sweeps share one presentation and its memo, from which
+    Presentation._append drops exactly the words whose reduction the
+    sweep's rules change.  An ambiguity of two rules
     that the previous sweep already had is skipped when none of its
     one-step reducts was dropped, which its words tell before any
     polynomial is built.  Its difference is then the one that sweep saw,
@@ -645,7 +654,6 @@ def saturate(pres, skip=None):
     """
     P = Presentation(pres.name, pres.generators, pres.rules, pres.order,
                      q=pres.q)
-    P._at = {}
     key, budget = pres.order.key, _step_budget()
     seen = {r.lhs for r in P.rules}
     old, dropped = 0, set()
@@ -664,37 +672,11 @@ def saturate(pres, skip=None):
         if not new:
             break
         old = len(P.rules)
-        dropped = _drop_changed(P, new)
+        dropped = P._append(new)
     # the pairs' words would only hold memory, and later reductions are
     # charged against the step budget as in a fresh presentation
     P._memo.clear()
-    P._at = None
     return P
-
-
-def _drop_changed(P, new):
-    """Declare the rules new after P's rules, then drop from P's memo, and
-    return, every word whose reduction that changes.  Its leftmost match
-    may now be a new rule: at the old match, P._at[w], the old rule still
-    wins, as it was declared first, and left of it only a new left side
-    can match, so only that part is scanned, with a trie of new's left
-    sides (all of an irreducible word).  Or its rewrite step produced a
-    dropped word, which the memo lists first."""
-    P._append(new)
-    trie, memo, at = P._index(), P._memo, P._at
-    fresh = _lhs_trie(new)
-    dropped = set()
-    for w in memo:
-        i = at.get(w)
-        if _leftmost(fresh, w, 0, len(w) if i is None else i) is not None:
-            dropped.add(w)
-        elif (i is not None and dropped
-              and _touches(dropped, w, _leftmost(trie, w, i, i + 1)[1], i)):
-            dropped.add(w)
-    for w in dropped:
-        del memo[w]
-        at.pop(w, None)
-    return dropped
 
 
 def localize(pres, v, vinv):

@@ -163,11 +163,10 @@ class QJPoly:
         return len(self.c) <= 1
 
     def split_q(self):
-        """(k, p) with self = q^k * p and q not dividing p; k = 0 for zero."""
+        """(k, p) with self = q^k * p and q not dividing p, self nonzero."""
         for k, v in enumerate(self.c):
             if v:
                 return k, (QJPoly(self.c[k:]) if k else self)
-        return 0, self
 
     def __eq__(self, other):
         return isinstance(other, QJPoly) and self.c == other.c
@@ -186,8 +185,6 @@ class QJPoly:
 
     def __mul__(self, other):
         a, b = self.c, other.c
-        if not a or not b:
-            return P_ZERO
         if len(a) == 1:
             return other.scale(a[0])
         if len(b) == 1:
@@ -226,8 +223,6 @@ class QJPoly:
         return QJPoly(quo), QJPoly(rem)
 
     def monic(self):
-        if self.is_zero():
-            return self
         lc = self.c[-1]
         if lc == QJ_ONE:
             return self

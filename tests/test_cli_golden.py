@@ -49,7 +49,8 @@ COMMANDS = (
        ((*_QJH, "x^y"), None),
        (("presets", "import"), None),
        (("pairs", "--preset", "qjh_calculus"), "2"),
-       (("sdet",), "50")]
+       (("sdet",), "50"),
+       (("reduce", "--preset", "weyl", "px*x^3000"), "3")]
 )
 
 
@@ -86,7 +87,7 @@ def digest(argv, budget):
 
 def test_golden_covers_every_command():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert len(COMMANDS) == 53
+    assert len(COMMANDS) == 54
     assert sorted(golden) == sorted(_id(*c) for c in COMMANDS)
 
 

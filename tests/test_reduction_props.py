@@ -1,7 +1,8 @@
 """Property tests for reduction: normal forms are fixed points and
 irreducible, and d^3 = 0 in the calculi; export -> import gives the
-same preset back; and saturate derives what recomputing every ambiguity
-derives."""
+same preset back; saturate derives what recomputing every ambiguity
+derives; and appending rules keeps only the memo entries that a fresh
+presentation of all the rules agrees with."""
 
 import functools
 import itertools
@@ -106,6 +107,19 @@ def _words(letters, n):
             for w in itertools.product(letters, repeat=k)]
 
 
+def _oriented(draw, letters, order, lhs):
+    """The rule lhs -> 0 to 2 nonempty words over letters, none longer
+    than lhs and each below it under order."""
+    below = [w for w in _words(letters, len(lhs))
+             if order.key(w) < order.key(lhs)]
+    rhs = NCPolynomial()
+    for w in draw(st.lists(st.sampled_from(below), max_size=2,
+                           unique=True)) if below else ():
+        c = draw(st.sampled_from([ONE, MINUS_ONE, rational(2), J]))
+        rhs = rhs + NCPolynomial.word(w, c)
+    return RewriteRule(lhs, rhs, "".join(lhs))
+
+
 @st.composite
 def toy_presentations(draw):
     """3 or 4 letters of weight 1 and up to 6 rules with distinct left
@@ -116,16 +130,7 @@ def toy_presentations(draw):
     order = TermOrder({g: 1 for g in letters}, list(letters))
     lhss = draw(st.lists(st.sampled_from(_words(letters, 3)),
                          min_size=1, max_size=6, unique=True))
-    rules = []
-    for lhs in lhss:
-        below = [w for w in _words(letters, len(lhs))
-                 if order.key(w) < order.key(lhs)]
-        rhs = NCPolynomial()
-        for w in draw(st.lists(st.sampled_from(below), max_size=2,
-                               unique=True)) if below else ():
-            c = draw(st.sampled_from([ONE, MINUS_ONE, rational(2), J]))
-            rhs = rhs + NCPolynomial.word(w, c)
-        rules.append(RewriteRule(lhs, rhs, "".join(lhs)))
+    rules = [_oriented(draw, letters, order, lhs) for lhs in lhss]
     gens = [GeneratorInfo(g, 0, 1) for g in letters]
     return Presentation("toy", gens, rules, order, q=1)
 
@@ -141,3 +146,35 @@ def test_saturate_matches_reference_on_toy_presentations(P, limit):
 
     assert _listed(saturate(P, skip=skip)) == \
         _listed(reference_saturate(P, skip))
+
+
+@pytest.mark.parametrize("name", ["toy", "q_plane", "h_plane",
+                                  "hj_calculus", "qjh_calculus"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_append_drops_every_memo_word_it_changes(name, data):
+    # a memo warmed leftmost and suffix first (the catalog presets are
+    # confluent) keeps, after rules are appended, only entries that a
+    # fresh presentation of all the rules reduces alike
+    P = (data.draw(toy_presentations()) if name == "toy"
+         else presets.build(name))
+    letters = [g.name for g in P.generators]
+    words = data.draw(st.lists(st.lists(st.sampled_from(letters), min_size=1,
+                                        max_size=6).map(tuple),
+                               min_size=1, max_size=6))
+    for w in words:
+        if data.draw(st.booleans()):
+            P.normal_form(NCPolynomial.word(w))
+        else:
+            P._reduce(NCPolynomial.word(w), DEFAULT_BUDGET)
+    lhss = [data.draw(st.sampled_from(_words(letters, 3)))
+            for _ in range(data.draw(st.integers(1, 2)))]
+    dropped = P._append([_oriented(data.draw, letters, P.order, lhs)
+                         for lhs in lhss])
+    assert not dropped & P._memo.keys()
+    fresh = Presentation(P.name, P.generators, P.rules, P.order, q=P.q)
+    for w, nf in P._memo.items():
+        assert nf == fresh._reduce(NCPolynomial.word(w), DEFAULT_BUDGET), w
+    for w in words:
+        assert P.normal_form(NCPolynomial.word(w)) == \
+            fresh.normal_form(NCPolynomial.word(w)), w

@@ -391,6 +391,12 @@ def test_empty_lhs_rejected():
                      order)
 
 
+def _zero_weight(doc, name):
+    doc["generators"].append({"name": name, "grade": 0, "weight": 1})
+    doc["order"]["weights"][name] = 0
+    doc["order"]["precedence"].append(name)
+
+
 def _malformed(edit):
     doc = json.loads(presets.build("h_plane").dumps())
     edit(doc)
@@ -419,6 +425,14 @@ def _malformed(edit):
     (lambda d: d["generators"][0].update(nilpotency=False), "nilpotency"),
     (lambda d: d["order"]["weights"].update(h=True),
      "'h' needs a positive integer weight"),
+    # a ref, name or word from the file is cut past 40 characters or
+    # letters, so the message stays short and still names the rule
+    (lambda d: d["rules"][0].update(ref="r" * 10**5, lhs=["x", "zz"]),
+     r"^(?=.{,200}$)rule r{40}… of 100000 characters: \['x', 'zz'\] is not "),
+    (lambda d: d["rules"][0]["rhs"][0].update(word=["zz"] * 50000),
+     r"^(?=.{,400}$)rule plane:xth: \['zz'(, 'zz'){39}\]… of 50000 letters "),
+    (lambda d: _zero_weight(d, "n" * 10**5),
+     r"^(?=.{,200}$)generator 'n{40}'… of 100000 characters needs a "),
 ])
 def test_from_json_rejects_malformed(edit, message):
     with pytest.raises(ValueError, match=message):
