@@ -35,6 +35,7 @@ import functools
 from .scalars import (ONE, J, J2, MINUS_ONE, jpow, qpow, rational,
                       specialize_q)
 from .freealg import NCPolynomial, apply_hom, word_grade
+from .parser import _echo
 from .report import all_pass, flag, zero_entry
 from . import presets as _presets
 
@@ -215,7 +216,7 @@ def _d_suite(suite):
         if suite != "d_stability":
             checks.append(zero_entry("relation_" + name, P, rel))
         checks.append(zero_entry("d_" + name, P, d(rel, reduce=False)))
-    return {"suite": suite, "checks": checks}
+    return checks
 
 
 # the letters the partials are defined on
@@ -304,15 +305,12 @@ def _suite_partials():
     checks.append(_monomial_check(
         "df_decomposition", lambda f: verify_df_decomposition(P, f),
         amax=1, bmax=2, cmax=4))
-    return {"suite": "partials", "checks": checks}
+    return checks
 
 
 def _p_free(p):
-    out = NCPolynomial.zero()
-    for w, c in p.t.items():
-        if "px" not in w and "pth" not in w:
-            out = out + NCPolynomial.word(w, c)
-    return out
+    return NCPolynomial({w: c for w, c in p.t.items()
+                         if "px" not in w and "pth" not in w})
 
 
 def _suite_weyl():
@@ -324,7 +322,7 @@ def _suite_weyl():
         checks.append(_monomial_check(
             "weyl_%s_matches_partial" % letter,
             lambda f: _p_free(W.normal_form(p * f)) == part(axis, f)))
-    return {"suite": "weyl", "checks": checks}
+    return checks
 
 
 # Cartan pair: invariant forms written in the localized letters.
@@ -380,10 +378,7 @@ def cartan_verify():
     by_ref = {r.ref: r for r in C1.rules}
     bad = []
     for ref, terms in _Q1_CARTAN_RHS.items():
-        want = NCPolynomial.zero()
-        for c, w in terms:
-            want = want + NCPolynomial.word(w, c)
-        if by_ref[ref].rhs != want:
+        if by_ref[ref].rhs != NCPolynomial({w: c for c, w in terms}):
             bad.append(ref)
     checks.append(flag("q1_bullet_forms", not bad, ", ".join(bad)))
 
@@ -406,7 +401,7 @@ def cartan_verify():
         "q1_wdth_coefficient_pinned",
         diff == NCPolynomial.word(("th", "xinv", "dx", "w"), J - J2),
         witness="th coefficient must be 1 - j^2, not 1 - j"))
-    return {"suite": "cartan", "checks": checks}
+    return checks
 
 
 _SUITES = {
@@ -420,18 +415,13 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def replay(suite):
+    """The report of suite; "all" prefixes each check with its suite."""
     if suite == "all":
-        out = {"suite": "all", "checks": []}
-        for name in _SUITES:
-            sub = _SUITES[name]()
-            for c in sub["checks"]:
-                c = dict(c)
-                c["name"] = name + "." + c["name"]
-                out["checks"].append(c)
+        checks = [dict(c, name=name + "." + c["name"])
+                  for name, run in _SUITES.items() for c in run()]
     elif suite in _SUITES:
-        out = _SUITES[suite]()
+        checks = _SUITES[suite]()
     else:
-        raise KeyError("unknown suite %r (choose from %s)"
-                       % (suite, ", ".join(SUITE_NAMES)))
-    out["ok"] = all_pass(out["checks"])
-    return out
+        raise KeyError("unknown suite %s (choose from %s)"
+                       % (_echo(suite), ", ".join(SUITE_NAMES)))
+    return {"suite": suite, "checks": checks, "ok": all_pass(checks)}

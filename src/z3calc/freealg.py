@@ -18,7 +18,7 @@ belong to the rewrite module.
 
 from __future__ import annotations
 
-from .scalars import CycloRational, ONE, ZERO, scalar_factor, scalar_str
+from .scalars import ONE, ZERO, scalar_factor, scalar_str
 
 
 class GeneratorInfo:
@@ -106,8 +106,6 @@ class NCPolynomial:
         return r
 
     def __mul__(self, other):
-        if isinstance(other, CycloRational):
-            return self.scale(other)
         out = {}
         for w1, c1 in self.t.items():
             for w2, c2 in other.t.items():

@@ -45,7 +45,7 @@ MAX_TERMS = 100000
 class ParseError(ValueError):
     def __init__(self, message, offset):
         super().__init__("%s (at byte %d)" % (message, offset))
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 def _echo(token, show=repr):
@@ -73,9 +73,9 @@ def _tokenize(text):
             toks.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("num", text[i:j], i))
             i = j
@@ -96,7 +96,7 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, alphabet, q):
-        self.toks = _tokenize(text)
+        self.text = text
         self.pos = 0
         self.depth = 0
         self.alphabet = alphabet  # set of generator names, or None for scalar-only
@@ -114,11 +114,19 @@ class _Parser:
         return tok
 
     def parse(self):
-        p = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError("trailing input %s" % _echo(tok[1]), tok[2])
-        return p
+        """The parsed text.  An error gives the UTF-8 byte offset of its
+        token; the text before it holds no lone surrogate, as _tokenize
+        refuses one."""
+        try:
+            self.toks = _tokenize(self.text)
+            p = self.expr()
+            tok = self.peek()
+            if tok[0] != "end":
+                raise ParseError("trailing input %s" % _echo(tok[1]), tok[2])
+            return p
+        except ParseError as e:
+            at = len(self.text[:e.offset].encode())
+            raise ParseError(e.message, at) from None
 
     def expr(self):
         p = self.term()
@@ -139,7 +147,7 @@ class _Parser:
                                      % MAX_TERMS, off)
                 p = _bounded(p * r, off)
             else:
-                p = _bounded(p * self._scalar_of(r, off).inv(), off)
+                p = _bounded(p.scale(self._scalar_of(r, off).inv()), off)
         return p
 
     def unary(self):
@@ -256,7 +264,11 @@ def q_value(text, name="--q"):
     try:
         q0 = None if long else Fraction(text)
     except ZeroDivisionError:
-        raise ValueError("%s %s divides by zero" % (name, text)) from None
+        raise ValueError("%s %s divides by zero"
+                         % (name, _echo(text, str))) from None
+    except ValueError:  # Python's wording, with the text clipped
+        raise ValueError("Invalid literal for Fraction: %s"
+                         % _echo(text)) from None
     if long or max(q0.numerator.bit_length(),
                    q0.denominator.bit_length()) > MAX_BITS:
         raise ValueError("%s: numerator or denominator longer than %d bits"

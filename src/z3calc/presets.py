@@ -1,13 +1,13 @@
 """Shipped presentations.
 
-Every factory returns a fresh Presentation; build() checks that its
-rules are homogeneous and oriented against its term order, and refuses
-the preset otherwise.  The collapse rules (ref "derived:...") are
-consequences of the listed relations, obtained by orienting differences
-of overlap ambiguities; they are part of the presentation so that
-reduction alone decides equality, and test_collapse_lists_are_saturated
-in tests/test_presets.py re-derives the lists of h_plane and
-qjh_calculus by saturation.
+Every factory, glhj_localized included, returns a fresh Presentation;
+build() checks that its rules are homogeneous and oriented against its
+term order, and refuses the preset otherwise.  The collapse rules (ref
+"derived:...") are consequences of the listed relations, obtained by
+orienting differences of overlap ambiguities; they are part of the
+presentation so that reduction alone decides equality, and
+test_collapse_lists_are_saturated in tests/test_presets.py re-derives
+the lists of h_plane and qjh_calculus by saturation.
 
 q conventions: presets carrying a symbolic q say so in their q field,
 the rest are bound at q = 1.  Each relation, letter, order and twist
@@ -25,13 +25,13 @@ sdet = a*(T^-1)_22, built from supergroup.t_inverse.
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 from .scalars import ONE, J, J2, Q, MINUS_ONE, jpow, qpow, rational
 from .freealg import GeneratorInfo, NCPolynomial
+from .parser import _echo
 from .rewrite import Presentation, RewriteRule, TermOrder, localize, saturate
 
 _QI = qpow(-1)
@@ -70,13 +70,9 @@ def _pres(name, weights, rules, q="symbolic"):
 
 
 def _rules(entries):
-    out = []
-    for entry in entries:
-        rhs = NCPolynomial.zero()
-        for coeff, word in entry[2:]:
-            rhs = rhs + NCPolynomial.word(word, coeff)
-        out.append(RewriteRule(tuple(entry[1]), rhs, entry[0]))
-    return out
+    # the terms of each entry have distinct words
+    return [RewriteRule(tuple(lhs), NCPolynomial({w: c for c, w in terms}), ref)
+            for ref, lhs, *terms in entries]
 
 
 def _zero_rules(words):
@@ -317,7 +313,6 @@ def _gl_runaway(word):
 _GLHJ_LOCALIZED_JSON = Path(__file__).with_name("glhj_localized.json")
 
 
-@functools.cache
 def glhj_localized():
     """glhj with both diagonal entries inverted, read from the package
     file glhj_localized.json: the dumps() of _build_glhj_localized(),
@@ -325,8 +320,7 @@ def glhj_localized():
     read.  test_saturated_builds_pinned in tests/test_presets.py ties the
     file to the build; after a change to the build, `PYTHONPATH=src
     python tests/test_presets.py > src/z3calc/glhj_localized.json`
-    rewrites it.  The result is cached: callers share one instance and
-    must not mutate it.
+    rewrites it.
     """
     return Presentation.from_json(
         json.loads(_GLHJ_LOCALIZED_JSON.read_text(encoding="utf-8")))
@@ -369,9 +363,11 @@ _DUAL_RULES = [
     ("dual:phih", ("phi", "h"), (J, ("h", "phi"))),
 ]
 
+_DUAL_COLLAPSE = [("h", "h", "phi", "phi")]  # of dual_plane and coaction_dual
+
 
 def dual_plane():
-    rules = _rules(_DUAL_RULES) + _zero_rules([("h", "h", "phi", "phi")])
+    rules = _rules(_DUAL_RULES) + _zero_rules(_DUAL_COLLAPSE)
     return _pres("dual_plane", {"h": 1, "y": 2, "phi": 1}, rules,
                  q=Fraction(1))
 
@@ -401,7 +397,7 @@ def coaction_plane():
 def coaction_dual():
     dual = [e for e in _DUAL_RULES if e[0] != "dual:h3"]
     rules = (_glhj_rules() + _rules(dual) + _coact_rules(("phi", "y"))
-             + _zero_rules([("h", "h", "phi", "phi")]))
+             + _zero_rules(_DUAL_COLLAPSE))
     weights = dict(_GL_WEIGHTS, y=2, phi=1)
     return _pres("coaction_dual", weights, rules, q=Fraction(1))
 
@@ -431,7 +427,7 @@ def build(name):
     try:
         factory = PRESETS[name]
     except KeyError:
-        raise KeyError("unknown preset %r" % name) from None
+        raise KeyError("unknown preset %s" % _echo(name)) from None
     pres = factory()
     bad = pres.check_homogeneity()
     if bad:

@@ -100,16 +100,9 @@ class TermOrder:
         self.precedence = list(precedence)
         self._idx = {g: i for i, g in enumerate(precedence)}
 
-    def word_weight(self, word):
-        ww = self.weights
-        return sum(ww[g] for g in word)
-
     def key(self, word):
-        idx = self._idx
-        return (self.word_weight(word), -len(word), tuple(idx[g] for g in word))
-
-    def index(self, g):
-        return self._idx[g]
+        ww, idx = self.weights, self._idx
+        return (sum(ww[g] for g in word), -len(word), tuple(idx[g] for g in word))
 
 
 class RewriteRule:
@@ -701,7 +694,8 @@ def localize(pres, v, vinv):
     weights = dict(pres.order.weights)
     weights[vinv] = weights[v]
     precedence = list(pres.order.precedence)
-    precedence.insert(precedence.index(v), vinv)  # vinv just below v
+    below = precedence.index(v)
+    precedence.insert(below, vinv)  # vinv just below v
     order = TermOrder(weights, precedence)
 
     inv_rules = [
@@ -712,10 +706,10 @@ def localize(pres, v, vinv):
 
     # (lhs, g, left, vinv*rest*vinv, 1/c0), lhs vinv*g if left, else g*vinv
     targets = []
-    for g in order.precedence:
+    for i, g in enumerate(order.precedence):
         if g in (v, vinv):
             continue
-        left = order.index(g) < order.index(vinv)
+        left = i < below
         pair = (v, g) if left else (g, v)
         base = by_lhs.get(pair)
         if base is None:

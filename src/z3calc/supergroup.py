@@ -134,14 +134,10 @@ def verify_inverse():
     return {"check": "inverse", "items": items, "ok": all_pass(items)}
 
 
-def sdet_element():
-    """sdet T = a (T^-1)_22."""
-    return _m("a") * t_inverse().entry(1, 1)
-
-
 def sdet():
+    """sdet T = a (T^-1)_22, reduced in glhj_localized."""
     L = _presets.glhj_localized()
-    nf = L.normal_form(sdet_element())
+    nf = L.normal_form(_m("a") * t_inverse().entry(1, 1))
     return nf, fa_str(nf, L.order.key), L
 
 

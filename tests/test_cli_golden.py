@@ -48,6 +48,13 @@ COMMANDS = (
        ((*_QJH, "(x"), None),
        ((*_QJH, "x^y"), None),
        (("presets", "import"), None),
+       # an outside name, suite or q of 41 characters is clipped
+       (("reduce", "--preset", "p" * 41, "x"), None),
+       (("verify", "--suite", "s" * 41), None),
+       (("reduce", "--preset", "weyl", "--q", "9" * 40 + "x", "x"), None),
+       # only ASCII digits are a number; offsets count UTF-8 bytes
+       (("reduce", "--preset", "q_plane", "--q", "1", "²"), None),
+       (("reduce", "--preset", "weyl", "θ*$"), None),
        (("pairs", "--preset", "qjh_calculus"), "2"),
        (("sdet",), "50"),
        (("reduce", "--preset", "weyl", "px*x^3000"), "3")]
@@ -61,21 +68,17 @@ def _id(argv, budget):
 
 def digest(argv, budget):
     """(SHA-256 hex, exit code, stdout, stderr) of cli.main(argv) under
-    the given step budget.  A budgeted command finds glhj_localized
-    uncached, so that sdet reloads it from its file and reduces on an
-    empty memo as a cold process does, and leaves no instance whose memo
-    it filled in the cache."""
+    the given step budget.  Every command builds or reads its presentation
+    afresh, so it reduces on an empty memo as a cold process does."""
     saved = os.environ.get("Z3CALC_STEP_BUDGET")
     if budget is not None:
         os.environ["Z3CALC_STEP_BUDGET"] = budget
-        presets.glhj_localized.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(list(argv))
     finally:
         if budget is not None:
-            presets.glhj_localized.cache_clear()
             if saved is None:
                 del os.environ["Z3CALC_STEP_BUDGET"]
             else:
@@ -87,7 +90,7 @@ def digest(argv, budget):
 
 def test_golden_covers_every_command():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert len(COMMANDS) == 54
+    assert len(COMMANDS) == 59
     assert sorted(golden) == sorted(_id(*c) for c in COMMANDS)
 
 

@@ -13,7 +13,7 @@ from z3calc import calculus, cli, parser, presets
 from z3calc.calculus import random_element
 from z3calc.freealg import NCPolynomial, fa_str
 from z3calc.parser import (MAX_BITS, MAX_EXPONENT, MAX_TERMS, ParseError,
-                           _bounded, parse, parse_scalar)
+                           _bounded, parse, parse_scalar, q_value)
 from z3calc.scalars import J, J2, ONE, P_ONE, CycloRational, Q, rational
 
 
@@ -72,6 +72,38 @@ def test_parse_errors(P):
     except ParseError as e:
         err = e
     assert err.offset == 3
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("²", "unexpected character '²'", 0),
+    ("٣*x", "unexpected character '٣'", 0),
+    ("x*٣", "unexpected character '٣'", 2),
+    ("θ*$", "unexpected character '$'", 3),
+    ("θ*θ^θ", "expected num, got 'th'", 6),
+    ("dθ*(", "expected a value, got 'end of input'", 5),
+], ids=["superscript", "arabic", "arabic_late", "greek", "greek_exponent",
+        "greek_end"])
+def test_parse_reads_ascii_digits_and_byte_offsets(P, text, message, offset):
+    # only 0-9 spell a number, and the offset counts UTF-8 bytes
+    with pytest.raises(ParseError) as err:
+        parse(text, P)
+    assert str(err.value) == "%s (at byte %d)" % (message, offset)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text, name, message", [
+    ("x" * 10**5, "--q",
+     "Invalid literal for Fraction: '%s'… of 100000 characters" % ("x" * 40)),
+    (" " * 10**5 + "1/0", "q",
+     "q %s… of 100003 characters divides by zero" % (" " * 40)),
+    ("x" * 40, "--q", "Invalid literal for Fraction: '%s'" % ("x" * 40)),
+    ("1/0", "--q", "--q 1/0 divides by zero"),
+], ids=["long_literal", "long_zero", "short_literal", "short_zero"])
+def test_q_value_clips_the_text(text, name, message):
+    # Python's wording, with text past 40 characters cut
+    with pytest.raises(ValueError) as err:
+        q_value(text, name)
+    assert str(err.value) == message
 
 
 def test_parse_exponent_cap(P):
@@ -338,6 +370,24 @@ def test_cli_long_token_is_clipped(capsys, expr, offset):
     assert "'%s'… of 5000 characters" % expr[offset:offset + 40] in err
 
 
+@pytest.mark.parametrize("args, names", [
+    (("reduce", "--preset", "p" * 10**5, "x"), "unknown preset 'p"),
+    (("pairs", "--preset", "p" * 10**5), "unknown preset 'p"),
+    (("presets", "export", "p" * 10**5), "unknown preset 'p"),
+    (("verify", "--suite", "s" * 10**5), "unknown suite 's"),
+    (("reduce", "--preset", "weyl", "--q", "x" * 10**5, "x"),
+     "Invalid literal for Fraction: 'x"),
+    (("reduce", "--preset", "weyl", "--q=" + " " * 10**5 + "1/0", "x"),
+     "--q  "),
+], ids=["reduce", "pairs", "export", "suite", "q_literal", "q_zero"])
+def test_cli_long_argument_is_clipped(capsys, args, names):
+    # a preset, suite or q from the command line is cut past 40 characters
+    rc, out, err = main_cli(capsys, *args)
+    assert (rc, out) == (2, "")
+    assert len(err.encode()) < 200 and err.startswith("error: " + names)
+    assert "… of 10000" in err
+
+
 def test_cli_prints_long_coefficient(capsys):
     got = main_cli(capsys, "reduce", "--preset", "q_plane", "2^5000",
                    timeout=5)
@@ -460,6 +510,17 @@ def test_cli_exit_code_budget():
     r = run_cli("reduce", "--preset", "qjh_calculus", "th*th*dx*dx*x",
                 env={"Z3CALC_STEP_BUDGET": "2"})
     assert r.returncode == 3
+
+
+def test_cli_sdet_budget_does_not_depend_on_earlier_runs(capsys, monkeypatch):
+    # an unbudgeted sdet leaves no memo behind for a budgeted one to find
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "50")
+    first = main_cli(capsys, "sdet")
+    assert first[:2] == (3, "") and "step budget exceeded" in first[2]
+    monkeypatch.delenv("Z3CALC_STEP_BUDGET")
+    assert main_cli(capsys, "sdet")[0] == 0
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "50")
+    assert main_cli(capsys, "sdet") == first
 
 
 def test_cli_budget_not_an_integer_is_bad_input():

@@ -206,13 +206,9 @@ def test_glhj_localized_is_read_not_built(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("glhj_localized() ran a build step")
 
-    presets.glhj_localized.cache_clear()
-    try:
-        monkeypatch.setattr(presets, "saturate", build)
-        monkeypatch.setattr(presets, "localize", build)
-        L = presets.glhj_localized()
-    finally:
-        presets.glhj_localized.cache_clear()
+    monkeypatch.setattr(presets, "saturate", build)
+    monkeypatch.setattr(presets, "localize", build)
+    L = presets.glhj_localized()
     assert hashlib.sha256(L.dumps().encode()).hexdigest() == \
         _SATURATED_SHA256["glhj_localized"]
 
@@ -225,8 +221,12 @@ def test_package_data_ships_glhj_localized():
                for g in globs)
 
 
-def test_glhj_localized_cached():
-    assert presets.glhj_localized() is presets.glhj_localized()
+def test_glhj_localized_returns_a_fresh_presentation():
+    # no call sees the memo of another, as with every preset factory
+    a, b = presets.glhj_localized(), presets.glhj_localized()
+    assert a is not b
+    a.normal_form(NCPolynomial.word(("a", "b", "dTinv")))
+    assert a._memo and not b._memo
 
 
 def test_glhj_localized_not_in_catalog():

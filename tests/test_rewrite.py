@@ -187,7 +187,7 @@ UNIQUE_NORMAL_FORMS = {"q_plane", "h_plane", "hj_calculus", "qjh_calculus"}
 
 def test_unique_normal_forms_verdicts(monkeypatch):
     monkeypatch.setattr(rewrite, "_VERDICTS", {})
-    L = presets.glhj_localized()  # cached: a copy gets no earlier verdict
+    L = presets.glhj_localized()  # a copy gets no earlier verdict
     built = [presets.build(name) for name in presets.PRESETS] + [
         Presentation(L.name, L.generators, L.rules, L.order, q=L.q)]
     assert {P.name for P in built if P._unique_normal_forms()} == \
@@ -433,6 +433,10 @@ def _malformed(edit):
      r"^(?=.{,400}$)rule plane:xth: \['zz'(, 'zz'){39}\]… of 50000 letters "),
     (lambda d: _zero_weight(d, "n" * 10**5),
      r"^(?=.{,200}$)generator 'n{40}'… of 100000 characters needs a "),
+    (lambda d: d.update(q="x" * 10**5),
+     r"^(?=.{,200}$)q must be .+: Invalid literal for Fraction: 'x{40}'… "),
+    (lambda d: d.update(q=" " * 10**5 + "1/0"),
+     r"^(?=.{,200}$)q must be .+: q {41}… of 100003 characters divides "),
 ])
 def test_from_json_rejects_malformed(edit, message):
     with pytest.raises(ValueError, match=message):
