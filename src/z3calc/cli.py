@@ -24,7 +24,7 @@ import sys
 from .scalars import PoleError, bit_length
 from .freealg import fa_str, term_list
 from .rewrite import BudgetExceeded, Presentation
-from .parser import MAX_BITS, MAX_DEPTH, ParseError, parse, q_value
+from .parser import MAX_BITS, MAX_DEPTH, ParseError, _echo, parse, q_value
 from . import presets as _presets
 from . import supergroup as _supergroup
 
@@ -88,7 +88,7 @@ def _dispatch(args):
         # the cap on parsed coefficients holds for printed ones too
         if any(bit_length(c) > MAX_BITS for c in nf.t.values()):
             raise ValueError("%s: normal form has a coefficient longer than "
-                             "%d bits" % (args.expr, MAX_BITS))
+                             "%d bits" % (_echo(args.expr, str), MAX_BITS))
         return _print_nf(args, nf, pres.order.key, preset=args.preset,
                          q=str(pres.q), input=args.expr)
 

@@ -271,8 +271,9 @@ def _glhj_rules():
         ("gl:dTb", ("dT", "b"), (J, ("b", "dT")), (MINUS_ONE, ("h", "b", "b"))),
         ("gl:dTg", ("dT", "g"), (ONE, ("g", "dT"))),
         ("gl:b3", ("b", "b", "b")),
-        # 1 - j^2 is forced by the coacted cube: any other value leaves a
-        # g*g*g residue in theta-tilde cubed
+        # the coacted cube (theta-tilde cubed) leaves a g*g*g residue under
+        # these rules unless this coefficient is 1 - j^2; coaction_plane is
+        # not confluent, so that residue proves nothing
         ("gl:g3", ("g", "g", "g"), (ONE - J2, ("h", "g", "g", "dT")),
          (rational(-2) * J2, ("h", "h", "g", "dT", "dT"))),
         ("gl:bg", ("b", "g"), (ONE, ("g", "b")), (ONE, ("h", "a", "b"))),

@@ -24,14 +24,14 @@ change, and reduce a pair of older rules again only if one of its
 one-step reducts was dropped.
 
 Matching walks one trie over the rule left sides from each position of
-the word; the trie is built on the first reduction after the rules
-change.  Every trie node carries the first-declared rule among the left
-sides that are prefixes of its path, so the deepest node the word
-reaches names the rule to apply there; a left side that has an earlier
-rule's left side as a prefix can never fire and is left out.  After a
-rewrite at position i the result is scanned from i - (maxlen - 1),
-maxlen being the longest left side: a match further left would lie
-inside the unchanged prefix and would already have matched there.
+the word; the trie is built whenever rules are declared.  Every trie
+node carries the first-declared rule among the left sides that are
+prefixes of its path, so the deepest node the word reaches names the
+rule to apply there; a left side that has an earlier rule's left side
+as a prefix can never fire and is left out.  After a rewrite at
+position i the result is scanned from i - (maxlen - 1), maxlen being
+the longest left side: a match further left would lie inside the
+unchanged prefix and would already have matched there.
 
 The term order compares (total weight, length, leftmost precedence
 index) with weight ascending, length DESCENDING, then lex.  Longer
@@ -250,11 +250,6 @@ def _prepend(trie, memo, jobs, suffix):
     return acc
 
 
-# the normal form memoised for every word that reduces to zero; no reader
-# changes a memoised polynomial
-_ZERO_NF = NCPolynomial()
-
-
 class Presentation:
     def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
@@ -268,8 +263,9 @@ class Presentation:
         self._append(rules)
 
     def _append(self, rules):
-        """Declare rules after the existing ones, then drop from the memo,
-        and return, every word whose reduction that changes: its leftmost
+        """Declare rules after the existing ones, rebuild the trie over all
+        left sides and the longest left side, then drop from the memo, and
+        return, every word whose reduction that changes: its leftmost
         match is now a new rule (at the old match the old rule still wins,
         as it was declared first), or its one-step reduct holds a dropped
         word, which the memo lists first.  While normal forms are unique
@@ -280,13 +276,13 @@ class Presentation:
                 raise ValueError("rule %s has an empty lhs"
                                  % _echo(r.ref or "?", str))
         self.rules.extend(rules)
-        self._trie = None
+        self._trie = trie = _lhs_trie(self.rules)
+        self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
         memo, unique, self._verdict = self._memo, self._verdict, None
         if unique:
             dropped = set(memo)
         else:
             dropped, fresh = set(), set(rules)
-            trie = self._index() if memo else None
             for w in memo:
                 match = _leftmost(trie, w, 0, len(w))
                 if match is not None and (
@@ -296,14 +292,6 @@ class Presentation:
         for w in dropped:
             del memo[w]
         return dropped
-
-    def _index(self):
-        """The trie over the left sides, built on first use after the
-        rules change, together with the longest left side."""
-        if self._trie is None:
-            self._trie = _lhs_trie(self.rules)
-            self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
-        return self._trie
 
     # -- sanity -------------------------------------------------------------
 
@@ -339,10 +327,10 @@ class Presentation:
         bottom and one above it for each word being rewritten: a generator
         (_leftmost_frame or _prepend) that yields each word it needs
         rewritten with its match, is sent the word's normal form, and
-        returns its sum.  The word is memoised when its frame returns.
+        returns its sum.  Matches come from the trie that _append built,
+        and the word is memoised with the polynomial its frame returned.
         Only a memo miss that rewrites is charged against the budget."""
-        trie, memo = self._index(), self._memo
-        maxlen = self._maxlen
+        trie, memo, maxlen = self._trie, self._memo, self._maxlen
         left, last = budget, None  # last: ref of the last rule fired
         stack = [_prepend(trie, memo, p.t.items(), ()) if suffix_first
                  else _leftmost_frame(trie, memo, p.t.items(), (), (), 0)]
@@ -355,7 +343,7 @@ class Presentation:
                 nf = NCPolynomial(done.value)
                 if not stack:
                     return nf
-                memo[words.pop()] = nf if nf.t else _ZERO_NF
+                memo[words.pop()] = nf
                 continue
             left -= 1
             if left < 0:
@@ -390,11 +378,12 @@ class Presentation:
         return self._verdict
 
     def _census_joins(self):
+        if self.check_termination():
+            return False
         P = Presentation(self.name, self.generators, self.rules, self.order,
                          q=self.q)
         try:
-            return not self.check_termination() and all(
-                nf1 == nf2 for *_, nf1, nf2 in P._pairs(DEFAULT_BUDGET))
+            return all(nf1 == nf2 for *_, nf1, nf2 in P._pairs(DEFAULT_BUDGET))
         except BudgetExceeded:
             return False
 
@@ -433,8 +422,8 @@ class Presentation:
 
     def _ambiguities(self):
         """(i1, i2, word, p2) for each ambiguity: rules[i1] applies to word
-        at 0 and rules[i2] at p2.  Overlaps of rules[i1] come before its
-        inclusions, each kind ordered by i2."""
+        at 0 and rules[i2] at p2, ordered by i1, then by i2; for one i2
+        the overlaps come before the inclusion."""
         rules = self.rules
         by_prefix = {}  # proper prefix of a lhs -> indices of its rules
         by_lhs = {}

@@ -48,10 +48,13 @@ COMMANDS = (
        ((*_QJH, "(x"), None),
        ((*_QJH, "x^y"), None),
        (("presets", "import"), None),
-       # an outside name, suite or q of 41 characters is clipped
+       # an outside name, suite, q or expression of 41 characters is
+       # clipped
        (("reduce", "--preset", "p" * 41, "x"), None),
        (("verify", "--suite", "s" * 41), None),
        (("reduce", "--preset", "weyl", "--q", "9" * 40 + "x", "x"), None),
+       (("reduce", "--preset", "q_plane", "--q", "1000",
+         "x^1405*th" + "+0*x" * 8), None),
        # only ASCII digits are a number; offsets count UTF-8 bytes
        (("reduce", "--preset", "q_plane", "--q", "1", "²"), None),
        (("reduce", "--preset", "weyl", "θ*$"), None),
@@ -90,7 +93,7 @@ def digest(argv, budget):
 
 def test_golden_covers_every_command():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert len(COMMANDS) == 59
+    assert len(COMMANDS) == 60
     assert sorted(golden) == sorted(_id(*c) for c in COMMANDS)
 
 

@@ -379,9 +379,14 @@ def test_cli_long_token_is_clipped(capsys, expr, offset):
      "Invalid literal for Fraction: 'x"),
     (("reduce", "--preset", "weyl", "--q=" + " " * 10**5 + "1/0", "x"),
      "--q  "),
-], ids=["reduce", "pairs", "export", "suite", "q_literal", "q_zero"])
+    # 1000^1405 has 14,002 bits; zero terms and spaces pad to 10,000
+    (("reduce", "--preset", "q_plane", "--q", "1000",
+      ("x^1405*th" + "+0*x" * 2497).ljust(10**4)), "x^1405*th+0*x"),
+], ids=["reduce", "pairs", "export", "suite", "q_literal", "q_zero",
+        "long_output"])
 def test_cli_long_argument_is_clipped(capsys, args, names):
-    # a preset, suite or q from the command line is cut past 40 characters
+    # a preset, suite, q or expression from the command line is cut past
+    # 40 characters
     rc, out, err = main_cli(capsys, *args)
     assert (rc, out) == (2, "")
     assert len(err.encode()) < 200 and err.startswith("error: " + names)
@@ -601,6 +606,14 @@ def test_cli_presets_import_reports_inhomogeneous(tmp_path, capsys):
     rc, out, err = _import_h_plane(tmp_path, capsys, add_x)
     assert (rc, err) == (1, "")
     assert json.loads(out)["homogeneous"] is False
+
+
+def test_cli_presets_import_without_rules(tmp_path, capsys):
+    # a presentation that declares no rules still builds
+    rc, out, err = _import_h_plane(tmp_path, capsys,
+                                   lambda d: d.update(rules=[]))
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["rules"] == 0
 
 
 @pytest.mark.parametrize("text, message", [
