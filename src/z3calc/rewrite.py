@@ -6,18 +6,25 @@ strictly smaller words.  Reduction is one loop over an explicit stack of
 frames rather than recursion: each frame is a generator that yields the
 words it needs rewritten, is sent their normal forms, and returns its
 sum; the loop charges the step budget, memoises each rewritten word and
-pushes a frame for its reducts.  There are two kinds of frame, one per
-strategy.  A leftmost frame rewrites the leftmost, first-declared match.
-When every critical pair of the rules joins, Bergman's diamond lemma
-(1978) says each word has exactly one normal form, so any strategy gives
-the same output; normal_form then uses suffix-first frames, which put
-one letter at a time in front of the normal form of the rest (the stack
-discipline of Sims 1994) and so reduce and memoise only words g*v with v
-irreducible.  The census that decides this runs once per rule system and
-process; q_plane, h_plane, hj_calculus and qjh_calculus pass it.  Every
-other presentation reduces leftmost, and so do critical_pairs, saturate
-and localize.  Reduction never completes a presentation behind the
-caller's back, it only reports critical pairs.
+pushes a frame for its reducts.  A leftmost frame rewrites the leftmost,
+first-declared match.  When every critical pair of the rules joins,
+Bergman's diamond lemma (1978) says each word has exactly one normal
+form, so any strategy gives the same output; normal_form then uses
+suffix-first frames, which put one letter at a time in front of the
+normal form of the rest (the stack discipline of Sims 1994) and so
+reduce and memoise only words g*v with v irreducible.  The census that
+decides this runs once per rule system and process; q_plane, h_plane,
+hj_calculus and qjh_calculus pass it.  Every other presentation reduces
+leftmost, and so do critical_pairs, saturate and localize.  The
+suffix-first frame of the polynomial itself, at the bottom of the stack,
+also uses NF(g*p) = NF(g*NF(p)): it folds each letter of a prefix that
+words share once onto the merged normal form of what follows it, and
+folds a word alone below a prefix through the normal forms of its
+suffixes, which lone words that end alike share.  Each memo entry g*v is
+still inserted after the entries that its normal form folds, so every
+entry can be checked from earlier ones in insertion order.  Reduction
+never completes a presentation behind the caller's back, it only
+reports critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, which drops only the memo entries that the new rules
 change, and reduce a pair of older rules again only if one of its
@@ -217,12 +224,12 @@ def _leftmost_frame(trie, memo, reducts, prefix, suffix, start):
 
 
 def _prepend(trie, memo, jobs, suffix):
-    """A frame of the suffix-first strategy: the sum of c * NF(letters +
-    suffix) over the (letters, c) of jobs, suffix being irreducible, as a
-    dict that may hold zeros.  The letters are put in front of the normal
-    form one at a time, last first.  Each word g*v this needs is looked up
-    in memo, memoised there if irreducible, and else yielded with the
-    match at 0, to be sent back its normal form."""
+    """The frame of a rewritten word in the suffix-first strategy: the sum
+    of c * NF(letters + suffix) over the (letters, c) of jobs, suffix being
+    irreducible, as a dict that may hold zeros.  The letters are put in
+    front of the normal form one at a time, last first.  Each word g*v
+    this needs is looked up in memo, memoised there if irreducible, and
+    else yielded with the match at 0, to be sent back its normal form."""
     acc = {}
     for letters, coeff in jobs:
         terms = {suffix: coeff}
@@ -248,6 +255,92 @@ def _prepend(trie, memo, jobs, suffix):
             y = acc.get(u)
             acc[u] = x if y is None else y + x
     return acc
+
+
+def _horner(trie, memo, items):
+    """The bottom frame of the suffix-first strategy: the sum of c * NF(w)
+    over the (w, c) of items, as a dict that may hold zeros.
+
+    Since NF(g*p) = NF(g*NF(p)) when normal forms are unique, the words
+    are grouped by prefix and each letter of a shared prefix is folded
+    once onto the merged normal form of what follows it, deepest prefixes
+    first (Horner's rule in the free algebra).  A word alone below a
+    prefix is folded right to left through a trie of the normal forms of
+    its suffixes, with coefficient 1, which lone words that end alike
+    share; its own coefficient is applied once at the end.  A single word
+    thus takes the folds, and reaches the words, that _prepend would.
+    Each fold g*v is the step of _prepend: looked up in memo, memoised
+    there if irreducible, and else yielded with the match at 0.  Both
+    tries are built and walked by loops, so a long shared prefix needs no
+    recursion."""
+    # prefix trie of the words: a node is [children, coefficient of the
+    # word that ends there or None, NF of what follows it], and a child
+    # that only one word passes through is that word's (w, c).  A node is
+    # made after its parent, so nodes lists parents before children.
+    root = [{}, None, None]
+    nodes = [(root, 0)]
+    for w, c in items:
+        node = root
+        for i, g in enumerate(w):
+            child = node[0].get(g)
+            if child is None:
+                node[0][g] = w, c
+                break
+            if type(child) is tuple:  # a second word: push the first down
+                child, (w2, c2) = [{}, None, None], child
+                if i + 1 < len(w2):
+                    child[0][w2[i + 1]] = w2, c2
+                else:
+                    child[1] = c2
+                node[0][g] = child
+                nodes.append((child, i + 1))
+            node = child
+        else:
+            node[1] = c
+    suffixes = [{}, {(): ONE}]  # node: [letter to its left -> node, NF]
+    for node, depth in reversed(nodes):
+        acc = {} if node[1] is None else {(): node[1]}
+        for g, child in node[0].items():
+            # each letter g of todo, last first, adds NF(g * terms) to into
+            if type(child) is list:
+                todo, terms, into, lone = (g,), child[2], acc, None
+            else:  # a lone word w: the suffixes of w[depth:] not met yet
+                lone, s = child, suffixes
+                w = lone[0]
+                k = len(w)
+                while k > depth:
+                    nxt = s[0].get(w[k - 1])
+                    if nxt is None:
+                        break
+                    s, k = nxt, k - 1
+                todo = w[depth:k]
+            for g in reversed(todo):
+                if lone is not None:  # the next suffix: g in front of s
+                    terms, into = s[1], {}
+                    s[0][g] = s = [{}, into]  # s[0][g] is bound first
+                for v, c in terms.items():
+                    if not c:
+                        continue
+                    w = (g,) + v
+                    nf = memo.get(w)
+                    if nf is None:
+                        match = _leftmost(trie, w, 0, 1)
+                        if match is None:
+                            nf = memo[w] = NCPolynomial.word(w)
+                        else:
+                            nf = yield w, match
+                    for u, x in nf.t.items():
+                        x = c if x is ONE else c * x
+                        y = into.get(u)
+                        into[u] = x if y is None else y + x
+            if lone is not None:
+                c = lone[1]
+                for u, x in s[1].items():
+                    x = c if x is ONE else c * x
+                    y = acc.get(u)
+                    acc[u] = x if y is None else y + x
+        node[2] = acc
+    return root[2]
 
 
 class Presentation:
@@ -325,14 +418,20 @@ class Presentation:
         normal form of the rest, which gives the same result when normal
         forms are unique.  Reduction runs on a stack of frames, p's at the
         bottom and one above it for each word being rewritten: a generator
-        (_leftmost_frame or _prepend) that yields each word it needs
-        rewritten with its match, is sent the word's normal form, and
-        returns its sum.  Matches come from the trie that _append built,
-        and the word is memoised with the polynomial its frame returned.
-        Only a memo miss that rewrites is charged against the budget."""
+        that yields each word it needs rewritten with its match, is sent
+        the word's normal form, and returns its sum.  Leftmost, every frame
+        is a _leftmost_frame.  Suffix first, p's frame is _horner, which
+        folds each prefix that p's words share once and each suffix that
+        its lone words share once, and a rewritten word's frame is
+        _prepend.  Matches come from the trie that _append built, and the
+        word is memoised with the polynomial its frame returned.  Only a
+        memo miss that rewrites is charged against the budget, so a
+        reduction is charged for the words it reaches; a merged fold
+        reaches a subset of the words that folding each of p's words on
+        its own would."""
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
         left, last = budget, None  # last: ref of the last rule fired
-        stack = [_prepend(trie, memo, p.t.items(), ()) if suffix_first
+        stack = [_horner(trie, memo, p.t.items()) if suffix_first
                  else _leftmost_frame(trie, memo, p.t.items(), (), (), 0)]
         words, nf = [], None
         while True:

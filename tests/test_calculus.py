@@ -2,12 +2,15 @@
 
 import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from z3calc import calculus, presets
+from z3calc import calculus, parser, presets
 from z3calc.calculus import (DifferentialOperator, PartialOperator,
                              cartan_forms, cartan_verify, d2_product_identity,
                              d_cube_vanishes, monomial_basis, random_element,
@@ -32,6 +35,26 @@ def test_d_images(P):
     assert d(gen("h")).is_zero()
     assert d(gen("d2x")).is_zero()
     assert d(gen("d2th")).is_zero()
+
+
+def test_reduce_sym_answers():
+    # the known answers of the reduce-sym benchmark: every d(d(x^n*tail))
+    # and the normal forms of x^n*tail for n <= 14, each in a fresh
+    # qjh_calculus as the benchmark computes them
+    path = Path(__file__).resolve().parents[1] / "bench" / "answers"
+    answers = json.loads((path / "reduce_sym.json").read_text())
+    checked = Counter()
+    for key, want in answers.items():
+        kind, expr = key.split(":", 1)
+        if kind == "nf" and int(expr[2:expr.index("*")]) > 14:
+            continue
+        P = presets.build("qjh_calculus")
+        w = parser.parse(expr, P)
+        d = DifferentialOperator(P)
+        out = P.normal_form(w) if kind == "nf" else d(d(w))
+        assert fa_str(out, P.order.key) == want, key
+        checked[kind] += 1
+    assert checked == {"d2": 26, "nf": 18}
 
 
 def test_operators_name_a_letter_they_do_not_reach():

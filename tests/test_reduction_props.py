@@ -1,9 +1,10 @@
 """Property tests for reduction: normal forms are fixed points and
 irreducible, and d^3 = 0 in the calculi; export -> import gives the
 same preset back; leftmost reduction agrees with a scan from 0 that
-keeps no memo; saturate derives what recomputing every ambiguity
-derives; and appending rules keeps only the memo entries that a fresh
-presentation of all the rules agrees with."""
+keeps no memo, and suffix-first reduction of polynomials whose words
+share prefixes and tails with it; saturate derives what recomputing
+every ambiguity derives; and appending rules keeps only the memo
+entries that a fresh presentation of all the rules agrees with."""
 
 import functools
 import itertools
@@ -23,8 +24,9 @@ from z3calc import presets  # noqa: E402
 from z3calc.calculus import d_cube_vanishes, random_element  # noqa: E402
 from z3calc.freealg import GeneratorInfo, NCPolynomial  # noqa: E402
 from z3calc.rewrite import (DEFAULT_BUDGET, Presentation,  # noqa: E402
-                            RewriteRule, TermOrder, saturate)
-from z3calc.scalars import J, MINUS_ONE, ONE, PoleError, rational  # noqa: E402
+                            RewriteRule, TermOrder, _leftmost, saturate)
+from z3calc.scalars import (J, MINUS_ONE, ONE, PoleError,  # noqa: E402
+                            jpow, qpow, rational, specialize_q)
 
 # deterministic and small: these run inside the tier-1 suite
 quick = settings(max_examples=20, deadline=None, derandomize=True)
@@ -80,6 +82,54 @@ def test_suffix_first_matches_leftmost(name, picks):
     word = NCPolynomial.word(letters[k % len(letters)] for k in picks)
     assert P.normal_form(word) == _leftmost_preset(name)._reduce(
         word, DEFAULT_BUDGET)
+
+
+def _rewritten(P):
+    """The reducible words in P's memo: the steps its reductions charged,
+    since each step memoises the word it rewrites."""
+    return sum(_leftmost(P._trie, w, 0, len(w)) is not None for w in P._memo)
+
+
+@pytest.mark.parametrize("name", ["q_plane", "h_plane", "hj_calculus",
+                                  "qjh_calculus"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_prefixes_and_tails_match_leftmost(name, data):
+    # 1 to 8 words built from a few shared prefixes and tails, some with a
+    # term that cancels them (-c times a prefix times the normal form of
+    # the rest), so that normal_form folds shared prefixes once onto merged
+    # normal forms that hold zeros, and lone words share suffix normal
+    # forms.  Every preset is fresh: a warm memo could hide a wrong merge.
+    # Folding each word on its own, which single-word reductions in
+    # sequence do, charges at least as many steps.
+    oracle = presets.build(name)
+    letters = [g.name for g in oracle.generators]
+    word = st.lists(st.sampled_from(letters), max_size=4).map(tuple)
+    prefixes = data.draw(st.lists(word, min_size=1, max_size=3))
+    tails = data.draw(st.lists(word, min_size=1, max_size=3))
+    p = NCPolynomial()
+    for _ in range(data.draw(st.integers(1, 8))):
+        w = (data.draw(st.sampled_from(prefixes))
+             + data.draw(word.map(lambda m: m[:2]))
+             + data.draw(st.sampled_from(tails)))
+        c = (rational(data.draw(st.sampled_from([1, 2, -1, -3])))
+             * jpow(data.draw(st.integers(0, 2)))
+             * qpow(data.draw(st.integers(-2, 2))))
+        if oracle.q != "symbolic":
+            c = specialize_q(c, oracle.q)
+        p = p + NCPolynomial.word(w, c)
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(w)))
+            rest = oracle._reduce(NCPolynomial.word(w[k:]), DEFAULT_BUDGET)
+            p = p - (NCPolynomial.word(w[:k]) * rest).scale(c)
+    P = presets.build(name)
+    assert P._unique_normal_forms()
+    nf = P.normal_form(p)
+    assert nf == presets.build(name)._reduce(p, DEFAULT_BUDGET)
+    one_by_one = presets.build(name)
+    assert sum((one_by_one.normal_form(NCPolynomial.word(w, c))
+                for w, c in p.t.items()), NCPolynomial()) == nf
+    assert _rewritten(P) <= _rewritten(one_by_one)
 
 
 @pytest.mark.parametrize("name", ["qjh_calculus", "hj_calculus"])

@@ -10,7 +10,9 @@ from collections import Counter
 import pytest
 
 from z3calc import presets, rewrite
+from z3calc.calculus import DifferentialOperator
 from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
+from z3calc.parser import parse
 from z3calc.rewrite import (MAX_SWEEPS, BudgetExceeded, LocalizeError,
                             Presentation, RewriteRule, TermOrder, _solve_for,
                             localize, saturate)
@@ -103,6 +105,23 @@ def test_budget_counts_rewriting_misses(monkeypatch):
     assert P.nf_word(word) == nf
 
 
+def test_budget_counts_words_a_merged_reduction_reaches(monkeypatch):
+    # d(x^8*dth) unreduced is x^i*dx*x^(7-i)*dth for i < 8 and x^8*d2th:
+    # words that share the prefixes x^i and the tails x^k*dth.  Folding
+    # each shared x once onto the merged normal form of what follows it,
+    # and each tail once, rewrites 102 words g*v that the memo lacks;
+    # folding every word on its own rewrites 112
+    P = presets.build("qjh_calculus")
+    p = DifferentialOperator(P)(parse("x^8*dth", P), reduce=False)
+    assert len(p.t) == 9
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "101")
+    with pytest.raises(BudgetExceeded):
+        presets.build("qjh_calculus").normal_form(p)
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "102")
+    assert presets.build("qjh_calculus").normal_form(p) == \
+        DifferentialOperator(P)(parse("x^8*dth", P))
+
+
 def test_leftmost_budget_counts_rewriting_misses(monkeypatch):
     # glhj has no unique normal forms, so a*b*g*dT is rewritten at the
     # leftmost match: 57 words the memo lacks, 63 memoised in all
@@ -159,6 +178,16 @@ def test_long_chain_reduces_under_default_limit(default_recursion_limit):
     P = presets.build("q_plane").specialize(1)
     nf = P.nf_word(("x",) * 2000 + ("th",))
     assert nf == NCPolynomial.word(("th",) + ("x",) * 2000)
+
+
+def test_long_shared_prefix_under_default_limit(default_recursion_limit):
+    # three words that share x^1099: the suffix-first bottom frame folds
+    # that prefix once, one letter at a time, with no recursion
+    P = presets.build("h_plane")
+    p = parse("x^1100*th + x^1100*h + x^1099*th*x", P)
+    nf = P.normal_form(p)
+    assert nf == presets.build("h_plane")._reduce(p, rewrite.DEFAULT_BUDGET)
+    assert len(nf.t) == 3
 
 
 def test_long_left_side_under_default_limit(default_recursion_limit):
