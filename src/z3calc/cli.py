@@ -134,8 +134,6 @@ def _dispatch(args):
         nf, _, L = _supergroup.sdet()
         return _print_nf(args, nf, L.order.key)
 
-    raise ValueError("no command")
-
 
 def _expr_last(argv):
     """Join --q and a value such as "-2/3" into "--q=-2/3", and move a

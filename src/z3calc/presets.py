@@ -1,13 +1,16 @@
 """Shipped presentations.
 
-Every factory, glhj_localized included, returns a fresh Presentation;
-build() checks that its rules are homogeneous and oriented against its
-term order, and refuses the preset otherwise.  The collapse rules (ref
-"derived:...") are consequences of the listed relations, obtained by
-orienting differences of overlap ambiguities; they are part of the
-presentation so that reduction alone decides equality, and
-test_collapse_lists_are_saturated in tests/test_presets.py re-derives
-the lists of h_plane and qjh_calculus by saturation.
+Every factory, glhj_localized included, returns a fresh Presentation,
+and build(name) is the catalog lookup PRESETS[name]().  The tier-1
+preset-integrity criterion checks each catalog preset for homogeneous
+and oriented rules, and a presentation is allowed suffix-first
+reduction only after its confluence verdict has checked orientation.
+The collapse rules (ref "derived:...") are consequences of the listed
+relations, obtained by orienting differences of overlap ambiguities;
+they are part of the presentation so that reduction alone decides
+equality, and test_collapse_lists_are_saturated in
+tests/test_presets.py re-derives the lists of h_plane and qjh_calculus
+by saturation.
 
 q conventions: presets carrying a symbolic q say so in their q field,
 the rest are bound at q = 1.  Each relation, letter, order and twist
@@ -420,23 +423,12 @@ PRESETS = {
 }
 
 
-class BuildError(RuntimeError):
-    pass
-
-
 def build(name):
     try:
         factory = PRESETS[name]
     except KeyError:
         raise KeyError("unknown preset %s" % _echo(name)) from None
-    pres = factory()
-    bad = pres.check_homogeneity()
-    if bad:
-        raise BuildError("%s: inhomogeneous rules: %r" % (name, bad))
-    bad = pres.check_termination()
-    if bad:
-        raise BuildError("%s: unoriented rules: %r" % (name, bad))
-    return pres
+    return factory()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@ def test_criterion_01_preset_integrity():
     t0 = time.time()
     ok = True
     for name in presets.PRESETS:
-        P = presets.build(name)  # raises on inhomogeneous or unoriented rules
+        # build() returns the factory's presentation unchecked: this is
+        # the one check that every catalog preset is homogeneous and
+        # oriented
+        P = presets.build(name)
         ok = ok and P.check_homogeneity() == [] and P.check_termination() == []
     _report(1, "preset integrity", ok, t0)
 

@@ -536,6 +536,18 @@ def test_cli_budget_not_an_integer_is_bad_input():
     assert r.stderr.startswith("error: ") and "Z3CALC_STEP_BUDGET" in r.stderr
 
 
+@pytest.mark.parametrize("raw,shown", [
+    ("abc", "'abc'"),
+    ("", "''"),
+    ("x" * 100000, "'%s'… of 100000 characters" % ("x" * 40)),
+], ids=["letters", "empty", "long"])
+def test_cli_budget_not_an_integer_in_process(capsys, monkeypatch, raw, shown):
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", raw)
+    rc, out, err = main_cli(capsys, "reduce", "--preset", "q_plane", "x*th")
+    assert (rc, out) == (2, "")
+    assert err == "error: Z3CALC_STEP_BUDGET=%s is not an integer\n" % shown
+
+
 def _tiny(change):
     """A valid one-generator preset document, then change(doc) applied."""
     doc = {"name": "tiny", "generators": [{"name": "a", "grade": 0, "weight": 1}],

@@ -7,10 +7,9 @@ from pathlib import Path
 import pytest
 
 from z3calc import presets
-from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
+from z3calc.freealg import NCPolynomial, fa_str
 from z3calc.scalars import J, J2, ONE, Q
-from z3calc.rewrite import (BudgetExceeded, Presentation, RewriteRule, TermOrder,
-                            saturate)
+from z3calc.rewrite import BudgetExceeded, Presentation, saturate
 
 
 def test_catalog_builds():
@@ -40,18 +39,6 @@ _EXPORT_SHA256 = {
 def test_catalog_export_pinned(name):
     text = presets.build(name).dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == _EXPORT_SHA256[name]
-
-
-def test_build_rejects_unoriented_rule(monkeypatch):
-    def toy():
-        order = TermOrder({"a": 1, "b": 1}, ["a", "b"])
-        gens = [GeneratorInfo("a", 0, 1), GeneratorInfo("b", 0, 1)]
-        rule = RewriteRule(("a", "b"), NCPolynomial.word(("b", "a")), "bad")
-        return Presentation("toy", gens, [rule], order)
-
-    monkeypatch.setitem(presets.PRESETS, "toy", toy)
-    with pytest.raises(presets.BuildError, match="unoriented"):
-        presets.build("toy")
 
 
 def test_unknown_name():
