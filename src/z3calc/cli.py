@@ -50,10 +50,11 @@ _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]', re.S)
 
 
 def _read_json(path):
-    """The document in the JSON file path.  Nesting deeper than MAX_DEPTH
-    is refused before decoding, so that MAX_DEPTH is the one nesting bound
-    of every input, whatever recursion limit the embedding program sets."""
-    with open(path) as fh:
+    """The document in the JSON file path, read as UTF-8 as JSON is,
+    whatever the locale.  Nesting deeper than MAX_DEPTH is refused before
+    decoding, so that MAX_DEPTH is the one nesting bound of every input,
+    whatever recursion limit the embedding program sets."""
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     depth = 0
     for tok in _JSON_TOKEN.finditer(text):

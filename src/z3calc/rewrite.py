@@ -3,10 +3,11 @@
 A Presentation bundles an alphabet, a term order, and a list of
 oriented rules lhs -> rhs where lhs is a word and rhs a polynomial in
 strictly smaller words.  Reduction is one loop over an explicit stack of
-frames rather than recursion: each frame is a generator that yields the
-words it needs rewritten, is sent their normal forms, and returns its
-sum; the loop charges the step budget, memoises each rewritten word and
-pushes a frame for its reducts.  A leftmost frame rewrites the leftmost,
+frames rather than recursion: each frame is a generator that looks the
+words it needs up in the memo, yields each miss, is sent its normal
+form, and returns its sum; the loop alone matches a yielded word,
+memoises it, charges the step budget and pushes a frame for its
+reducts.  A leftmost frame's words are rewritten at the leftmost,
 first-declared match.  When every critical pair of the rules joins,
 Bergman's diamond lemma (1978) says each word has exactly one normal
 form, so any strategy gives the same output; normal_form then uses
@@ -181,8 +182,9 @@ def _lhs_trie(rules):
 
 def _leftmost(trie, word, start, stop):
     """(position, rule) of the leftmost match of the trie in word that
-    starts in range(start, stop), or None.  It is the one scan: every
-    reduction and every memo check of _append finds its matches here."""
+    starts in range(start, stop), or None.  It is the one scan: only
+    Presentation._reduce, for each word a frame yields, and _append, for
+    each memo word it checks, call it."""
     n = len(word)
     for i in range(start, stop):
         node = trie.get(word[i])
@@ -200,22 +202,17 @@ def _leftmost(trie, word, start, stop):
     return None
 
 
-def _leftmost_frame(trie, memo, reducts, prefix, suffix, start):
+def _leftmost_frame(memo, reducts, prefix, suffix):
     """A frame of the leftmost strategy: the sum of c * NF(prefix + middle
     + suffix) over the (middle, c) of reducts, as a dict that may hold
-    zeros, no match in such a word starting left of start.  Each word is
-    looked up in memo, memoised there if irreducible, and else yielded
-    with its leftmost match, to be sent back its normal form."""
+    zeros.  Each word is looked up in memo, and else yielded, to be sent
+    back its normal form."""
     acc = {}
     for middle, c in reducts:
         w = prefix + middle + suffix
         nf = memo.get(w)
         if nf is None:
-            match = _leftmost(trie, w, start, len(w))
-            if match is None:
-                nf = memo[w] = NCPolynomial.word(w)
-            else:
-                nf = yield w, match
+            nf = yield w
         for u, x in nf.t.items():
             x = c if x is ONE else c * x
             y = acc.get(u)
@@ -223,13 +220,13 @@ def _leftmost_frame(trie, memo, reducts, prefix, suffix, start):
     return acc
 
 
-def _prepend(trie, memo, jobs, suffix):
+def _prepend(memo, jobs, suffix):
     """The frame of a rewritten word in the suffix-first strategy: the sum
     of c * NF(letters + suffix) over the (letters, c) of jobs, suffix being
     irreducible, as a dict that may hold zeros.  The letters are put in
     front of the normal form one at a time, last first.  Each word g*v
-    this needs is looked up in memo, memoised there if irreducible, and
-    else yielded with the match at 0, to be sent back its normal form."""
+    this needs is looked up in memo, and else yielded, to be sent back
+    its normal form."""
     acc = {}
     for letters, coeff in jobs:
         terms = {suffix: coeff}
@@ -241,11 +238,7 @@ def _prepend(trie, memo, jobs, suffix):
                 w = (g,) + v
                 nf = memo.get(w)
                 if nf is None:
-                    match = _leftmost(trie, w, 0, 1)
-                    if match is None:
-                        nf = memo[w] = NCPolynomial.word(w)
-                    else:
-                        nf = yield w, match
+                    nf = yield w
                 for u, x in nf.t.items():
                     x = c if x is ONE else c * x  # ONE: w is irreducible
                     y = nxt.get(u)
@@ -257,7 +250,7 @@ def _prepend(trie, memo, jobs, suffix):
     return acc
 
 
-def _horner(trie, memo, items):
+def _horner(memo, items):
     """The bottom frame of the suffix-first strategy: the sum of c * NF(w)
     over the (w, c) of items, as a dict that may hold zeros.
 
@@ -269,10 +262,9 @@ def _horner(trie, memo, items):
     its suffixes, with coefficient 1, which lone words that end alike
     share; its own coefficient is applied once at the end.  A single word
     thus takes the folds, and reaches the words, that _prepend would.
-    Each fold g*v is the step of _prepend: looked up in memo, memoised
-    there if irreducible, and else yielded with the match at 0.  Both
-    tries are built and walked by loops, so a long shared prefix needs no
-    recursion."""
+    Each fold g*v is the step of _prepend: looked up in memo, and else
+    yielded, to be sent back its normal form.  Both tries are built and
+    walked by loops, so a long shared prefix needs no recursion."""
     # prefix trie of the words: a node is [children, coefficient of the
     # word that ends there or None, NF of what follows it], and a child
     # that only one word passes through is that word's (w, c).  A node is
@@ -324,11 +316,7 @@ def _horner(trie, memo, items):
                     w = (g,) + v
                     nf = memo.get(w)
                     if nf is None:
-                        match = _leftmost(trie, w, 0, 1)
-                        if match is None:
-                            nf = memo[w] = NCPolynomial.word(w)
-                        else:
-                            nf = yield w, match
+                        nf = yield w
                     for u, x in nf.t.items():
                         x = c if x is ONE else c * x
                         y = into.get(u)
@@ -418,41 +406,53 @@ class Presentation:
         normal form of the rest, which gives the same result when normal
         forms are unique.  Reduction runs on a stack of frames, p's at the
         bottom and one above it for each word being rewritten: a generator
-        that yields each word it needs rewritten with its match, is sent
-        the word's normal form, and returns its sum.  Leftmost, every frame
+        that looks each word it needs up in the memo, yields each miss, is
+        sent its normal form, and returns its sum.  Leftmost, every frame
         is a _leftmost_frame.  Suffix first, p's frame is _horner, which
         folds each prefix that p's words share once and each suffix that
         its lone words share once, and a rewritten word's frame is
-        _prepend.  Matches come from the trie that _append built, and the
-        word is memoised with the polynomial its frame returned.  Only a
-        memo miss that rewrites is charged against the budget, so a
-        reduction is charged for the words it reaches; a merged fold
-        reaches a subset of the words that folding each of p's words on
-        its own would."""
+        _prepend.  This loop alone matches and memoises.  It scans each
+        yielded word from its frame's start, kept on the starts stack: a
+        leftmost frame for a match at i starts at i - (maxlen - 1), as no
+        match lies further left, and every other frame at 0; suffix first,
+        it scans position 0 only.  An irreducible word is memoised as
+        itself; any other is charged against the budget and memoised with
+        the sum its frame returns.  So a reduction is charged for the words
+        it reaches that rewrite; a merged fold reaches a subset of the
+        words that folding each of p's words on its own would."""
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
         left, last = budget, None  # last: ref of the last rule fired
-        stack = [_horner(trie, memo, p.t.items()) if suffix_first
-                 else _leftmost_frame(trie, memo, p.t.items(), (), (), 0)]
-        words, nf = [], None
+        stack = [_horner(memo, p.t.items()) if suffix_first
+                 else _leftmost_frame(memo, p.t.items(), (), ())]
+        starts, words, nf = [0], [], None
         while True:
             try:
-                w, (i, rule) = stack[-1].send(nf)
+                w = stack[-1].send(nf)
             except StopIteration as done:
                 stack.pop()
                 nf = NCPolynomial(done.value)
                 if not stack:
                     return nf
+                starts.pop()
                 memo[words.pop()] = nf
+                continue
+            match = _leftmost(trie, w, starts[-1],
+                              1 if suffix_first else len(w))
+            if match is None:
+                nf = memo[w] = NCPolynomial.word(w)
                 continue
             left -= 1
             if left < 0:
                 raise BudgetExceeded(w, max(budget, 0), last)
+            i, rule = match
             last = rule.ref
             reducts, suffix = rule.rhs.t.items(), w[i + len(rule.lhs):]
-            stack.append(
-                _prepend(trie, memo, reducts, suffix) if suffix_first
-                else _leftmost_frame(trie, memo, reducts, w[:i], suffix,
-                                     max(0, i - maxlen + 1)))
+            if suffix_first:
+                stack.append(_prepend(memo, reducts, suffix))
+                starts.append(0)
+            else:
+                stack.append(_leftmost_frame(memo, reducts, w[:i], suffix))
+                starts.append(max(0, i - maxlen + 1))
             words.append(w)
             nf = None
 
@@ -696,15 +696,6 @@ class Presentation:
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=2, ensure_ascii=False) + "\n"
-
-    def same_rules(self, other):
-        """Structural equality of rule systems, ignoring names and refs."""
-        def norm(p):
-            return sorted(
-                (r.lhs, tuple(sorted(r.rhs.t.items(), key=lambda it: it[0])))
-                for r in p.rules
-            )
-        return norm(self) == norm(other)
 
 
 # ---------------------------------------------------------------------------

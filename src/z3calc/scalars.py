@@ -149,10 +149,6 @@ class QJPoly:
             c.pop()
         self.c = tuple(c)
 
-    @staticmethod
-    def const(v):
-        return QJPoly((v,)) if not v.is_zero() else P_ZERO
-
     def is_zero(self):
         return not self.c
 
@@ -405,19 +401,17 @@ def specialize_q(s, q0):
 # ---------------------------------------------------------------------------
 # constants, shared monomials and small builders
 
-# the constant of each QJ in _SHARED, indexed the same way; the one of
-# zero is ZERO, whose numerator has no coefficient
-_CONSTS = [[CycloRational(0, QJPoly.const(v), P_ONE) for v in row]
-           for row in _SHARED]
-ZERO = _CONSTS[0][0]
-
 # _MONOS[e][a][b] is the shared q^e * (a + b*j) for |e| <= _QMAX and each
-# shared QJ value, filled on first use; index -e wraps as in _SHARED, and
-# the plane e = 0 is _CONSTS.  Each shares its one-entry n with _CONSTS.
+# shared QJ value, filled on first use; index -e wraps as in _SHARED.  The
+# plane e = 0, the constant of each QJ in _SHARED, is built here, and each
+# other entry shares its one-entry n with it.  The constant of zero is
+# ZERO, whose numerator has no coefficient.
 _QMAX = 16
 _MONOS = [[[None] * (2 * _SMALL + 1) for _ in _SHARED]
           for _ in range(2 * _QMAX + 1)]
-_MONOS[0] = _CONSTS
+_MONOS[0] = [[CycloRational(0, QJPoly((v,)), P_ONE) for v in row]
+             for row in _SHARED]
+ZERO = _MONOS[0][0][0]
 
 
 def _mono(e, a, b):
@@ -432,18 +426,18 @@ def _mono(e, a, b):
             row = _MONOS[e][a]
             s = row[b]
             if s is None:
-                s = row[b] = (CycloRational(e, _CONSTS[a][b].n, P_ONE)
+                s = row[b] = (CycloRational(e, _MONOS[0][a][b].n, P_ONE)
                               if a or b else ZERO)
             return s
-        return CycloRational(e, _CONSTS[a][b].n, P_ONE) if a or b else ZERO
+        return CycloRational(e, _MONOS[0][a][b].n, P_ONE) if a or b else ZERO
     return CycloRational(e, QJPoly((QJ(a, b),)), P_ONE)
 
 
-ONE = _CONSTS[1][0]
-J = _CONSTS[0][1]
-J2 = _CONSTS[-1][-1]
+ONE = _MONOS[0][1][0]
+J = _MONOS[0][0][1]
+J2 = _MONOS[0][-1][-1]
 Q = _mono(1, 1, 0)
-MINUS_ONE = _CONSTS[-1][0]
+MINUS_ONE = _MONOS[0][-1][0]
 
 
 def bit_length(s):

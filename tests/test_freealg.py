@@ -21,6 +21,10 @@ def test_zero_coefficients_dropped():
     assert p.is_zero()
     assert not p.t
     assert (x.scale(J) + x.scale(J2) + x).is_zero()  # (1+j+j^2) x = 0
+    # a product whose terms cancel stores no zero: the two x*th*th go
+    th = NCPolynomial.gen("th")
+    p = (x + x * th) * (th - th * th)
+    assert p.t == {("x", "th"): ONE, ("x", "th", "th", "th"): -ONE}
 
 
 def test_unit_and_scalar_absorption():

@@ -302,6 +302,21 @@ def test_cli_presets_export_import(tmp_path, capsys):
     assert doc["rules"] == 36
 
 
+def test_cli_presets_import_reads_utf8_under_ascii_locale(tmp_path):
+    # JSON is UTF-8 whatever the locale: a generator named θ must import
+    # under LC_ALL=C too
+    text = presets.build("q_plane").dumps().replace('"th"', '"θ"')
+    path = tmp_path / "greek.json"
+    path.write_bytes(text.encode("utf-8"))
+    r = run_cli("presets", "import", str(path), timeout=60,
+                env={"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                     "LC_ALL": "C", "LANG": "C"})
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"name": "q_plane", "generators": 2,
+                                    "rules": 2, "homogeneous": True,
+                                    "oriented": True}
+
+
 def test_cli_supergroup_checks(capsys):
     for check in ("comodule", "inverse", "sdet"):
         rc, out, _ = main_cli(capsys, "supergroup", "--check", check)

@@ -10,6 +10,7 @@ from z3calc import presets
 from z3calc.freealg import NCPolynomial, fa_str
 from z3calc.scalars import J, J2, ONE, Q
 from z3calc.rewrite import BudgetExceeded, Presentation, saturate
+from test_rewrite import _listed
 
 
 def test_catalog_builds():
@@ -117,8 +118,8 @@ def test_q_plane_is_two_letter_limit():
 
 
 def test_hj_is_qjh_at_one():
-    assert presets.build("qjh_calculus").specialize(1).same_rules(
-        presets.build("hj_calculus"))
+    assert _listed(presets.build("qjh_calculus").specialize(1)) == \
+        _listed(presets.build("hj_calculus"))
 
 
 def test_weyl_operator_letters():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from z3calc import calculus, presets
-from z3calc.scalars import (_MONOS, _QMAX, P_ONE, QJ, QJ_ONE, PoleError, J,
-                            J2, ONE, Q, ZERO, jpow, qpow, rational,
+from z3calc.scalars import (_MONOS, _QMAX, P_ONE, QJ, QJ_ONE, PoleError,
+                            QJPoly, J, J2, ONE, Q, ZERO, jpow, qpow, rational,
                             scalar_str, specialize_q)
 from z3calc.parser import parse, parse_scalar
 
@@ -115,6 +115,10 @@ def test_dense_pair_gives_the_q_degree():
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         ZERO.inv()
+    with pytest.raises(ZeroDivisionError):
+        QJ(0, 0).inv()
+    with pytest.raises(ZeroDivisionError):
+        P_ONE.divmod(QJPoly(()))
 
 
 def test_rational_embedding():

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from z3calc.scalars import (_CONSTS, _SMALL, QJ, QJ_ONE, ONE,  # noqa: E402
+from z3calc.scalars import (_MONOS, _SMALL, QJ, QJ_ONE, ONE,  # noqa: E402
                             P_ONE, ZERO, CycloRational, PoleError, QJPoly,
                             jpow, poly_gcd, qpow, rational, specialize_q)
 from test_scalars import _dense  # noqa: E402
@@ -137,7 +137,7 @@ components = st.one_of(st.integers(-30, 30),
 
 
 def _constant(a, b):
-    return CycloRational(0, QJPoly.const(QJ(a, b)), P_ONE)
+    return CycloRational(0, QJPoly((QJ(a, b),)), P_ONE)
 
 
 def _general(s):
@@ -165,7 +165,7 @@ def test_constant_fast_paths(a0, a1, b0, b1):
         r0, r1 = QJ(r0, r1).a, QJ(r0, r1).b
         if (x and y and type(r0) is int and type(r1) is int
                 and max(abs(r0), abs(r1)) <= _SMALL):
-            assert got is _CONSTS[r0][r1]
+            assert got is _MONOS[0][r0][r1]
     assert x * ONE is x and ONE * x is x
 
 
