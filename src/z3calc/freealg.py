@@ -1,7 +1,9 @@
 """Free graded associative algebra.
 
 Words are tuples of generator names; an NCPolynomial is a finite map
-from words to scalars.  Nothing here reduces anything: products are
+from words to scalars.  That holds everywhere outside the reduction
+engine of the rewrite module, which packs words into strings for its own
+use and hands tuples back.  Nothing here reduces anything: products are
 plain concatenation, and rewriting lives in the rewrite module.
 
 Every generator carries two gradings that must not be confused:

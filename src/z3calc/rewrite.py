@@ -31,6 +31,16 @@ one presentation, which drops only the memo entries that the new rules
 change, and reduce a pair of older rules again only if one of its
 one-step reducts was dropped.
 
+Inside the engine a word is packed: a str with one code point per
+letter, chr(i) for the i-th generator (see _Codes).  _reduce packs the
+words of its polynomial when it starts and unpacks the normal form it
+returns; the memo (its keys and the words of its values), the frames,
+the trie and the words _append drops hold packed words, and a rule's
+right side is packed the first time the rule fires.  A str caches its
+hash and copies one code point per letter, where a tuple rehashes on
+every memo lookup and copies a pointer per letter.  Rules,
+BudgetExceeded.word and every caller keep tuples of generator names.
+
 Matching walks one trie over the rule left sides from each position of
 the word; the trie is built whenever rules are declared.  Every trie
 node carries the first-declared rule among the left sides that are
@@ -141,26 +151,60 @@ def _rewrite_at(word, rule, pos):
                          for rw, rc in rule.rhs.t.items()})
 
 
-def _touches(words, word, rule, pos):
-    """Whether a word of the one-step reduct of word by rule at pos is
-    in the set words."""
-    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    for rw in rule.rhs.t:
+class _Codes(dict):
+    """Generator name -> its letter in a packed word, chr(i) for the i-th
+    generator; names maps each code point back.  A name outside the
+    alphabet gets the next free code point the first time it is packed,
+    so a word may still hold a letter that no generator names."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, generators):
+        self.names = {chr(i): g.name for i, g in enumerate(generators)}
+        super().__init__((g, c) for c, g in self.names.items())
+
+    def __missing__(self, name):
+        c = self[name] = chr(len(self.names))
+        self.names[c] = name
+        return c
+
+    def pack(self, word):
+        return "".join(map(self.__getitem__, word))
+
+    def unpack(self, word):
+        return tuple(map(self.names.__getitem__, word))
+
+
+def _reducts(entry, pack):
+    """The right side of the rule of entry, a [rule, reducts] of the
+    trie, as (packed word, coefficient) pairs; they are packed the first
+    time they are asked for."""
+    if entry[1] is None:
+        entry[1] = [(pack(w), c) for w, c in entry[0].rhs.t.items()]
+    return entry[1]
+
+
+def _touches(words, word, entry, pos, pack):
+    """Whether a word of the one-step reduct of the packed word by the
+    rule of entry at pos is in the set words of packed words."""
+    prefix, suffix = word[:pos], word[pos + len(entry[0].lhs):]
+    for rw, _ in _reducts(entry, pack):
         if prefix + rw + suffix in words:
             return True
     return False
 
 
-def _lhs_trie(rules):
-    """Trie over the left sides: letter -> [children, rule].
+def _lhs_trie(entries, pack):
+    """Trie over the packed left sides of the [rule, reducts] entries:
+    letter -> [children, entry].
 
-    rule is the first-declared rule whose left side is a prefix of the
-    node's path, or None.
+    entry is that of the first-declared rule whose left side is a prefix
+    of the node's path, or None.
     """
     root = {}
-    for r in rules:
+    for e in entries:
         children, node = root, None
-        for g in r.lhs:
+        for g in pack(e[0].lhs):
             node = children.get(g)
             if node is None:
                 node = children[g] = [{}, None]
@@ -168,23 +212,23 @@ def _lhs_trie(rules):
                 break  # an earlier rule matches wherever this one does
             children = node[0]
         else:
-            node[1] = r
+            node[1] = e
 
     todo = [(root, None)]
     while todo:
-        children, rule = todo.pop()
+        children, entry = todo.pop()
         for node in children.values():
             if node[1] is None:
-                node[1] = rule
+                node[1] = entry
             todo.append((node[0], node[1]))
     return root
 
 
 def _leftmost(trie, word, start, stop):
-    """(position, rule) of the leftmost match of the trie in word that
-    starts in range(start, stop), or None.  It is the one scan: only
-    Presentation._reduce, for each word a frame yields, and _append, for
-    each memo word it checks, call it."""
+    """(position, entry) of the leftmost match of the trie in the packed
+    word that starts in range(start, stop), or None.  It is the one scan:
+    only Presentation._reduce, for each word a frame yields, and _append,
+    for each memo word it checks, call it."""
     n = len(word)
     for i in range(start, stop):
         node = trie.get(word[i])
@@ -205,8 +249,8 @@ def _leftmost(trie, word, start, stop):
 def _leftmost_frame(memo, reducts, prefix, suffix):
     """A frame of the leftmost strategy: the sum of c * NF(prefix + middle
     + suffix) over the (middle, c) of reducts, as a dict that may hold
-    zeros.  Each word is looked up in memo, and else yielded, to be sent
-    back its normal form."""
+    zeros; every word is packed.  Each word is looked up in memo, and else
+    yielded, to be sent back its normal form."""
     acc = {}
     for middle, c in reducts:
         w = prefix + middle + suffix
@@ -223,10 +267,10 @@ def _leftmost_frame(memo, reducts, prefix, suffix):
 def _prepend(memo, jobs, suffix):
     """The frame of a rewritten word in the suffix-first strategy: the sum
     of c * NF(letters + suffix) over the (letters, c) of jobs, suffix being
-    irreducible, as a dict that may hold zeros.  The letters are put in
-    front of the normal form one at a time, last first.  Each word g*v
-    this needs is looked up in memo, and else yielded, to be sent back
-    its normal form."""
+    irreducible, as a dict that may hold zeros; every word is packed.  The
+    letters are put in front of the normal form one at a time, last
+    first.  Each word g*v this needs is looked up in memo, and else
+    yielded, to be sent back its normal form."""
     acc = {}
     for letters, coeff in jobs:
         terms = {suffix: coeff}
@@ -235,7 +279,7 @@ def _prepend(memo, jobs, suffix):
             for v, c in terms.items():
                 if not c:
                     continue
-                w = (g,) + v
+                w = g + v
                 nf = memo.get(w)
                 if nf is None:
                     nf = yield w
@@ -252,7 +296,8 @@ def _prepend(memo, jobs, suffix):
 
 def _horner(memo, items):
     """The bottom frame of the suffix-first strategy: the sum of c * NF(w)
-    over the (w, c) of items, as a dict that may hold zeros.
+    over the (w, c) of items, as a dict that may hold zeros; every word
+    is packed.
 
     Since NF(g*p) = NF(g*NF(p)) when normal forms are unique, the words
     are grouped by prefix and each letter of a shared prefix is folded
@@ -289,13 +334,13 @@ def _horner(memo, items):
             node = child
         else:
             node[1] = c
-    suffixes = [{}, {(): ONE}]  # node: [letter to its left -> node, NF]
+    suffixes = [{}, {"": ONE}]  # node: [letter to its left -> node, NF]
     for node, depth in reversed(nodes):
-        acc = {} if node[1] is None else {(): node[1]}
+        acc = {} if node[1] is None else {"": node[1]}
         for g, child in node[0].items():
             # each letter g of todo, last first, adds NF(g * terms) to into
             if type(child) is list:
-                todo, terms, into, lone = (g,), child[2], acc, None
+                todo, terms, into, lone = g, child[2], acc, None
             else:  # a lone word w: the suffixes of w[depth:] not met yet
                 lone, s = child, suffixes
                 w = lone[0]
@@ -313,7 +358,7 @@ def _horner(memo, items):
                 for v, c in terms.items():
                     if not c:
                         continue
-                    w = (g,) + v
+                    w = g + v
                     nf = memo.get(w)
                     if nf is None:
                         nf = yield w
@@ -339,6 +384,8 @@ class Presentation:
         self.order = order
         self.q = q  # "symbolic" or a Fraction
         self.gens = {g.name: g for g in self.generators}
+        self._codes = _Codes(self.generators)
+        self._entries = []  # [rule, its packed reducts or None] per rule
         self._memo = {}
         self._verdict = None
         self._append(rules)
@@ -346,18 +393,20 @@ class Presentation:
     def _append(self, rules):
         """Declare rules after the existing ones, rebuild the trie over all
         left sides and the longest left side, then drop from the memo, and
-        return, every word whose reduction that changes: its leftmost
-        match is now a new rule (at the old match the old rule still wins,
-        as it was declared first), or its one-step reduct holds a dropped
-        word, which the memo lists first.  While normal forms are unique
-        the memo may hold suffix-first entries, which fold g*v instead of
-        following a rule, so it is dropped whole."""
+        return, every packed word whose reduction that changes: its
+        leftmost match is now a new rule (at the old match the old rule
+        still wins, as it was declared first), or its one-step reduct holds
+        a dropped word, which the memo lists first.  While normal forms are
+        unique the memo may hold suffix-first entries, which fold g*v
+        instead of following a rule, so it is dropped whole."""
         for r in rules:
             if not r.lhs:
                 raise ValueError("rule %s has an empty lhs"
                                  % _echo(r.ref or "?", str))
         self.rules.extend(rules)
-        self._trie = trie = _lhs_trie(self.rules)
+        self._entries.extend([r, None] for r in rules)
+        pack = self._codes.pack
+        self._trie = trie = _lhs_trie(self._entries, pack)
         self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
         memo, unique, self._verdict = self._memo, self._verdict, None
         if unique:
@@ -367,8 +416,9 @@ class Presentation:
             for w in memo:
                 match = _leftmost(trie, w, 0, len(w))
                 if match is not None and (
-                        match[1] in fresh
-                        or dropped and _touches(dropped, w, match[1], match[0])):
+                        match[1][0] in fresh
+                        or dropped and _touches(dropped, w, match[1],
+                                                match[0], pack)):
                     dropped.add(w)
         for w in dropped:
             del memo[w]
@@ -411,9 +461,13 @@ class Presentation:
         is a _leftmost_frame.  Suffix first, p's frame is _horner, which
         folds each prefix that p's words share once and each suffix that
         its lone words share once, and a rewritten word's frame is
-        _prepend.  This loop alone matches and memoises.  It scans each
-        yielded word from its frame's start, kept on the starts stack: a
-        leftmost frame for a match at i starts at i - (maxlen - 1), as no
+        _prepend.  The frames, the memo and the trie hold packed words:
+        this loop packs p's words when it starts, and a rule's right side
+        the first time the rule fires, and unpacks the normal form it
+        returns and the word of a BudgetExceeded, so p, the result and the
+        error hold tuples.  This loop alone matches and memoises.  It scans
+        each yielded word from its frame's start, kept on the starts stack:
+        a leftmost frame for a match at i starts at i - (maxlen - 1), as no
         match lies further left, and every other frame at 0; suffix first,
         it scans position 0 only.  An irreducible word is memoised as
         itself; any other is charged against the budget and memoised with
@@ -421,32 +475,40 @@ class Presentation:
         it reaches that rewrite; a merged fold reaches a subset of the
         words that folding each of p's words on its own would."""
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
+        codes, pack = self._codes, self._codes.pack
         left, last = budget, None  # last: ref of the last rule fired
-        stack = [_horner(memo, p.t.items()) if suffix_first
-                 else _leftmost_frame(memo, p.t.items(), (), ())]
+        items = [(pack(w), c) for w, c in p.t.items()]
+        stack = [_horner(memo, items) if suffix_first
+                 else _leftmost_frame(memo, items, "", "")]
         starts, words, nf = [0], [], None
         while True:
             try:
                 w = stack[-1].send(nf)
             except StopIteration as done:
                 stack.pop()
+                if not stack:  # zeros are dropped before words are unpacked
+                    unpack = codes.unpack
+                    return NCPolynomial({unpack(u): c
+                                         for u, c in done.value.items() if c})
                 nf = NCPolynomial(done.value)
-                if not stack:
-                    return nf
                 starts.pop()
                 memo[words.pop()] = nf
                 continue
             match = _leftmost(trie, w, starts[-1],
                               1 if suffix_first else len(w))
-            if match is None:
-                nf = memo[w] = NCPolynomial.word(w)
+            if match is None:  # irreducible: its own normal form
+                nf = memo[w] = NCPolynomial()
+                nf.t = {w: ONE}
                 continue
             left -= 1
             if left < 0:
-                raise BudgetExceeded(w, max(budget, 0), last)
-            i, rule = match
+                raise BudgetExceeded(codes.unpack(w), max(budget, 0), last)
+            i, entry = match
+            rule, reducts = entry
+            if reducts is None:
+                reducts = _reducts(entry, pack)
             last = rule.ref
-            reducts, suffix = rule.rhs.t.items(), w[i + len(rule.lhs):]
+            suffix = w[i + len(rule.lhs):]
             if suffix_first:
                 stack.append(_prepend(memo, reducts, suffix))
                 starts.append(0)
@@ -508,13 +570,16 @@ class Presentation:
         order: r1 and r2 apply to word, and nf1 and nf2 are their one-step
         reducts reduced by the leftmost, first-declared rule.  A pair of two
         rules below index old is skipped when no word of either reduct is in
-        dropped, as saturate's rescan needs; the defaults keep every pair."""
-        rules = self.rules
+        dropped, the packed words that _append returned, as saturate's
+        rescan needs; the defaults keep every pair."""
+        rules, entries, pack = self.rules, self._entries, self._codes.pack
         for i1, i2, word, p2 in self._ambiguities():
             r1, r2 = rules[i1], rules[i2]
-            if (i1 < old and i2 < old and not _touches(dropped, word, r1, 0)
-                    and not _touches(dropped, word, r2, p2)):
-                continue
+            if i1 < old and i2 < old:
+                w = pack(word)
+                if not (_touches(dropped, w, entries[i1], 0, pack)
+                        or _touches(dropped, w, entries[i2], p2, pack)):
+                    continue
             yield (r1, r2, word,
                    self._reduce(_rewrite_at(word, r1, 0), budget),
                    self._reduce(_rewrite_at(word, r2, p2), budget))

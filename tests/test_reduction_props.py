@@ -237,8 +237,12 @@ def test_append_drops_every_memo_word_it_changes(name, data):
     dropped = P._append([_oriented(data.draw, letters, P.order, lhs)
                          for lhs in lhss])
     assert not dropped & P._memo.keys()
+    # the memo holds packed words, the fresh presentation's results tuples
     fresh = Presentation(P.name, P.generators, P.rules, P.order, q=P.q)
+    unpack = P._codes.unpack
     for w, nf in P._memo.items():
+        w = unpack(w)
+        nf = NCPolynomial({unpack(u): c for u, c in nf.t.items()})
         assert nf == fresh._reduce(NCPolynomial.word(w), DEFAULT_BUDGET), w
     for w in words:
         assert P.normal_form(NCPolynomial.word(w)) == \

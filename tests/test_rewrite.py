@@ -16,7 +16,7 @@ from z3calc.parser import parse
 from z3calc.rewrite import (MAX_SWEEPS, BudgetExceeded, LocalizeError,
                             Presentation, RewriteRule, TermOrder, _solve_for,
                             localize, saturate)
-from z3calc.scalars import J, ONE, rational
+from z3calc.scalars import J, ONE, qpow, rational
 
 
 def test_term_order_weight_dominates():
@@ -197,6 +197,44 @@ def test_long_left_side_under_default_limit(default_recursion_limit):
     P = Presentation("toy", gens, [
         RewriteRule(("a",) * 3000, NCPolynomial.word(("b",)), "a3000")], order)
     assert P.nf_word(("a",) * 3001) == NCPolynomial.word(("b", "a"))
+
+
+_LONG_WORD = """
+import resource
+from z3calc import presets
+from z3calc.freealg import NCPolynomial
+P = presets.build("q_plane").specialize(1)
+nf = P.nf_word(("x",) * 3000 + ("th",))
+print(nf == NCPolynomial.word(("th",) + ("x",) * 3000), len(P._memo),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_long_word_memo_stays_small():
+    # x^3000*th memoises 9,001 words of up to 3,001 letters, 13.5 million
+    # letters in all; the process that reduces it must peak under 60 MB
+    # of RSS (ru_maxrss counts KiB on Linux).  Linux carries a process's
+    # peak RSS across fork and exec, so a child of the test runner would
+    # report at least the runner's peak: the reduction runs in a
+    # grandchild, forked from a bare interpreter.
+    spawn = ("import subprocess, sys; "
+             "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)")
+    out = subprocess.run([sys.executable, "-c", spawn, _LONG_WORD],
+                         capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out[:2] == ["True", "9001"]
+    assert int(out[2]) < 60 * 1024
+
+
+def test_letter_outside_the_alphabet_is_irreducible():
+    # a name that is no generator matches no rule: it stays where it is,
+    # and the letters on either side of it reduce on their own
+    P = presets.build("q_plane")
+    word = NCPolynomial.word(("zz", "x"))
+    assert P.normal_form(word) == word
+    assert P._reduce(word, rewrite.DEFAULT_BUDGET) == word
+    assert P.nf_word(("x", "th", "zz", "x", "th")) == \
+        NCPolynomial.word(("th", "x", "zz", "th", "x"), qpow(2))
 
 
 def test_ambiguities_of_long_left_side_are_quick():
