@@ -10,7 +10,9 @@ for homogeneous a of effective weight w(a).  Iterating it gives
     d^2(a b) = (d^2 a) b + (j^w + j^(w+1)) (d a)(d b) + j^(2w) a (d^2 b),
 
 and d^3 = 0 identically because each generator's chain of images ends
-in zero after two steps.
+in zero after two steps.  d, and the partials likewise, sum an
+unreduced image into one word -> scalar dict and drop the sums that
+cancelled to zero once, at the end.
 
 Partial derivatives act from the left through recursion rows: a row
 (c, prefix, axis) for leading letter g means the term c * prefix *
@@ -41,7 +43,12 @@ from . import presets as _presets
 
 
 class DifferentialOperator:
-    """Left-to-right twisted derivation on a presentation's algebra."""
+    """Left-to-right twisted derivation on a presentation's algebra.
+
+    d(p) is summed term by term into one word -> scalar dict: letter i of
+    a word c*w contributes c * j^(weight of w[:i]) * ic at w[:i] + iw +
+    w[i+1:] for each term ic*iw of that letter's image.  Zeros are
+    dropped once, at the end, so d(p, reduce=False) stores none."""
 
     def __init__(self, preset, images=None):
         self.preset = preset
@@ -55,18 +62,22 @@ class DifferentialOperator:
             self.images.update(images)
 
     def __call__(self, p, reduce=True):
-        gens = self.preset.gens
-        out = NCPolynomial.zero()
+        gens, images = self.preset.gens, self.images
+        acc = {}
         for word, c in p.t.items():
             wsum = 0
             for i, name in enumerate(word):
-                img = self.images.get(name)
+                img = images.get(name)
                 if img is None:
                     raise KeyError("d undefined on generator %r" % name)
-                if not img.is_zero():
-                    pre = NCPolynomial.word(word[:i], c * jpow(wsum))
-                    out = out + pre * img * NCPolynomial.word(word[i + 1:])
+                if img.t:
+                    pre, post, cj = word[:i], word[i + 1:], c * jpow(wsum)
+                    for iw, ic in img.t.items():
+                        w, t = pre + iw + post, cj * ic
+                        s = acc.get(w)
+                        acc[w] = t if s is None else s + t
                 wsum += gens[name].weight
+        out = NCPolynomial(acc)  # drops the sums that cancelled
         return self.preset.normal_form(out) if reduce else out
 
 
@@ -122,9 +133,13 @@ class PartialOperator:
         return tails[axis]
 
     def __call__(self, axis, p, reduce=True):
-        out = NCPolynomial.zero()
-        for w, c in p.t.items():
-            out = out + self._word(axis, w).scale(c)
+        acc = {}
+        for word, c in p.t.items():
+            for w, wc in self._word(axis, word).t.items():
+                t = wc * c
+                s = acc.get(w)
+                acc[w] = t if s is None else s + t
+        out = NCPolynomial(acc)  # drops the sums that cancelled
         return self.preset.normal_form(out) if reduce else out
 
 

@@ -103,6 +103,85 @@ def test_d_cube_randomized(P):
         assert d_cube_vanishes(P, random_element(P, rng, max_len=4))
 
 
+def reference_d(op, p):
+    """d of p by the product formula, one letter at a time: each term is
+    c j^w(prefix) prefix * image * suffix, summed with NCPolynomial.__add__."""
+    gens = op.preset.gens
+    out = NCPolynomial.zero()
+    for word, c in p.t.items():
+        wsum = 0
+        for i, name in enumerate(word):
+            img = op.images.get(name)
+            if img is None:
+                raise KeyError("d undefined on generator %r" % name)
+            pre = NCPolynomial.word(word[:i], c * jpow(wsum))
+            out = out + pre * img * NCPolynomial.word(word[i + 1:])
+            wsum += gens[name].weight
+    return out
+
+
+@pytest.mark.parametrize("name", ["qjh_calculus", "hj_calculus", "cartan"])
+def test_d_matches_reference(name):
+    pres = presets.build(name)
+    images = None
+    if name == "cartan":  # the multi-letter image cartan_verify uses
+        images = {"xinv": NCPolynomial.word(("xinv", "dx", "xinv"), -ONE)}
+    d = DifferentialOperator(pres, images=images)
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(150):
+        p = random_element(pres, rng)
+        # cartan's w and u have no image: d refuses them as the formula does
+        defined = NCPolynomial({w: c for w, c in p.t.items()
+                                if all(l in d.images for l in w)})
+        if defined != p:
+            with pytest.raises(KeyError) as want:
+                reference_d(d, p)
+            with pytest.raises(KeyError) as got:
+                d(p, reduce=False)
+            assert str(got.value) == str(want.value)
+        got = d(defined, reduce=False)
+        assert got.t == reference_d(d, defined).t, fa_str(defined)
+        assert not any(c.is_zero() for c in got.t.values())
+        compared += len(defined.t)
+    assert compared > 300
+
+
+def test_d_drops_cancelled_sums(P):
+    gen, word = NCPolynomial.gen, NCPolynomial.word
+    # d(x*th) = (x + dx)*th + j^w(x) x * (-j^-w(x) th): the x*th terms cancel
+    w = P.gens["x"].weight
+    d = DifferentialOperator(P, images={
+        "x": gen("x") + gen("dx"), "th": gen("th", -jpow(2 * w))})
+    got = d(word(("x", "th")), reduce=False)
+    assert ("x", "th") not in got.t
+    assert got == word(("dx", "th"))
+    # the d2x sum runs 2, 0, 2 over the words of 2x - 2th + 2dx
+    d = DifferentialOperator(P, images={l: gen("d2x") for l in ("x", "th", "dx")})
+    two = ONE + ONE
+    p = NCPolynomial({("x",): two, ("th",): -two, ("dx",): two})
+    assert d(p, reduce=False).t == {("d2x",): two}
+
+
+def test_partial_sums_words_like_add(P):
+    # the partial of a sum is the sum of its words' partials, no zero kept
+    part = PartialOperator(P)
+    letters = sorted(calculus._PARTIAL_LETTERS)
+    rng = random.Random(3)
+    for _ in range(50):
+        p = NCPolynomial.zero()
+        for _ in range(4):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+            p = p + NCPolynomial.word(w, jpow(rng.randint(0, 2)))
+        for axis in ("x", "th"):
+            want = NCPolynomial.zero()
+            for w, c in p.t.items():
+                want = want + part(axis, NCPolynomial.word(w), reduce=False).scale(c)
+            got = part(axis, p, reduce=False)
+            assert got.t == want.t, (axis, fa_str(p))
+            assert not any(c.is_zero() for c in got.t.values())
+
+
 def test_random_element_follows_preset_q():
     """On a preset bound to q = 1 no coefficient carries a power of q."""
     P1 = presets.build("hj_calculus")
