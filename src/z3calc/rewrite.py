@@ -32,14 +32,15 @@ change, and reduce a pair of older rules again only if one of its
 one-step reducts was dropped.
 
 Inside the engine a word is packed: a str with one code point per
-letter, chr(i) for the i-th generator (see _Codes).  _reduce packs the
-words of its polynomial when it starts and unpacks the normal form it
-returns; the memo (its keys and the words of its values), the frames,
-the trie and the words _append drops hold packed words, and a rule's
-right side is packed the first time the rule fires.  A str caches its
-hash and copies one code point per letter, where a tuple rehashes on
-every memo lookup and copies a pointer per letter.  Rules,
-BudgetExceeded.word and every caller keep tuples of generator names.
+letter, chr(i) for the i-th generator (see _Codes).  A rule's left side
+is packed when the rule is declared, its right side when the rule first
+fires, and a polynomial by _reduce, which runs the packed core
+_reduce_packed and unpacks its result.  The ambiguities, their one-step
+reducts (_reduct), the memo, the frames, the trie and the words _append
+drops are packed; critical_pairs and saturate unpack only what they
+hand out.  A str caches its hash and copies one code point per letter,
+where a tuple rehashes on every memo lookup and copies a pointer per
+letter.  Rules, BudgetExceeded.word and every caller keep tuples.
 
 Matching walks one trie over the rule left sides from each position of
 the word; the trie is built whenever rules are declared.  Every trie
@@ -144,13 +145,6 @@ def _solve_for(d, lead, source="the difference"):
     return RewriteRule(lead, rhs, "derived:" + ".".join(lead))
 
 
-def _rewrite_at(word, rule, pos):
-    """The one-step reduct of word by rule applied at pos."""
-    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    return NCPolynomial({prefix + rw + suffix: rc
-                         for rw, rc in rule.rhs.t.items()})
-
-
 class _Codes(dict):
     """Generator name -> its letter in a packed word, chr(i) for the i-th
     generator; names maps each code point back.  A name outside the
@@ -174,29 +168,33 @@ class _Codes(dict):
     def unpack(self, word):
         return tuple(map(self.names.__getitem__, word))
 
+    def unpack_poly(self, p):
+        """The polynomial p over packed words, over tuples of names."""
+        name, r = self.names.__getitem__, NCPolynomial()
+        r.t = {tuple(map(name, u)): c for u, c in p.t.items()}
+        return r
+
 
 def _reducts(entry, pack):
-    """The right side of the rule of entry, a [rule, reducts] of the
-    trie, as (packed word, coefficient) pairs; they are packed the first
-    time they are asked for."""
-    if entry[1] is None:
-        entry[1] = [(pack(w), c) for w, c in entry[0].rhs.t.items()]
-    return entry[1]
+    """The right side of the rule of entry, a [rule, packed left side,
+    reducts] of the trie, as (packed word, coefficient) pairs; they are
+    packed the first time they are asked for."""
+    if entry[2] is None:
+        entry[2] = [(pack(w), c) for w, c in entry[0].rhs.t.items()]
+    return entry[2]
 
 
-def _touches(words, word, entry, pos, pack):
-    """Whether a word of the one-step reduct of the packed word by the
-    rule of entry at pos is in the set words of packed words."""
-    prefix, suffix = word[:pos], word[pos + len(entry[0].lhs):]
-    for rw, _ in _reducts(entry, pack):
-        if prefix + rw + suffix in words:
-            return True
-    return False
+def _reduct(word, entry, pos, pack):
+    """The one-step reduct of the packed word by the rule of entry at pos,
+    as (packed word, coefficient) pairs."""
+    prefix, suffix = word[:pos], word[pos + len(entry[1]):]
+    return [(prefix + rw + suffix, c) for rw, c in _reducts(entry, pack)]
 
 
-def _lhs_trie(entries, pack):
-    """Trie over the packed left sides of the [rule, reducts] entries:
-    letter -> [children, entry].
+def _lhs_trie(entries):
+    """Trie over the left sides, packed when their rules were declared,
+    of the [rule, packed left side, reducts] entries: letter -> [children,
+    entry].
 
     entry is that of the first-declared rule whose left side is a prefix
     of the node's path, or None.
@@ -204,7 +202,7 @@ def _lhs_trie(entries, pack):
     root = {}
     for e in entries:
         children, node = root, None
-        for g in pack(e[0].lhs):
+        for g in e[1]:
             node = children.get(g)
             if node is None:
                 node = children[g] = [{}, None]
@@ -385,28 +383,28 @@ class Presentation:
         self.q = q  # "symbolic" or a Fraction
         self.gens = {g.name: g for g in self.generators}
         self._codes = _Codes(self.generators)
-        self._entries = []  # [rule, its packed reducts or None] per rule
+        self._entries = []  # [rule, packed lhs, packed reducts or None]
         self._memo = {}
         self._verdict = None
         self._append(rules)
 
     def _append(self, rules):
-        """Declare rules after the existing ones, rebuild the trie over all
-        left sides and the longest left side, then drop from the memo, and
-        return, every packed word whose reduction that changes: its
-        leftmost match is now a new rule (at the old match the old rule
-        still wins, as it was declared first), or its one-step reduct holds
-        a dropped word, which the memo lists first.  While normal forms are
-        unique the memo may hold suffix-first entries, which fold g*v
-        instead of following a rule, so it is dropped whole."""
+        """Declare rules after the existing ones, each left side packed
+        once, rebuild the trie and the longest left side, then drop from
+        the memo, and return, every packed word whose reduction that
+        changes: its leftmost match is now a new rule (at the old match the
+        old rule still wins, as it was declared first), or its one-step
+        reduct holds a dropped word, which the memo lists first.  While
+        normal forms are unique the memo may hold suffix-first entries,
+        which fold g*v instead of following a rule, so it is dropped whole."""
         for r in rules:
             if not r.lhs:
                 raise ValueError("rule %s has an empty lhs"
                                  % _echo(r.ref or "?", str))
-        self.rules.extend(rules)
-        self._entries.extend([r, None] for r in rules)
         pack = self._codes.pack
-        self._trie = trie = _lhs_trie(self._entries, pack)
+        self.rules.extend(rules)
+        self._entries.extend([r, pack(r.lhs), None] for r in rules)
+        self._trie = trie = _lhs_trie(self._entries)
         self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
         memo, unique, self._verdict = self._memo, self._verdict, None
         if unique:
@@ -415,10 +413,11 @@ class Presentation:
             dropped, fresh = set(), set(rules)
             for w in memo:
                 match = _leftmost(trie, w, 0, len(w))
-                if match is not None and (
-                        match[1][0] in fresh
-                        or dropped and _touches(dropped, w, match[1],
-                                                match[0], pack)):
+                if match is None:
+                    continue
+                i, entry = match
+                if entry[0] in fresh or dropped and any(
+                        u in dropped for u, _ in _reduct(w, entry, i, pack)):
                     dropped.add(w)
         for w in dropped:
             del memo[w]
@@ -451,33 +450,37 @@ class Presentation:
         return self._reduce(p, _step_budget(), self._unique_normal_forms())
 
     def _reduce(self, p, budget, suffix_first=False):
-        """The normal form of p by the leftmost, first-declared rule, or,
-        if suffix_first, by putting one letter at a time in front of the
+        """The normal form of p: p packed, reduced by _reduce_packed and
+        unpacked, so p and the result hold tuples of names."""
+        items = [(self._codes.pack(w), c) for w, c in p.t.items()]
+        return self._codes.unpack_poly(
+            self._reduce_packed(items, budget, suffix_first))
+
+    def _reduce_packed(self, items, budget, suffix_first=False):
+        """The normal form, over packed words, of the sum of c * w over the
+        packed (w, c) of items by the leftmost, first-declared rule, or, if
+        suffix_first, by putting one letter at a time in front of the
         normal form of the rest, which gives the same result when normal
-        forms are unique.  Reduction runs on a stack of frames, p's at the
-        bottom and one above it for each word being rewritten: a generator
-        that looks each word it needs up in the memo, yields each miss, is
-        sent its normal form, and returns its sum.  Leftmost, every frame
-        is a _leftmost_frame.  Suffix first, p's frame is _horner, which
-        folds each prefix that p's words share once and each suffix that
-        its lone words share once, and a rewritten word's frame is
-        _prepend.  The frames, the memo and the trie hold packed words:
-        this loop packs p's words when it starts, and a rule's right side
-        the first time the rule fires, and unpacks the normal form it
-        returns and the word of a BudgetExceeded, so p, the result and the
-        error hold tuples.  This loop alone matches and memoises.  It scans
-        each yielded word from its frame's start, kept on the starts stack:
-        a leftmost frame for a match at i starts at i - (maxlen - 1), as no
-        match lies further left, and every other frame at 0; suffix first,
-        it scans position 0 only.  An irreducible word is memoised as
-        itself; any other is charged against the budget and memoised with
-        the sum its frame returns.  So a reduction is charged for the words
-        it reaches that rewrite; a merged fold reaches a subset of the
-        words that folding each of p's words on its own would."""
+        forms are unique.  Reduction runs on a stack of frames, the items'
+        at the bottom and one above it for each word being rewritten: a
+        generator that looks each word it needs up in the memo, yields
+        each miss, is sent its normal form, and returns its sum.
+        Leftmost, every frame is a _leftmost_frame.  Suffix first, the
+        items' frame is _horner, which folds each prefix that their words
+        share once and each suffix that its lone words share once, and a
+        rewritten word's frame is _prepend.  Only the word of a
+        BudgetExceeded is unpacked.  This loop alone matches and memoises.
+        It scans each yielded word from its frame's start, kept on the
+        starts stack: a leftmost frame for a match at i starts at
+        i - (maxlen - 1), as no match lies further left, and every other
+        frame at 0; suffix first, it scans position 0 only.  An irreducible
+        word is memoised as itself; any other is charged against the budget
+        and memoised with the sum its frame returns.  So a reduction is
+        charged for the words it reaches that rewrite; a merged fold
+        reaches a subset of the words that folding each on its own would."""
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
         codes, pack = self._codes, self._codes.pack
         left, last = budget, None  # last: ref of the last rule fired
-        items = [(pack(w), c) for w, c in p.t.items()]
         stack = [_horner(memo, items) if suffix_first
                  else _leftmost_frame(memo, items, "", "")]
         starts, words, nf = [0], [], None
@@ -486,11 +489,9 @@ class Presentation:
                 w = stack[-1].send(nf)
             except StopIteration as done:
                 stack.pop()
-                if not stack:  # zeros are dropped before words are unpacked
-                    unpack = codes.unpack
-                    return NCPolynomial({unpack(u): c
-                                         for u, c in done.value.items() if c})
                 nf = NCPolynomial(done.value)
+                if not stack:
+                    return nf
                 starts.pop()
                 memo[words.pop()] = nf
                 continue
@@ -504,11 +505,11 @@ class Presentation:
             if left < 0:
                 raise BudgetExceeded(codes.unpack(w), max(budget, 0), last)
             i, entry = match
-            rule, reducts = entry
+            rule, lhs, reducts = entry
             if reducts is None:
                 reducts = _reducts(entry, pack)
             last = rule.ref
-            suffix = w[i + len(rule.lhs):]
+            suffix = w[i + len(lhs):]
             if suffix_first:
                 stack.append(_prepend(memo, reducts, suffix))
                 starts.append(0)
@@ -555,49 +556,46 @@ class Presentation:
 
     def critical_pairs(self):
         """All overlap and containment ambiguities, each reduced both ways
-        by the leftmost, first-declared rule.
-
-        Returns a list of dicts with the ambiguous word, the two rule
-        refs, both normal forms, and whether they agree.  No completion
-        is attempted.
-        """
-        return [{"word": word, "rules": (r1.ref, r2.ref), "nf1": nf1,
-                 "nf2": nf2, "joinable": nf1 == nf2}
+        by the leftmost, first-declared rule: a list of dicts with the
+        ambiguous word, the two rule refs, both normal forms, and whether
+        they agree.  No completion is attempted."""
+        codes = self._codes
+        return [{"word": codes.unpack(word), "rules": (r1.ref, r2.ref),
+                 "nf1": codes.unpack_poly(nf1), "nf2": codes.unpack_poly(nf2),
+                 "joinable": nf1 == nf2}
                 for r1, r2, word, nf1, nf2 in self._pairs(_step_budget())]
 
     def _pairs(self, budget, old=0, dropped=()):
         """(r1, r2, word, nf1, nf2) for each ambiguity, in _ambiguities()
-        order: r1 and r2 apply to word, and nf1 and nf2 are their one-step
-        reducts reduced by the leftmost, first-declared rule.  A pair of two
-        rules below index old is skipped when no word of either reduct is in
-        dropped, the packed words that _append returned, as saturate's
-        rescan needs; the defaults keep every pair."""
+        order: r1 and r2 apply to the packed word, and nf1 and nf2 are
+        their packed one-step reducts (_reduct) reduced leftmost by
+        _reduce_packed, not unpacked.  A pair of two rules below index old
+        is skipped when no word of either reduct is in dropped, the packed
+        words that _append returned, as saturate's rescan needs."""
         rules, entries, pack = self.rules, self._entries, self._codes.pack
         for i1, i2, word, p2 in self._ambiguities():
-            r1, r2 = rules[i1], rules[i2]
-            if i1 < old and i2 < old:
-                w = pack(word)
-                if not (_touches(dropped, w, entries[i1], 0, pack)
-                        or _touches(dropped, w, entries[i2], p2, pack)):
-                    continue
-            yield (r1, r2, word,
-                   self._reduce(_rewrite_at(word, r1, 0), budget),
-                   self._reduce(_rewrite_at(word, r2, p2), budget))
+            red1 = _reduct(word, entries[i1], 0, pack)
+            red2 = _reduct(word, entries[i2], p2, pack)
+            if i1 < old and i2 < old and not any(
+                    w in dropped for w, _ in red1 + red2):
+                continue
+            yield (rules[i1], rules[i2], word,
+                   self._reduce_packed(red1, budget),
+                   self._reduce_packed(red2, budget))
 
     def _ambiguities(self):
-        """(i1, i2, word, p2) for each ambiguity: rules[i1] applies to word
-        at 0 and rules[i2] at p2, ordered by i1, then by i2; for one i2
-        the overlaps come before the inclusion."""
-        rules = self.rules
+        """(i1, i2, word, p2) for each ambiguity, word packed: rules[i1]
+        applies to word at 0 and rules[i2] at p2, ordered by i1, then by
+        i2; for one i2 the overlaps come before the inclusion."""
+        lhss = [e[1] for e in self._entries]
         by_prefix = {}  # proper prefix of a lhs -> indices of its rules
         by_lhs = {}
-        for i, r in enumerate(rules):
-            by_lhs.setdefault(r.lhs, []).append(i)
-            for k in range(1, len(r.lhs)):
-                by_prefix.setdefault(r.lhs[:k], []).append(i)
+        for i, lhs in enumerate(lhss):
+            by_lhs.setdefault(lhs, []).append(i)
+            for k in range(1, len(lhs)):
+                by_prefix.setdefault(lhs[:k], []).append(i)
         lengths = sorted({len(lhs) for lhs in by_lhs})
-        for i1, r1 in enumerate(rules):
-            l1 = r1.lhs
+        for i1, l1 in enumerate(lhss):
             n1 = len(l1)
             # (i2, 0, k): a suffix of length k of l1 is a prefix of l2;
             # (i2, 1, p): l2 sits inside l1 at p.  Sorting gives the order
@@ -620,7 +618,7 @@ class Presentation:
                 if inside:
                     yield i1, i2, l1, x
                 else:
-                    yield i1, i2, l1 + rules[i2].lhs[x:], n1 - x
+                    yield i1, i2, l1 + lhss[i2][x:], n1 - x
 
     def pair_census(self):
         pairs = self.critical_pairs()
@@ -791,7 +789,7 @@ def saturate(pres, skip=None):
     """
     P = Presentation(pres.name, pres.generators, pres.rules, pres.order,
                      q=pres.q)
-    key, budget = pres.order.key, _step_budget()
+    key, budget, codes = pres.order.key, _step_budget(), P._codes
     seen = {r.lhs for r in P.rules}
     old, dropped = 0, set()
     for _ in range(MAX_SWEEPS):
@@ -800,12 +798,14 @@ def saturate(pres, skip=None):
             d = nf1 - nf2
             if d.is_zero():
                 continue
+            d = codes.unpack_poly(d)
             lead = max(d.support(), key=key)
             if lead in seen or (skip is not None and skip(lead)):
                 continue
             seen.add(lead)
             new.append(_solve_for(d, lead, "the ambiguity %s of rules %s and %s"
-                                  % ("*".join(word), r1.ref, r2.ref)))
+                                  % ("*".join(codes.unpack(word)), r1.ref,
+                                     r2.ref)))
         if not new:
             break
         old = len(P.rules)

@@ -106,6 +106,29 @@ def test_q_value_clips_the_text(text, name, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("opener, closer, value", [
+    ("(", ")", NCPolynomial.gen("x")),
+    ("-", "", NCPolynomial.gen("x").scale(-ONE)),
+], ids=["parentheses", "signs"])
+def test_parse_nesting_bound_is_exact(P, opener, closer, value):
+    # 99 openers put x at depth 100, the last depth that parses
+    assert parse(opener * 99 + "x" + closer * 99, P) == value
+    with pytest.raises(ParseError) as err:
+        parse(opener * 100 + "x" + closer * 100, P)
+    assert str(err.value) == "nested deeper than 100 (at byte 100)"
+
+
+@pytest.mark.parametrize("side", ["%d", "1/%d"], ids=["numerator",
+                                                    "denominator"])
+def test_q_value_bit_bound_is_exact(side):
+    top = 2 ** MAX_BITS
+    assert q_value(side % (top - 1)) == Fraction(side % (top - 1))
+    with pytest.raises(ValueError) as err:
+        q_value(side % top)
+    assert str(err.value) == ("--q: numerator or denominator longer than "
+                              "%d bits" % MAX_BITS)
+
+
 def test_parse_exponent_cap(P):
     assert parse("x^5000", P) == NCPolynomial.word(("x",) * 5000)
     with pytest.raises(ParseError) as err:

@@ -2,9 +2,10 @@
 irreducible, and d^3 = 0 in the calculi; export -> import gives the
 same preset back; leftmost reduction agrees with a scan from 0 that
 keeps no memo, and suffix-first reduction of polynomials whose words
-share prefixes and tails with it; saturate derives what recomputing
-every ambiguity derives; and appending rules keeps only the memo
-entries that a fresh presentation of all the rules agrees with."""
+share prefixes and tails with it; critical_pairs finds what nested
+loops over rule pairs find; saturate derives what recomputing every
+ambiguity derives; and appending rules keeps only the memo entries that
+a fresh presentation of all the rules agrees with."""
 
 import functools
 import itertools
@@ -19,7 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_rewrite import (_listed, reference_nf,  # noqa: E402
-                          reference_saturate)
+                          reference_pairs, reference_saturate)
 from z3calc import presets  # noqa: E402
 from z3calc.calculus import d_cube_vanishes, random_element  # noqa: E402
 from z3calc.freealg import GeneratorInfo, NCPolynomial  # noqa: E402
@@ -198,6 +199,15 @@ def test_leftmost_matches_reference_on_toy_presentations(P):
         fresh = Presentation(P.name, P.generators, P.rules, P.order, q=P.q)
         assert fresh._reduce(NCPolynomial.word(w), DEFAULT_BUDGET) == \
             reference_nf(P, w), w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(toy_presentations())
+def test_critical_pairs_match_reference_on_toy_presentations(P):
+    # the indexed ambiguities and their packed reducts against nested
+    # loops over rule pairs that rewrite tuple words: the same pairs, in
+    # the same order, with the same normal forms and verdicts
+    assert P.critical_pairs() == reference_pairs(P)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

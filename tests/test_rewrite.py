@@ -585,11 +585,18 @@ def reference_nf(P, word):
     return nf(word)
 
 
+def _rewrite_at(word, rule, pos):
+    """The one-step reduct of the tuple word by rule applied at pos."""
+    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
+    return NCPolynomial({prefix + rw + suffix: rc
+                         for rw, rc in rule.rhs.t.items()})
+
+
 def reference_pairs(P):
     """The ambiguities in the order of the nested loops over rule pairs."""
     def entry(word, r1, r2, p2):
-        nf1 = P._reduce(rewrite._rewrite_at(word, r1, 0), 10**6)
-        nf2 = P._reduce(rewrite._rewrite_at(word, r2, p2), 10**6)
+        nf1 = P._reduce(_rewrite_at(word, r1, 0), 10**6)
+        nf2 = P._reduce(_rewrite_at(word, r2, p2), 10**6)
         return {"word": word, "rules": (r1.ref, r2.ref), "nf1": nf1,
                 "nf2": nf2, "joinable": nf1 == nf2}
 
@@ -724,20 +731,20 @@ _GLHJ_SWEEP_PAIRS = ([67, 131, 193, 151, 44, 30],
 
 
 def test_saturate_pairs_per_sweep_on_glhj_stages(monkeypatch):
-    # each pair is two leftmost reductions on the sweep's presentation,
-    # whose rule count tells the sweeps apart; the drop bookkeeping may
-    # neither skip a pair nor reduce one more
+    # each pair is two leftmost reductions of packed reducts on the sweep's
+    # presentation, whose rule count tells the sweeps apart; the drop
+    # bookkeeping may neither skip a pair nor reduce one more
     skip = presets._gl_runaway
-    nf, calls = Presentation._reduce, Counter()
+    nf, calls = Presentation._reduce_packed, Counter()
 
-    def counting(self, p, budget):
+    def counting(self, items, budget):
         calls[len(self.rules)] += 1
-        return nf(self, p, budget)
+        return nf(self, items, budget)
 
     def sweeps(pres):
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(Presentation, "_reduce", counting)
+            m.setattr(Presentation, "_reduce_packed", counting)
             out = saturate(pres, skip=skip)
         return out, [calls[k] for k in sorted(calls)]
 
