@@ -12,7 +12,10 @@ for homogeneous a of effective weight w(a).  Iterating it gives
 and d^3 = 0 identically because each generator's chain of images ends
 in zero after two steps.  d, and the partials likewise, sum an
 unreduced image into one word -> scalar dict and drop the sums that
-cancelled to zero once, at the end.
+cancelled to zero once, at the end.  The reduced d(p) sums the normal
+forms of the images of p's words, which the presentation caches and
+drops whenever rules are declared, as it drops its memo.  The checks run
+many times on one presentation reuse one operator of each kind on it.
 
 Partial derivatives act from the left through recursion rows: a row
 (c, prefix, axis) for leading letter g means the term c * prefix *
@@ -33,6 +36,7 @@ left side.
 from __future__ import annotations
 
 import functools
+import weakref
 
 from .scalars import (ONE, J, J2, MINUS_ONE, jpow, qpow, rational,
                       specialize_q)
@@ -45,10 +49,17 @@ from . import presets as _presets
 class DifferentialOperator:
     """Left-to-right twisted derivation on a presentation's algebra.
 
-    d(p) is summed term by term into one word -> scalar dict: letter i of
-    a word c*w contributes c * j^(weight of w[:i]) * ic at w[:i] + iw +
-    w[i+1:] for each term ic*iw of that letter's image.  Zeros are
-    dropped once, at the end, so d(p, reduce=False) stores none."""
+    The unreduced d(p) is summed term by term into one word -> scalar
+    dict: letter i of a word c*w contributes c * j^(weight of w[:i]) * ic
+    at w[:i] + iw + w[i+1:] for each term ic*iw of that letter's image.
+    Zeros are dropped once, at the end, so d(p, reduce=False) stores none.
+
+    The reduced d(p) is the sum of c * NF(d(w)) over the terms c*w of p,
+    as reduction is linear under both strategies.  NF(d(w)) is cached on
+    the presentation (Presentation._image_nfs) under the image map as it
+    was at construction, so cartan_verify's xinv image has its own
+    entries.  The words of p that miss are reduced together under one
+    step budget; a hit is not charged, as a memo hit is not."""
 
     def __init__(self, preset, images=None):
         self.preset = preset
@@ -60,25 +71,46 @@ class DifferentialOperator:
                 self.images[g.name] = NCPolynomial.gen(g.d_image)
         if images:
             self.images.update(images)
+        self._key = frozenset((name, frozenset(img.t.items()))
+                              for name, img in self.images.items())
 
-    def __call__(self, p, reduce=True):
+    def _image(self, terms):
+        """The unreduced d of the sum of c * word over terms (word, c)."""
         gens, images = self.preset.gens, self.images
         acc = {}
-        for word, c in p.t.items():
+        for word, c in terms:
             wsum = 0
             for i, name in enumerate(word):
                 img = images.get(name)
                 if img is None:
                     raise KeyError("d undefined on generator %r" % name)
                 if img.t:
-                    pre, post, cj = word[:i], word[i + 1:], c * jpow(wsum)
+                    pre, post, cj = word[:i], word[i + 1:], jpow(wsum)
+                    if c is not ONE:  # ONE: a missed word of __call__
+                        cj = c * cj
                     for iw, ic in img.t.items():
-                        w, t = pre + iw + post, cj * ic
+                        w, t = pre + iw + post, cj if ic is ONE else cj * ic
                         s = acc.get(w)
                         acc[w] = t if s is None else s + t
                 wsum += gens[name].weight
-        out = NCPolynomial(acc)  # drops the sums that cancelled
-        return self.preset.normal_form(out) if reduce else out
+        return NCPolynomial(acc)  # drops the sums that cancelled
+
+    def __call__(self, p, reduce=True):
+        if not reduce:
+            return self._image(p.t.items())
+        P = self.preset
+        nfs = P._image_nfs.setdefault(self._key, {})
+        missed = [w for w in p.t if w not in nfs]
+        if missed:
+            nfs.update(zip(missed, P.normal_forms(
+                [self._image(((w, ONE),)) for w in missed])))
+        acc = {}
+        for word, c in p.t.items():
+            for w, x in nfs[word].t.items():
+                t = c if x is ONE else c * x
+                s = acc.get(w)
+                acc[w] = t if s is None else s + t
+        return NCPolynomial(acc)  # drops the sums that cancelled
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +133,9 @@ def _partial_rows():
 
 
 class PartialOperator:
+    """The partials along x and th, linear in p, by the recursion rows
+    (the table's unless rows are given) at the preset's q."""
+
     def __init__(self, preset, rows=None):
         q, rows = preset.q, rows or _partial_rows()
         if q != "symbolic":  # the rows follow a bound q, given or not
@@ -110,24 +145,37 @@ class PartialOperator:
         self.preset = preset
 
     def _word(self, axis, word):
-        """The partial along axis of word, folded from the right over only
-        the axes the rows reach each suffix word[k:] along."""
+        """The partial along axis of word as a word -> scalar dict, folded
+        from the right over only the axes the rows reach each suffix
+        word[k:] along.  Each suffix's partial is summed row by row into
+        one dict with the terms and order that adding polynomials gives: a
+        zero row adds nothing and a sum that cancels is deleted."""
         rows, needs = self.rows, [{axis}]
         for g in word:
             if any(g not in rows[a] for a in needs[-1]):
                 raise KeyError("partial derivative undefined past generator %r" % g)
             needs.append({n for a in needs[-1] for _, _, n in rows[a][g]
                           if n is not None})
-        tails = dict.fromkeys(needs[-1], NCPolynomial.zero())
+        tails = dict.fromkeys(needs[-1], {})
         for k in range(len(word) - 1, -1, -1):
             g, rest, here = word[k], word[k + 1:], {}
             for a in needs[k]:
-                out = NCPolynomial.zero()
+                out = {}
                 for c, prefix, nxt in rows[a][g]:
-                    if nxt is None:
-                        out = out + NCPolynomial.word(prefix + rest, c)
-                    elif not tails[nxt].is_zero():
-                        out = out + NCPolynomial.word(prefix, c) * tails[nxt]
+                    if not c:
+                        continue
+                    for w, x in (((rest, ONE),) if nxt is None
+                                 else tails[nxt].items()):
+                        w, x = prefix + w, c if x is ONE else c * x
+                        s = out.get(w)
+                        if s is None:
+                            out[w] = x
+                        else:  # as NCPolynomial.__add__ sums
+                            s = s + x
+                            if s:
+                                out[w] = s
+                            else:
+                                del out[w]
                 here[a] = out
             tails = here
         return tails[axis]
@@ -135,18 +183,28 @@ class PartialOperator:
     def __call__(self, axis, p, reduce=True):
         acc = {}
         for word, c in p.t.items():
-            for w, wc in self._word(axis, word).t.items():
-                t = wc * c
+            for w, wc in self._word(axis, word).items():
+                t = wc if c is ONE else wc * c
                 s = acc.get(w)
                 acc[w] = t if s is None else s + t
         out = NCPolynomial(acc)  # drops the sums that cancelled
         return self.preset.normal_form(out) if reduce else out
 
 
+def _operator(cls, preset):
+    """cls(preset), built once per presentation (Presentation.operators).
+    It holds a proxy of preset, so that the two form no reference cycle and
+    the presentation, with its memo, is freed as soon as it is dropped."""
+    op = preset.operators.get(cls)
+    if op is None:
+        op = preset.operators[cls] = cls(weakref.proxy(preset))
+    return op
+
+
 def verify_df_decomposition(preset, f):
     """d f  ==  dx (d_x f) + dth (d_th f), reduced."""
-    d = DifferentialOperator(preset)
-    part = PartialOperator(preset)
+    d = _operator(DifferentialOperator, preset)
+    part = _operator(PartialOperator, preset)
     rhs = (NCPolynomial.gen("dx") * part("x", f, reduce=False)
            + NCPolynomial.gen("dth") * part("th", f, reduce=False))
     return d(f) == preset.normal_form(rhs)
@@ -170,13 +228,13 @@ def random_element(preset, rng, max_len=5):
 
 
 def d_cube_vanishes(preset, p):
-    d = DifferentialOperator(preset)
+    d = _operator(DifferentialOperator, preset)
     return d(d(d(p))).is_zero()
 
 
 def d2_product_identity(preset, wa, wb):
     """Check the iterated product rule on a pair of words."""
-    d = DifferentialOperator(preset)
+    d = _operator(DifferentialOperator, preset)
     a = NCPolynomial.word(wa)
     b = NCPolynomial.word(wb)
     g = word_grade(wa, preset.gens)
@@ -279,7 +337,7 @@ def _flipped_rows():
 
 def _suite_partials():
     P = _presets.qjh_calculus()
-    part = PartialOperator(P)
+    part = _operator(PartialOperator, P)
     checks = []
     for axis in ("x", "th"):
         bad = []

@@ -34,13 +34,14 @@ one-step reducts was dropped.
 Inside the engine a word is packed: a str with one code point per
 letter, chr(i) for the i-th generator (see _Codes).  A rule's left side
 is packed when the rule is declared, its right side when the rule first
-fires, and a polynomial by _reduce, which runs the packed core
-_reduce_packed and unpacks its result.  The ambiguities, their one-step
-reducts (_reduct), the memo, the frames, the trie and the words _append
-drops are packed; critical_pairs and saturate unpack only what they
-hand out.  A str caches its hash and copies one code point per letter,
-where a tuple rehashes on every memo lookup and copies a pointer per
-letter.  Rules, BudgetExceeded.word and every caller keep tuples.
+fires, and a polynomial by _frame, whose bottom frame the packed core
+_reduce_packed runs; _reduce and normal_forms unpack what it returns.
+The ambiguities, their one-step reducts (_reduct), the memo, the
+frames, the trie and the words _append drops are packed; critical_pairs
+and saturate unpack only what they hand out.  A str caches its hash and
+copies one code point per letter, where a tuple rehashes on every memo
+lookup and copies a pointer per letter.  Rules, BudgetExceeded.word and
+every caller keep tuples.
 
 Matching walks one trie over the rule left sides from each position of
 the word; the trie is built whenever rules are declared.  Every trie
@@ -225,8 +226,8 @@ def _lhs_trie(entries):
 def _leftmost(trie, word, start, stop):
     """(position, entry) of the leftmost match of the trie in the packed
     word that starts in range(start, stop), or None.  It is the one scan:
-    only Presentation._reduce, for each word a frame yields, and _append,
-    for each memo word it checks, call it."""
+    only Presentation._reduce_packed, for each word a frame yields, and
+    _append, for each memo word it checks, call it."""
     n = len(word)
     for i in range(start, stop):
         node = trie.get(word[i])
@@ -374,6 +375,15 @@ def _horner(memo, items):
     return root[2]
 
 
+def _each(frames, nfs):
+    """A bottom frame that runs the bottom frames of several polynomials
+    one after another and appends the normal form each returns to nfs, so
+    that one reduction, charged one step budget, reduces them all."""
+    for frame in frames:
+        nfs.append(NCPolynomial((yield from frame)))
+    return {}
+
+
 class Presentation:
     def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
@@ -386,6 +396,9 @@ class Presentation:
         self._entries = []  # [rule, packed lhs, packed reducts or None]
         self._memo = {}
         self._verdict = None
+        # the calculus operators built on this presentation, by class: their
+        # images and rows depend only on the generators and q
+        self.operators = {}
         self._append(rules)
 
     def _append(self, rules):
@@ -396,7 +409,8 @@ class Presentation:
         old rule still wins, as it was declared first), or its one-step
         reduct holds a dropped word, which the memo lists first.  While
         normal forms are unique the memo may hold suffix-first entries,
-        which fold g*v instead of following a rule, so it is dropped whole."""
+        which fold g*v instead of following a rule, so it is dropped whole.
+        The normal forms of images (_image_nfs) are replaced whole."""
         for r in rules:
             if not r.lhs:
                 raise ValueError("rule %s has an empty lhs"
@@ -421,6 +435,9 @@ class Presentation:
                     dropped.add(w)
         for w in dropped:
             del memo[w]
+        # a linear map's key -> {word: normal form of the word's image},
+        # which calculus.DifferentialOperator fills
+        self._image_nfs = {}
         return dropped
 
     # -- sanity -------------------------------------------------------------
@@ -449,27 +466,42 @@ class Presentation:
         leftmost, first-declared rule."""
         return self._reduce(p, _step_budget(), self._unique_normal_forms())
 
-    def _reduce(self, p, budget, suffix_first=False):
-        """The normal form of p: p packed, reduced by _reduce_packed and
-        unpacked, so p and the result hold tuples of names."""
-        items = [(self._codes.pack(w), c) for w, c in p.t.items()]
-        return self._codes.unpack_poly(
-            self._reduce_packed(items, budget, suffix_first))
+    def normal_forms(self, polys):
+        """The normal form of each of polys, as normal_form gives it, from
+        one reduction charged one step budget."""
+        suffix_first, nfs = self._unique_normal_forms(), []
+        self._reduce_packed(_each([self._frame(p, suffix_first)
+                                   for p in polys], nfs),
+                            _step_budget(), suffix_first)
+        return [self._codes.unpack_poly(nf) for nf in nfs]
 
-    def _reduce_packed(self, items, budget, suffix_first=False):
-        """The normal form, over packed words, of the sum of c * w over the
-        packed (w, c) of items by the leftmost, first-declared rule, or, if
+    def _reduce(self, p, budget, suffix_first=False):
+        """The normal form of p, reduced by _reduce_packed from p's
+        _frame and unpacked, so p and the result hold tuples of names."""
+        return self._codes.unpack_poly(self._reduce_packed(
+            self._frame(p, suffix_first), budget, suffix_first))
+
+    def _frame(self, p, suffix_first):
+        """The bottom frame that reduces the polynomial p, packed."""
+        items = [(self._codes.pack(w), c) for w, c in p.t.items()]
+        return (_horner(self._memo, items) if suffix_first
+                else _leftmost_frame(self._memo, items, "", ""))
+
+    def _reduce_packed(self, bottom, budget, suffix_first=False):
+        """The normal form, over packed words, of the sum that the frame
+        bottom returns, by the leftmost, first-declared rule, or, if
         suffix_first, by putting one letter at a time in front of the
         normal form of the rest, which gives the same result when normal
-        forms are unique.  Reduction runs on a stack of frames, the items'
-        at the bottom and one above it for each word being rewritten: a
-        generator that looks each word it needs up in the memo, yields
-        each miss, is sent its normal form, and returns its sum.
-        Leftmost, every frame is a _leftmost_frame.  Suffix first, the
-        items' frame is _horner, which folds each prefix that their words
-        share once and each suffix that its lone words share once, and a
-        rewritten word's frame is _prepend.  Only the word of a
-        BudgetExceeded is unpacked.  This loop alone matches and memoises.
+        forms are unique.  Reduction runs on a stack of frames, bottom
+        below one for each word being rewritten: a generator that looks
+        each word it needs up in the memo, yields each miss, is sent its
+        normal form, and returns its sum.  Leftmost, every frame is a
+        _leftmost_frame.  Suffix first, the bottom frame is _horner, which
+        folds each prefix that its polynomial's words share once and each
+        suffix that its lone words share once, and a rewritten word's
+        frame is _prepend; bottom may also be an _each of such frames.
+        Only the word of a BudgetExceeded is unpacked.  This loop alone
+        matches and memoises.
         It scans each yielded word from its frame's start, kept on the
         starts stack: a leftmost frame for a match at i starts at
         i - (maxlen - 1), as no match lies further left, and every other
@@ -481,8 +513,7 @@ class Presentation:
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
         codes, pack = self._codes, self._codes.pack
         left, last = budget, None  # last: ref of the last rule fired
-        stack = [_horner(memo, items) if suffix_first
-                 else _leftmost_frame(memo, items, "", "")]
+        stack = [bottom]
         starts, words, nf = [0], [], None
         while True:
             try:
@@ -573,6 +604,7 @@ class Presentation:
         is skipped when no word of either reduct is in dropped, the packed
         words that _append returned, as saturate's rescan needs."""
         rules, entries, pack = self.rules, self._entries, self._codes.pack
+        memo = self._memo
         for i1, i2, word, p2 in self._ambiguities():
             red1 = _reduct(word, entries[i1], 0, pack)
             red2 = _reduct(word, entries[i2], p2, pack)
@@ -580,8 +612,10 @@ class Presentation:
                     w in dropped for w, _ in red1 + red2):
                 continue
             yield (rules[i1], rules[i2], word,
-                   self._reduce_packed(red1, budget),
-                   self._reduce_packed(red2, budget))
+                   self._reduce_packed(_leftmost_frame(memo, red1, "", ""),
+                                       budget),
+                   self._reduce_packed(_leftmost_frame(memo, red2, "", ""),
+                                       budget))
 
     def _ambiguities(self):
         """(i1, i2, word, p2) for each ambiguity, word packed: rules[i1]

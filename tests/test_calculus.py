@@ -1,9 +1,11 @@
 """Differential operator, partial derivatives, replay suites."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -16,8 +18,8 @@ from z3calc.calculus import (DifferentialOperator, PartialOperator,
                              d_cube_vanishes, monomial_basis, random_element,
                              replay, verify_df_decomposition)
 from z3calc.freealg import NCPolynomial, fa_str, word_grade
-from z3calc.rewrite import Presentation, RewriteRule
-from z3calc.scalars import J, J2, ONE, Q, jpow, specialize_q
+from z3calc.rewrite import BudgetExceeded, Presentation, RewriteRule
+from z3calc.scalars import J, J2, ONE, Q, ZERO, jpow, specialize_q
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,104 @@ def test_d_drops_cancelled_sums(P):
     assert d(p, reduce=False).t == {("d2x",): two}
 
 
+def _fresh(pres):
+    return Presentation(pres.name, pres.generators, pres.rules, pres.order,
+                        q=pres.q)
+
+
+@pytest.mark.parametrize("name", ["qjh_calculus", "hj_calculus", "cartan"])
+def test_d_cache_matches_reducing_the_image(name):
+    # qjh_calculus and hj_calculus reduce suffix first, cartan leftmost;
+    # cartan's d is the one cartan_verify builds, with its xinv image
+    pres = presets.build(name)
+    images = None
+    if name == "cartan":
+        images = {"xinv": NCPolynomial.word(("xinv", "dx", "xinv"), -ONE)}
+    d = DifferentialOperator(pres, images=images)
+    rng = random.Random(23)
+    for _ in range(150):
+        p = random_element(pres, rng)
+        p = NCPolynomial({w: c for w, c in p.t.items()
+                          if all(l in d.images for l in w)})
+        # pres is shared, so its memo and d's cache are warm with the
+        # earlier elements; the fresh presentation starts cold
+        assert d(p) == pres.normal_form(d(p, reduce=False)), fa_str(p)
+        fresh = _fresh(pres)
+        cold = DifferentialOperator(fresh, images=images)
+        assert cold(p) == fresh.normal_form(cold(p, reduce=False)), fa_str(p)
+    assert len(pres._image_nfs) == 1
+    if name == "cartan":
+        # the default operator has its own entries: xinv has no image there
+        d(NCPolynomial.gen("xinv"))
+        with pytest.raises(KeyError, match="'xinv'"):
+            DifferentialOperator(pres)(NCPolynomial.gen("xinv"))
+
+
+def test_d_cache_dropped_when_rules_are_declared():
+    P = presets.build("qjh_calculus")
+    d = DifferentialOperator(P)
+    p = parser.parse("x^2*th + th*dx", P)
+    before = d(p)
+    # a rule that sends an irreducible word of d(p) to zero
+    u = max(before.support(), key=len)
+    P._append([RewriteRule(u, NCPolynomial(), "test:drop")])
+    fresh = _fresh(P)
+    want = fresh.normal_form(DifferentialOperator(fresh)(p, reduce=False))
+    assert want != before
+    assert d(p) == want
+
+
+def test_d_charges_one_budget_per_call(monkeypatch):
+    # in a fresh qjh_calculus, d(x^3*th) alone rewrites 14 words the memo
+    # lacks and d(th*x^3) alone 2; reducing both images in one call, the
+    # second after the first, rewrites 15 in all
+    def d(expr):
+        P = presets.build("qjh_calculus")
+        return DifferentialOperator(P)(parser.parse(expr, P))
+
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "14")
+    d("x^3*th")
+    d("th*x^3")
+    with pytest.raises(BudgetExceeded) as info:
+        d("x^3*th + th*x^3")
+    assert info.value.steps == 14
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "15")
+    assert d("x^3*th + th*x^3") == d("x^3*th") + d("th*x^3")
+
+
+def test_checks_build_one_operator_per_presentation(monkeypatch):
+    built = Counter()
+    for cls in (DifferentialOperator, PartialOperator):
+        def init(self, preset, *args, _init=cls.__init__, _cls=cls, **kw):
+            built[_cls.__name__] += 1
+            _init(self, preset, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", init)
+    P = presets.build("qjh_calculus")
+    f = NCPolynomial.word(("th", "x"))
+    for _ in range(3):
+        assert d_cube_vanishes(P, f)
+        assert d2_product_identity(P, ("x",), ("th",))
+        assert verify_df_decomposition(P, f)
+    assert built == {"DifferentialOperator": 1, "PartialOperator": 1}
+    assert d_cube_vanishes(presets.build("qjh_calculus"), f)
+    assert built["DifferentialOperator"] == 2
+
+
+def test_presentation_with_kept_operators_is_freed_when_dropped():
+    # the kept operators refer back to the presentation through a proxy, so
+    # dropping it frees its memo and caches without the cycle collector
+    P = presets.build("qjh_calculus")
+    f = NCPolynomial.word(("th", "x"))
+    assert d_cube_vanishes(P, f) and verify_df_decomposition(P, f)
+    ref = weakref.ref(P)
+    gc.disable()
+    try:
+        del P
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_partial_sums_words_like_add(P):
     # the partial of a sum is the sum of its words' partials, no zero kept
     part = PartialOperator(P)
@@ -280,6 +380,30 @@ def test_partial_images_pinned(name, digest):
                                             fa_str(got, P.order.key)))
     assert len(lines) == 312
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_partial_zero_and_cancelling_rows_match_reference():
+    # no catalog row vanishes, so give rows that do: a zero coefficient on
+    # a terminating row and on a recursing one, and for x along x two
+    # th*rest terms that cancel before its other rows, after which a third
+    # adds th*rest back, at the end
+    rows = calculus._partial_rows()
+    for axis, table in rows.items():
+        for g, rr in table.items():
+            table[g] = [(ZERO, ("h",), None), (ZERO, ("h",), "th")] + rr
+    th = ("th",)
+    rows["x"]["x"] = ([(J, th, None), (-J, th, None)] + rows["x"]["x"]
+                      + [(J2, th, None)])
+    for name in ("qjh_calculus", "hj_calculus"):
+        op = PartialOperator(presets.build(name), rows=rows)
+        letters = sorted(calculus._PARTIAL_LETTERS)
+        rng = random.Random(13)
+        for _ in range(150):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            for axis in ("x", "th"):
+                got = op(axis, NCPolynomial.word(word), reduce=False)
+                want = reference_partial(op, axis, word)
+                assert list(got.t.items()) == list(want.t.items()), (axis, word)
 
 
 def test_partial_of_long_word_under_default_limit(default_recursion_limit):
