@@ -34,8 +34,10 @@ one-step reducts was dropped.
 Inside the engine a word is packed: a str with one code point per
 letter, chr(i) for the i-th generator (see _Codes).  A rule's left side
 is packed when the rule is declared, its right side when the rule first
-fires, and a polynomial by _frame, whose bottom frame the packed core
-_reduce_packed runs; _reduce and normal_forms unpack what it returns.
+fires.  There is one way in: _reduce packs each of a list of
+polynomials into a bottom frame, which the packed core _reduce_packed
+runs one after another under one step budget, and unpacks the normal
+forms; only _pairs calls the core directly.
 The ambiguities, their one-step reducts (_reduct), the memo, the
 frames, the trie and the words _append drops are packed; critical_pairs
 and saturate unpack only what they hand out.  A str caches its hash and
@@ -375,15 +377,6 @@ def _horner(memo, items):
     return root[2]
 
 
-def _each(frames, nfs):
-    """A bottom frame that runs the bottom frames of several polynomials
-    one after another and appends the normal form each returns to nfs, so
-    that one reduction, charged one step budget, reduces them all."""
-    for frame in frames:
-        nfs.append(NCPolynomial((yield from frame)))
-    return {}
-
-
 class Presentation:
     def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
@@ -464,44 +457,42 @@ class Presentation:
         """The normal form of the polynomial p, suffix first when every
         word has one normal form (see _unique_normal_forms), else by the
         leftmost, first-declared rule."""
-        return self._reduce(p, _step_budget(), self._unique_normal_forms())
+        return self.normal_forms([p])[0]
 
     def normal_forms(self, polys):
         """The normal form of each of polys, as normal_form gives it, from
         one reduction charged one step budget."""
-        suffix_first, nfs = self._unique_normal_forms(), []
-        self._reduce_packed(_each([self._frame(p, suffix_first)
-                                   for p in polys], nfs),
-                            _step_budget(), suffix_first)
-        return [self._codes.unpack_poly(nf) for nf in nfs]
+        return self._reduce(polys, _step_budget(), self._unique_normal_forms())
 
-    def _reduce(self, p, budget, suffix_first=False):
-        """The normal form of p, reduced by _reduce_packed from p's
-        _frame and unpacked, so p and the result hold tuples of names."""
-        return self._codes.unpack_poly(self._reduce_packed(
-            self._frame(p, suffix_first), budget, suffix_first))
+    def _reduce(self, polys, budget, suffix_first=False):
+        """The normal forms of the polynomials polys, over tuples of
+        names: each is packed into a bottom frame (_horner suffix first,
+        else a _leftmost_frame) for _reduce_packed, and each result
+        unpacked."""
+        pack, memo = self._codes.pack, self._memo
+        bottoms = []
+        for p in polys:
+            items = [(pack(w), c) for w, c in p.t.items()]
+            bottoms.append(_horner(memo, items) if suffix_first
+                           else _leftmost_frame(memo, items, "", ""))
+        return list(map(self._codes.unpack_poly,
+                        self._reduce_packed(bottoms, budget, suffix_first)))
 
-    def _frame(self, p, suffix_first):
-        """The bottom frame that reduces the polynomial p, packed."""
-        items = [(self._codes.pack(w), c) for w, c in p.t.items()]
-        return (_horner(self._memo, items) if suffix_first
-                else _leftmost_frame(self._memo, items, "", ""))
-
-    def _reduce_packed(self, bottom, budget, suffix_first=False):
-        """The normal form, over packed words, of the sum that the frame
-        bottom returns, by the leftmost, first-declared rule, or, if
-        suffix_first, by putting one letter at a time in front of the
+    def _reduce_packed(self, bottoms, budget, suffix_first=False):
+        """The normal forms, over packed words, of the sums that the
+        bottom frames bottoms return, run one after another on one stack
+        under one step budget, by the leftmost, first-declared rule, or,
+        if suffix_first, by putting one letter at a time in front of the
         normal form of the rest, which gives the same result when normal
-        forms are unique.  Reduction runs on a stack of frames, bottom
-        below one for each word being rewritten: a generator that looks
-        each word it needs up in the memo, yields each miss, is sent its
-        normal form, and returns its sum.  Leftmost, every frame is a
-        _leftmost_frame.  Suffix first, the bottom frame is _horner, which
-        folds each prefix that its polynomial's words share once and each
-        suffix that its lone words share once, and a rewritten word's
-        frame is _prepend; bottom may also be an _each of such frames.
-        Only the word of a BudgetExceeded is unpacked.  This loop alone
-        matches and memoises.
+        forms are unique.  A frame is a generator that looks each word it
+        needs up in the memo, yields each miss, is sent its normal form,
+        and returns its sum; each word being rewritten has one above the
+        bottom frame.  Leftmost, every frame is a _leftmost_frame.  Suffix
+        first, a bottom frame is _horner, which folds each prefix that its
+        polynomial's words share once and each suffix that its lone words
+        share once, and a rewritten word's frame is _prepend.  Only the
+        word of a BudgetExceeded is unpacked.  This loop alone matches and
+        memoises.
         It scans each yielded word from its frame's start, kept on the
         starts stack: a leftmost frame for a match at i starts at
         i - (maxlen - 1), as no match lies further left, and every other
@@ -513,42 +504,46 @@ class Presentation:
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
         codes, pack = self._codes, self._codes.pack
         left, last = budget, None  # last: ref of the last rule fired
-        stack = [bottom]
-        starts, words, nf = [0], [], None
-        while True:
-            try:
-                w = stack[-1].send(nf)
-            except StopIteration as done:
-                stack.pop()
-                nf = NCPolynomial(done.value)
-                if not stack:
-                    return nf
-                starts.pop()
-                memo[words.pop()] = nf
-                continue
-            match = _leftmost(trie, w, starts[-1],
-                              1 if suffix_first else len(w))
-            if match is None:  # irreducible: its own normal form
-                nf = memo[w] = NCPolynomial()
-                nf.t = {w: ONE}
-                continue
-            left -= 1
-            if left < 0:
-                raise BudgetExceeded(codes.unpack(w), max(budget, 0), last)
-            i, entry = match
-            rule, lhs, reducts = entry
-            if reducts is None:
-                reducts = _reducts(entry, pack)
-            last = rule.ref
-            suffix = w[i + len(lhs):]
-            if suffix_first:
-                stack.append(_prepend(memo, reducts, suffix))
-                starts.append(0)
-            else:
-                stack.append(_leftmost_frame(memo, reducts, w[:i], suffix))
-                starts.append(max(0, i - maxlen + 1))
-            words.append(w)
+        stack, starts, words, nfs = [], [0], [], []
+        for bottom in bottoms:
+            stack.append(bottom)
             nf = None
+            while True:
+                try:
+                    w = stack[-1].send(nf)
+                except StopIteration as done:
+                    stack.pop()
+                    nf = NCPolynomial(done.value)
+                    if not stack:
+                        nfs.append(nf)
+                        break
+                    starts.pop()
+                    memo[words.pop()] = nf
+                    continue
+                match = _leftmost(trie, w, starts[-1],
+                                  1 if suffix_first else len(w))
+                if match is None:  # irreducible: its own normal form
+                    nf = memo[w] = NCPolynomial()
+                    nf.t = {w: ONE}
+                    continue
+                left -= 1
+                if left < 0:
+                    raise BudgetExceeded(codes.unpack(w), max(budget, 0), last)
+                i, entry = match
+                rule, lhs, reducts = entry
+                if reducts is None:
+                    reducts = _reducts(entry, pack)
+                last = rule.ref
+                suffix = w[i + len(lhs):]
+                if suffix_first:
+                    stack.append(_prepend(memo, reducts, suffix))
+                    starts.append(0)
+                else:
+                    stack.append(_leftmost_frame(memo, reducts, w[:i], suffix))
+                    starts.append(max(0, i - maxlen + 1))
+                words.append(w)
+                nf = None
+        return nfs
 
     def _unique_normal_forms(self):
         """Whether every word has one normal form, so that any strategy
@@ -611,11 +606,12 @@ class Presentation:
             if i1 < old and i2 < old and not any(
                     w in dropped for w, _ in red1 + red2):
                 continue
+            # one budget per side, as a reduction of its own
             yield (rules[i1], rules[i2], word,
-                   self._reduce_packed(_leftmost_frame(memo, red1, "", ""),
-                                       budget),
-                   self._reduce_packed(_leftmost_frame(memo, red2, "", ""),
-                                       budget))
+                   self._reduce_packed([_leftmost_frame(memo, red1, "", "")],
+                                       budget)[0],
+                   self._reduce_packed([_leftmost_frame(memo, red2, "", "")],
+                                       budget)[0])
 
     def _ambiguities(self):
         """(i1, i2, word, p2) for each ambiguity, word packed: rules[i1]
@@ -912,7 +908,7 @@ def localize(pres, v, vinv):
                for lhs, rhs in candidates.items()],
             order, q=pres.q)
         new = {lhs: (NCPolynomial.word(lhs[::-1])
-                     - trial._reduce(wrapped, budget)).scale(cinv)
+                     - trial._reduce([wrapped], budget)[0]).scale(cinv)
                for lhs, g, left, wrapped, cinv in targets}
         if new != candidates:
             candidates = new
@@ -923,8 +919,8 @@ def localize(pres, v, vinv):
         for lhs, g, left, _, _ in targets:
             x = candidates[lhs]
             prod = NCPolynomial.gen(v) * x if left else x * NCPolynomial.gen(v)
-            res = (trial._reduce(prod, budget)
-                   - trial._reduce(NCPolynomial.gen(g), budget))
+            res = (trial._reduce([prod], budget)[0]
+                   - trial._reduce([NCPolynomial.gen(g)], budget)[0])
             if not res.is_zero():
                 bad.append((lhs, res))
         if not bad:

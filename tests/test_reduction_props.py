@@ -82,7 +82,7 @@ def test_suffix_first_matches_leftmost(name, picks):
     letters = [g.name for g in P.generators]
     word = NCPolynomial.word(letters[k % len(letters)] for k in picks)
     assert P.normal_form(word) == _leftmost_preset(name)._reduce(
-        word, DEFAULT_BUDGET)
+        [word], DEFAULT_BUDGET)[0]
 
 
 def _rewritten(P):
@@ -121,12 +121,13 @@ def test_shared_prefixes_and_tails_match_leftmost(name, data):
         p = p + NCPolynomial.word(w, c)
         if data.draw(st.booleans()):
             k = data.draw(st.integers(0, len(w)))
-            rest = oracle._reduce(NCPolynomial.word(w[k:]), DEFAULT_BUDGET)
+            rest = oracle._reduce([NCPolynomial.word(w[k:])],
+                                  DEFAULT_BUDGET)[0]
             p = p - (NCPolynomial.word(w[:k]) * rest).scale(c)
     P = presets.build(name)
     assert P._unique_normal_forms()
     nf = P.normal_form(p)
-    assert nf == presets.build(name)._reduce(p, DEFAULT_BUDGET)
+    assert nf == presets.build(name)._reduce([p], DEFAULT_BUDGET)[0]
     one_by_one = presets.build(name)
     assert sum((one_by_one.normal_form(NCPolynomial.word(w, c))
                 for w, c in p.t.items()), NCPolynomial()) == nf
@@ -197,7 +198,7 @@ def test_leftmost_matches_reference_on_toy_presentations(P):
     # starts too far right
     for w in _words([g.name for g in P.generators], 4):
         fresh = Presentation(P.name, P.generators, P.rules, P.order, q=P.q)
-        assert fresh._reduce(NCPolynomial.word(w), DEFAULT_BUDGET) == \
+        assert fresh._reduce([NCPolynomial.word(w)], DEFAULT_BUDGET)[0] == \
             reference_nf(P, w), w
 
 
@@ -241,7 +242,7 @@ def test_append_drops_every_memo_word_it_changes(name, data):
         if data.draw(st.booleans()):
             P.normal_form(NCPolynomial.word(w))
         else:
-            P._reduce(NCPolynomial.word(w), DEFAULT_BUDGET)
+            P._reduce([NCPolynomial.word(w)], DEFAULT_BUDGET)
     lhss = [data.draw(st.sampled_from(_words(letters, 3)))
             for _ in range(data.draw(st.integers(1, 2)))]
     dropped = P._append([_oriented(data.draw, letters, P.order, lhs)
@@ -253,7 +254,8 @@ def test_append_drops_every_memo_word_it_changes(name, data):
     for w, nf in P._memo.items():
         w = unpack(w)
         nf = NCPolynomial({unpack(u): c for u, c in nf.t.items()})
-        assert nf == fresh._reduce(NCPolynomial.word(w), DEFAULT_BUDGET), w
+        assert nf == fresh._reduce([NCPolynomial.word(w)],
+                                   DEFAULT_BUDGET)[0], w
     for w in words:
         assert P.normal_form(NCPolynomial.word(w)) == \
             fresh.normal_form(NCPolynomial.word(w)), w

@@ -141,6 +141,64 @@ def test_leftmost_budget_counts_rewriting_misses(monkeypatch):
     assert P.nf_word(word) == nf
 
 
+def test_normal_forms_charge_one_budget(monkeypatch):
+    # in a fresh qjh_calculus, x^2*dth*x alone rewrites 7 words the memo
+    # lacks and x^3*th alone 5; reducing both in one call rewrites 11
+    def nfs(*exprs):
+        P = presets.build("qjh_calculus")
+        return P.normal_forms([parse(e, P) for e in exprs])
+
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "7")
+    nfs("x^2*dth*x")
+    nfs("x^3*th")
+    with pytest.raises(BudgetExceeded) as info:
+        nfs("x^2*dth*x", "x^3*th")
+    assert info.value.steps == 7
+    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "11")
+    assert nfs("x^2*dth*x", "x^3*th") == nfs("x^2*dth*x") + nfs("x^3*th")
+
+
+@pytest.mark.parametrize("name, exprs", [
+    ("qjh_calculus", ["x^3*th", "th*x^3", "x^2*dth + th*x*x", "dx*x*th",
+                      "x^3*th"]),
+    ("glhj", ["a*b*g*dT", "g*a*b", "b*a*dT + dT*g*a", "a*b*g*dT"])])
+def test_normal_forms_match_normal_form(name, exprs):
+    # suffix first (qjh_calculus) and leftmost (glhj): each polynomial,
+    # repeats included, reduces as normal_form reduces it alone
+    P = presets.build(name)
+    assert P._unique_normal_forms() == (name == "qjh_calculus")
+    polys = [parse(e, P) for e in exprs]
+    assert P.normal_forms(polys) == [presets.build(name).normal_form(p)
+                                     for p in polys]
+    assert P.normal_forms([]) == []
+
+
+def test_suffix_first_skips_folds_that_cancel(monkeypatch):
+    # c*c*b -> c*b*c - b*c*c + 2*a has no ambiguity, so it reduces suffix
+    # first.  Both words reach the reduct -b*c*c in front of c*b, whose two
+    # c's give c*b*c*c twice with coefficients that cancel, so its b is
+    # not put in front of it: b*c*b*c*c is neither looked up nor memoised
+    order = TermOrder({g: 1 for g in "abc"}, list("abc"))
+    rhs = (NCPolynomial.word(tuple("cbc")) - NCPolynomial.word(tuple("bcc"))
+           + NCPolynomial.word(("a",), rational(2)))
+
+    def toy():
+        return Presentation("toy", [GeneratorInfo(g, 0, 1) for g in "abc"],
+                            [RewriteRule(tuple("ccb"), rhs, "ccb")], order)
+
+    assert toy()._unique_normal_forms()
+    for word, steps in (("ccbcb", 3), ("cccbb", 4)):
+        p = NCPolynomial.word(tuple(word))
+        monkeypatch.setenv("Z3CALC_STEP_BUDGET", str(steps - 1))
+        with pytest.raises(BudgetExceeded):
+            toy().normal_form(p)
+        monkeypatch.setenv("Z3CALC_STEP_BUDGET", str(steps))
+        P = toy()
+        assert P.normal_form(p) == \
+            toy()._reduce([p], rewrite.DEFAULT_BUDGET)[0]
+        assert P._codes.pack(tuple("bcbcc")) not in P._memo
+
+
 def test_pairs_run_under_the_variable_and_the_census_under_default(
         monkeypatch):
     monkeypatch.setattr(rewrite, "_VERDICTS", {})
@@ -186,7 +244,8 @@ def test_long_shared_prefix_under_default_limit(default_recursion_limit):
     P = presets.build("h_plane")
     p = parse("x^1100*th + x^1100*h + x^1099*th*x", P)
     nf = P.normal_form(p)
-    assert nf == presets.build("h_plane")._reduce(p, rewrite.DEFAULT_BUDGET)
+    assert nf == presets.build("h_plane")._reduce(
+        [p], rewrite.DEFAULT_BUDGET)[0]
     assert len(nf.t) == 3
 
 
@@ -232,7 +291,7 @@ def test_letter_outside_the_alphabet_is_irreducible():
     P = presets.build("q_plane")
     word = NCPolynomial.word(("zz", "x"))
     assert P.normal_form(word) == word
-    assert P._reduce(word, rewrite.DEFAULT_BUDGET) == word
+    assert P._reduce([word], rewrite.DEFAULT_BUDGET)[0] == word
     assert P.nf_word(("x", "th", "zz", "x", "th")) == \
         NCPolynomial.word(("th", "x", "zz", "th", "x"), qpow(2))
 
@@ -595,8 +654,8 @@ def _rewrite_at(word, rule, pos):
 def reference_pairs(P):
     """The ambiguities in the order of the nested loops over rule pairs."""
     def entry(word, r1, r2, p2):
-        nf1 = P._reduce(_rewrite_at(word, r1, 0), 10**6)
-        nf2 = P._reduce(_rewrite_at(word, r2, p2), 10**6)
+        nf1 = P._reduce([_rewrite_at(word, r1, 0)], 10**6)[0]
+        nf2 = P._reduce([_rewrite_at(word, r2, p2)], 10**6)[0]
         return {"word": word, "rules": (r1.ref, r2.ref), "nf1": nf1,
                 "nf2": nf2, "joinable": nf1 == nf2}
 
