@@ -13,9 +13,13 @@ and d^3 = 0 identically because each generator's chain of images ends
 in zero after two steps.  d, and the partials likewise, sum an
 unreduced image into one word -> scalar dict and drop the sums that
 cancelled to zero once, at the end.  The reduced d(p) sums the normal
-forms of the images of p's words, which the presentation caches and
-drops whenever rules are declared, as it drops its memo.  The checks run
-many times on one presentation reuse one operator of each kind on it.
+forms of the images of p's words, which the presentation caches.  When
+normal forms are unique it computes them by the product rule itself,
+NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))), over the suffixes of
+each word, from the normal forms of suffixes and of their images that
+the presentation also caches; it drops all of them whenever rules are
+declared, as it drops its memo.  The checks run many times on one
+presentation reuse one operator of each kind on it.
 
 Partial derivatives act from the left through recursion rows: a row
 (c, prefix, axis) for leading letter g means the term c * prefix *
@@ -59,7 +63,21 @@ class DifferentialOperator:
     the presentation (Presentation._image_nfs) under the image map as it
     was at construction, so cartan_verify's xinv image has its own
     entries.  The words of p that miss are reduced together under one
-    step budget; a hit is not charged, as a memo hit is not."""
+    step budget (Presentation._image_forms); a hit is not charged, as a
+    memo hit is not.  When normal forms are unique, a missed word w is
+    not expanded: its suffixes g*v are taken right to left by the
+    Leibniz step
+
+        NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))),
+
+    which reads and fills two caches of the presentation, NF(d(v)) per
+    suffix beside the per-word entries of this image map and NF(v) in
+    the suffix cache that normal_form shares, and needs NF(v) only where
+    d(g) is not zero.  On the catalog presets it rewrites the words that
+    reducing d(w) whole would.  Elsewhere (cartan, weyl) NF(g NF(p)) may
+    differ from NF(g p), and each missed word's image is reduced whole.
+    The presentation drops every one of these caches with its memo
+    (Presentation._forget)."""
 
     def __init__(self, preset, images=None):
         self.preset = preset
@@ -73,6 +91,10 @@ class DifferentialOperator:
             self.images.update(images)
         self._key = frozenset((name, frozenset(img.t.items()))
                               for name, img in self.images.items())
+        gens = preset.gens
+        # letter -> (j^weight, image): d(g*v) = d(g)*v + j^w(g) g*d(v)
+        self._twisted = {name: (jpow(gens[name].weight), img)
+                         for name, img in self.images.items() if name in gens}
 
     def _image(self, terms):
         """The unreduced d of the sum of c * word over terms (word, c)."""
@@ -98,12 +120,8 @@ class DifferentialOperator:
     def __call__(self, p, reduce=True):
         if not reduce:
             return self._image(p.t.items())
-        P = self.preset
-        nfs = P._image_nfs.setdefault(self._key, {})
-        missed = [w for w in p.t if w not in nfs]
-        if missed:
-            nfs.update(zip(missed, P.normal_forms(
-                [self._image(((w, ONE),)) for w in missed])))
+        nfs = self.preset._image_forms(self._key, self._twisted, self._image,
+                                       p.t)
         acc = {}
         for word, c in p.t.items():
             for w, x in nfs[word].t.items():

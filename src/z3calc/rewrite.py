@@ -21,11 +21,20 @@ suffix-first frame of the polynomial itself, at the bottom of the stack,
 also uses NF(g*p) = NF(g*NF(p)): it folds each letter of a prefix that
 words share once onto the merged normal form of what follows it, and
 folds a word alone below a prefix through the normal forms of its
-suffixes, which lone words that end alike share.  Each memo entry g*v is
-still inserted after the entries that its normal form folds, so every
-entry can be checked from earlier ones in insertion order.  Reduction
-never completes a presentation behind the caller's back, it only
-reports critical pairs.
+suffixes.  Those come from the suffix cache, a trie of NF(v) per packed
+suffix v that the presentation keeps beside its memo, so lone words that
+end alike share them within a call and across calls.  The reduced image
+of a word under a twisted derivation D (calculus.DifferentialOperator's
+d) has its own bottom frame, _leibniz: it folds the word's suffixes right
+to left by NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v))), reading
+NF(v) from the suffix cache and NF(D(v)) from a trie kept per image map
+(_image_nfs), so it reaches only words g*u with u irreducible.  A node
+of either trie is linked only once its normal form is whole, and _forget
+drops both with the memo, the one place a memo entry is dropped.  Each
+memo entry g*v is still inserted after the entries that its normal form
+folds, so every entry can be checked from earlier ones in insertion
+order.  Reduction never completes a presentation behind the caller's
+back, it only reports critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, which drops only the memo entries that the new rules
 change, and reduce a pair of older rules again only if one of its
@@ -34,12 +43,13 @@ one-step reducts was dropped.
 Inside the engine a word is packed: a str with one code point per
 letter, chr(i) for the i-th generator (see _Codes).  A rule's left side
 is packed when the rule is declared, its right side when the rule first
-fires.  There is one way in: _reduce packs each of a list of
+fires.  There are two ways in: _reduce packs each of a list of
 polynomials into a bottom frame, which the packed core _reduce_packed
 runs one after another under one step budget, and unpacks the normal
-forms; only _pairs calls the core directly.
+forms; _image_forms does the same for the images of a list of words.
+Only _pairs calls the core directly.
 The ambiguities, their one-step reducts (_reduct), the memo, the
-frames, the trie and the words _append drops are packed; critical_pairs
+frames, the tries and the words _append drops are packed; critical_pairs
 and saturate unpack only what they hand out.  A str caches its hash and
 copies one code point per letter, where a tuple rehashes on every memo
 lookup and copies a pointer per letter.  Rules, BudgetExceeded.word and
@@ -295,7 +305,7 @@ def _prepend(memo, jobs, suffix):
     return acc
 
 
-def _horner(memo, items):
+def _horner(memo, suffixes, items):
     """The bottom frame of the suffix-first strategy: the sum of c * NF(w)
     over the (w, c) of items, as a dict that may hold zeros; every word
     is packed.
@@ -304,13 +314,15 @@ def _horner(memo, items):
     are grouped by prefix and each letter of a shared prefix is folded
     once onto the merged normal form of what follows it, deepest prefixes
     first (Horner's rule in the free algebra).  A word alone below a
-    prefix is folded right to left through a trie of the normal forms of
-    its suffixes, with coefficient 1, which lone words that end alike
-    share; its own coefficient is applied once at the end.  A single word
-    thus takes the folds, and reaches the words, that _prepend would.
-    Each fold g*v is the step of _prepend: looked up in memo, and else
-    yielded, to be sent back its normal form.  Both tries are built and
-    walked by loops, so a long shared prefix needs no recursion."""
+    prefix is folded right to left through the suffix cache suffixes,
+    with coefficient 1, so that lone words that end alike, in this call
+    or an earlier one, share the normal forms of their suffixes; its own
+    coefficient is applied once at the end.  A single word thus takes the
+    folds, and reaches the words, that _prepend would, less those that
+    the suffix cache already holds.  Each fold g*v is the step of
+    _prepend: looked up in memo, and else yielded, to be sent back its
+    normal form.  Both tries are built and walked by loops, so a long
+    shared prefix needs no recursion."""
     # prefix trie of the words: a node is [children, coefficient of the
     # word that ends there or None, NF of what follows it], and a child
     # that only one word passes through is that word's (w, c).  A node is
@@ -335,14 +347,13 @@ def _horner(memo, items):
             node = child
         else:
             node[1] = c
-    suffixes = [{}, {"": ONE}]  # node: [letter to its left -> node, NF]
     for node, depth in reversed(nodes):
         acc = {} if node[1] is None else {"": node[1]}
         for g, child in node[0].items():
             # each letter g of todo, last first, adds NF(g * terms) to into
             if type(child) is list:
                 todo, terms, into, lone = g, child[2], acc, None
-            else:  # a lone word w: the suffixes of w[depth:] not met yet
+            else:  # a lone word w: the suffixes of w[depth:] not cached
                 lone, s = child, suffixes
                 w = lone[0]
                 k = len(w)
@@ -355,7 +366,6 @@ def _horner(memo, items):
             for g in reversed(todo):
                 if lone is not None:  # the next suffix: g in front of s
                     terms, into = s[1], {}
-                    s[0][g] = s = [{}, into]  # s[0][g] is bound first
                 for v, c in terms.items():
                     if not c:
                         continue
@@ -367,6 +377,8 @@ def _horner(memo, items):
                         x = c if x is ONE else c * x
                         y = into.get(u)
                         into[u] = x if y is None else y + x
+                if lone is not None:  # linked once its normal form is whole
+                    s[0][g] = s = [{}, into]
             if lone is not None:
                 c = lone[1]
                 for u, x in s[1].items():
@@ -375,6 +387,82 @@ def _horner(memo, items):
                     acc[u] = x if y is None else y + x
         node[2] = acc
     return root[2]
+
+
+def _fold(memo, letters, terms):
+    """NF(letters * p) as a dict that may hold zeros, p being the sum of
+    c * v over the (v, c) of terms, each v irreducible: the letters are
+    put in front one at a time, last first, as in _prepend; every word is
+    packed.  Each word g*u this needs is looked up in memo, and else
+    yielded, to be sent back its normal form.  No letters give terms
+    itself."""
+    for g in reversed(letters):
+        nxt = {}
+        for v, c in terms.items():
+            if not c:
+                continue
+            w = g + v
+            nf = memo.get(w)
+            if nf is None:
+                nf = yield w
+            for u, x in nf.t.items():
+                x = c if x is ONE else c * x
+                y = nxt.get(u)
+                nxt[u] = x if y is None else y + x
+        terms = nxt
+    return terms
+
+
+def _add(acc, terms, scale):
+    """acc += scale * terms, both dicts word -> scalar."""
+    for u, x in terms.items():
+        if scale is not ONE:
+            x = scale * x
+        y = acc.get(u)
+        acc[u] = x if y is None else y + x
+
+
+def _leibniz(memo, suffixes, derived, images, word):
+    """The bottom frame of a twisted derivation D in the suffix-first
+    strategy: NF(D(word)) for the packed word, as a dict that may hold
+    zeros.  images maps a letter g to (t(g), D(g)), D(g) as (packed word,
+    coefficient) pairs, and D(g*v) = D(g)*v + t(g)*g*D(v).  Since
+    NF(g*p) = NF(g*NF(p)) when normal forms are unique,
+
+        NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v)))
+
+    over the suffixes g*v of word, right to left, from the longest suffix
+    whose NF(D) the trie derived holds.  NF(v) is read from, and folded
+    into, the suffix cache suffixes, and only where D(g) is not zero.  A
+    node of either trie is [letter to its left -> node, NF] and is linked
+    only once its normal form is whole, so a BudgetExceeded leaves no
+    partial entry.  Every fold is _fold's, and the suffixes are walked by
+    loops, so a long word needs no recursion."""
+    k, node = len(word), derived
+    while k:
+        nxt = node[0].get(word[k - 1])
+        if nxt is None:
+            break
+        node, k = nxt, k - 1
+    s, j = suffixes, len(word)  # s holds NF(word[j:])
+    while k:
+        k -= 1
+        g = word[k]
+        twist, image = images[g]
+        acc = {}
+        if image:
+            while j > k + 1:
+                j -= 1
+                nxt = s[0].get(word[j])
+                if nxt is None:
+                    nxt = [{}, (yield from _fold(memo, word[j], s[1]))]
+                    s[0][word[j]] = nxt
+                s = nxt
+            for letters, c in image:
+                _add(acc, (yield from _fold(memo, letters, s[1])), c)
+        _add(acc, (yield from _fold(memo, g, node[1])), twist)
+        node[0][g] = node = [{}, acc]
+    return node[1]
 
 
 class Presentation:
@@ -403,7 +491,7 @@ class Presentation:
         reduct holds a dropped word, which the memo lists first.  While
         normal forms are unique the memo may hold suffix-first entries,
         which fold g*v instead of following a rule, so it is dropped whole.
-        The normal forms of images (_image_nfs) are replaced whole."""
+        _forget drops them, with every cache kept beside the memo."""
         for r in rules:
             if not r.lhs:
                 raise ValueError("rule %s has an empty lhs"
@@ -426,12 +514,22 @@ class Presentation:
                 if entry[0] in fresh or dropped and any(
                         u in dropped for u, _ in _reduct(w, entry, i, pack)):
                     dropped.add(w)
+        self._forget(dropped)
+        return dropped
+
+    def _forget(self, dropped):
+        """Drop the packed words dropped from the memo, and with them every
+        normal form cached beside it: the suffix cache (_suffixes) and the
+        normal forms of images (_image_nfs), which hold normal forms the
+        memo gave.  Every memo drop goes through here."""
+        memo = self._memo
         for w in dropped:
             del memo[w]
-        # a linear map's key -> {word: normal form of the word's image},
-        # which calculus.DifferentialOperator fills
+        # NF(v) per packed suffix v, a trie: [letter to its left -> node, NF]
+        self._suffixes = [{}, {"": ONE}]
+        # a linear map's key -> (its word -> NF(image) cache, the trie of
+        # NF(image) per packed suffix, its packed images); see _image_forms
         self._image_nfs = {}
-        return dropped
 
     # -- sanity -------------------------------------------------------------
 
@@ -473,10 +571,45 @@ class Presentation:
         bottoms = []
         for p in polys:
             items = [(pack(w), c) for w, c in p.t.items()]
-            bottoms.append(_horner(memo, items) if suffix_first
+            bottoms.append(_horner(memo, self._suffixes, items) if suffix_first
                            else _leftmost_frame(memo, items, "", ""))
         return list(map(self._codes.unpack_poly,
                         self._reduce_packed(bottoms, budget, suffix_first)))
+
+    def _image_forms(self, key, twisted, image, words):
+        """The dict word -> NF(D(word)) that the presentation caches for
+        the linear map D named by key, now holding each of words.  D is a
+        twisted derivation: twisted maps each letter g to (t(g), D(g)), and
+        D(g*v) = D(g)*v + t(g)*g*D(v); image(terms) is the unreduced D of
+        the sum of c*w over the (w, c) of terms, and raises KeyError for a
+        letter that twisted lacks.  The words that miss are reduced in one
+        run under one step budget.  When normal forms are unique, each is a
+        _leibniz bottom frame, which reads and fills the trie of NF(D(v))
+        per suffix v kept beside this dict and the suffix cache of NF(v);
+        else each one's image is reduced whole, as NF(g*NF(p)) = NF(g*p)
+        need not hold there.  _forget drops all of it with the memo."""
+        entry = self._image_nfs.get(key)
+        if entry is None:
+            codes = self._codes
+            entry = self._image_nfs[key] = ({}, [{}, {}], {
+                codes[g]: (t, [(codes.pack(w), c) for w, c in d.t.items()])
+                for g, (t, d) in twisted.items()})
+        nfs, derived, images = entry
+        missed = [w for w in words if w not in nfs]
+        if not missed:
+            return nfs
+        if self._unique_normal_forms():
+            for w in missed:
+                if not twisted.keys() >= set(w):
+                    image([(w, ONE)])  # raises, naming the letter
+            memo, pack, suffixes = self._memo, self._codes.pack, self._suffixes
+            got = map(self._codes.unpack_poly, self._reduce_packed(
+                [_leibniz(memo, suffixes, derived, images, pack(w))
+                 for w in missed], _step_budget(), True))
+        else:
+            got = self.normal_forms([image([(w, ONE)]) for w in missed])
+        nfs.update(zip(missed, got))
+        return nfs
 
     def _reduce_packed(self, bottoms, budget, suffix_first=False):
         """The normal forms, over packed words, of the sums that the
@@ -490,7 +623,8 @@ class Presentation:
         bottom frame.  Leftmost, every frame is a _leftmost_frame.  Suffix
         first, a bottom frame is _horner, which folds each prefix that its
         polynomial's words share once and each suffix that its lone words
-        share once, and a rewritten word's frame is _prepend.  Only the
+        share once, or _leibniz, which folds a word's suffixes onto cached
+        normal forms, and a rewritten word's frame is _prepend.  Only the
         word of a BudgetExceeded is unpacked.  This loop alone matches and
         memoises.
         It scans each yielded word from its frame's start, kept on the
@@ -842,7 +976,7 @@ def saturate(pres, skip=None):
         dropped = P._append(new)
     # the pairs' words would only hold memory, and later reductions are
     # charged against the step budget as in a fresh presentation
-    P._memo.clear()
+    P._forget(list(P._memo))
     return P
 
 

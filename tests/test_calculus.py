@@ -18,7 +18,8 @@ from z3calc.calculus import (DifferentialOperator, PartialOperator,
                              d_cube_vanishes, monomial_basis, random_element,
                              replay, verify_df_decomposition)
 from z3calc.freealg import NCPolynomial, fa_str, word_grade
-from z3calc.rewrite import BudgetExceeded, Presentation, RewriteRule
+from z3calc.rewrite import (BudgetExceeded, Presentation, RewriteRule,
+                            _leftmost)
 from z3calc.scalars import J, J2, ONE, Q, ZERO, jpow, specialize_q
 
 
@@ -228,6 +229,78 @@ def test_d_charges_one_budget_per_call(monkeypatch):
     assert info.value.steps == 14
     monkeypatch.setenv("Z3CALC_STEP_BUDGET", "15")
     assert d("x^3*th + th*x^3") == d("x^3*th") + d("th*x^3")
+
+
+def _rewritten(P):
+    """The reducible words in P's memo: the words its reductions rewrote."""
+    return {w for w in P._memo if _leftmost(P._trie, w, 0, len(w))}
+
+
+@pytest.mark.parametrize("name", ["qjh_calculus", "hj_calculus"])
+def test_d_rewrites_the_words_reducing_each_image_rewrites(name):
+    # the reduced d folds each missed word's suffixes onto cached normal
+    # forms of theirs and of their images; it must reach the words that
+    # reducing each missed word's whole image reaches, no more and no
+    # fewer, call after call on one presentation.  Computing NF(v) for a
+    # suffix g*v with d(g) = 0 would rewrite more (x*th in d(h*x*th))
+    rng = random.Random(34)
+    letters = [g.name for g in presets.build(name).generators]
+    coeffs = [ONE, -ONE, J, Q]
+    for _ in range(15):
+        P = presets.build(name)
+        ref = _fresh(P)
+        d, dref = DifferentialOperator(P), DifferentialOperator(ref)
+        seen = set()
+        for _ in range(4):
+            p = NCPolynomial({
+                tuple(rng.choice(letters) for _ in range(rng.randint(1, 9))):
+                rng.choice(coeffs) for _ in range(rng.randint(1, 3))})
+            missed = [w for w in p.t if w not in seen]
+            seen.update(missed)
+            want = ref.normal_forms([dref(NCPolynomial.word(w), reduce=False)
+                                     for w in missed])
+            got = d(p)
+            assert _rewritten(P) == _rewritten(ref), fa_str(p)
+            assert all(d(NCPolynomial.word(w)) == nf
+                       for w, nf in zip(missed, want)), fa_str(p)
+            assert got == ref.normal_form(dref(p, reduce=False)), fa_str(p)
+
+
+@pytest.mark.parametrize("kind", ["d", "normal_form"])
+def test_out_of_budget_reduction_leaves_no_partial_cache_entry(kind,
+                                                               monkeypatch):
+    # a reduction that runs out of budget part way keeps only whole normal
+    # forms in the memo and in the caches beside it, so the same call
+    # under a larger budget gives what a fresh presentation gives.  d
+    # fills the suffix caches of its images and of words, the normal form
+    # of a polynomial with lone words the latter
+    def run(P):
+        p = parser.parse("x^3*th*dx + th*x^2*dth + dx*x*th^2", P)
+        if kind == "d":
+            return DifferentialOperator(P)(p)
+        return P.normal_form(DifferentialOperator(P)(p, reduce=False))
+
+    want = run(presets.build("qjh_calculus"))
+    for budget in itertools.count():
+        P = presets.build("qjh_calculus")
+        monkeypatch.setenv("Z3CALC_STEP_BUDGET", str(budget))
+        try:
+            run(P)
+        except BudgetExceeded:
+            monkeypatch.delenv("Z3CALC_STEP_BUDGET")
+            assert run(P) == want, budget
+        else:
+            break
+    assert budget > 20
+
+
+def test_d_of_long_word_under_default_limit(default_recursion_limit):
+    # the reduced d of x^1500*th folds its 1,501 suffixes in a loop
+    P = presets.build("hj_calculus")
+    w = parser.parse("x^1500*th", P)
+    fresh = _fresh(P)
+    assert DifferentialOperator(P)(w) == fresh.normal_form(
+        DifferentialOperator(fresh)(w, reduce=False))
 
 
 def test_checks_build_one_operator_per_presentation(monkeypatch):

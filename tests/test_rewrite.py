@@ -407,6 +407,29 @@ def test_saturate_fixed_point_on_confluent_system():
     assert len(saturate(H).rules) == len(H.rules)
 
 
+def test_saturated_presentation_holds_no_cached_normal_form(monkeypatch):
+    # whatever the sweeps cache on the presentation they share, saturate
+    # hands it back holding no normal form, as a fresh one would: no memo
+    # entry, no suffix and no image normal form.  The sweeps here also
+    # reduce suffix first and take a d, which fill all three
+    pairs, filled = Presentation._pairs, []
+
+    def caching(self, *args):
+        self.normal_form(parse("x^2*th*dx", self))
+        DifferentialOperator(self)(parse("x*th", self))
+        filled.append(bool(self._memo and self._suffixes[0]
+                           and self._image_nfs))
+        yield from pairs(self, *args)
+
+    Q = presets.build("qjh_calculus")
+    assert Q._unique_normal_forms()  # the census runs before the patch
+    monkeypatch.setattr(Presentation, "_pairs", caching)
+    S = saturate(Q)
+    assert filled and all(filled)
+    assert S._memo == {} and S._image_nfs == {}
+    assert S._suffixes == [{}, {"": ONE}]
+
+
 def test_saturate_closes_pairs():
     G = presets.build("glhj")
     S = saturate(G, skip=presets._gl_runaway)
