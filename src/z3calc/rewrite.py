@@ -19,22 +19,20 @@ hj_calculus and qjh_calculus pass it.  Every other presentation reduces
 leftmost, and so do critical_pairs, saturate and localize.  The
 suffix-first frame of the polynomial itself, at the bottom of the stack,
 also uses NF(g*p) = NF(g*NF(p)): it folds each letter of a prefix that
-words share once onto the merged normal form of what follows it, and
-folds a word alone below a prefix through the normal forms of its
-suffixes.  Those come from the suffix cache, a trie of NF(v) per packed
-suffix v that the presentation keeps beside its memo, so lone words that
-end alike share them within a call and across calls.  The reduced image
-of a word under a twisted derivation D (calculus.DifferentialOperator's
-d) has its own bottom frame, _leibniz: it folds the word's suffixes right
-to left by NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v))), reading
-NF(v) from the suffix cache and NF(D(v)) from a trie kept per image map
-(_image_nfs), so it reaches only words g*u with u irreducible.  A node
-of either trie is linked only once its normal form is whole, and _forget
-drops both with the memo, the one place a memo entry is dropped.  Each
-memo entry g*v is still inserted after the entries that its normal form
-folds, so every entry can be checked from earlier ones in insertion
-order.  Reduction never completes a presentation behind the caller's
-back, it only reports critical pairs.
+words share once onto the merged normal form of what follows it.  The
+reduced image of a word under a twisted derivation D
+(calculus.DifferentialOperator's d) has its own bottom frame, _leibniz:
+it folds the word's suffixes right to left by NF(D(g*v)) = NF(D(g)*NF(v))
++ t(g) * NF(g*NF(D(v))), so it reaches only words g*u with u
+irreducible.  It reads NF(v) from the suffix cache, a trie of NF(v) per
+packed suffix v that the presentation keeps beside its memo for _leibniz
+alone, and NF(D(v)) from a trie kept per image map (_image_nfs).  A
+node of either trie is linked only once its normal form is whole, and
+_forget drops both with the memo, the one place a memo entry is
+dropped.  Each memo entry g*v is still inserted after the entries that
+its normal form folds, so every entry can be checked from earlier ones
+in insertion order.  Reduction never completes a presentation behind
+the caller's back, it only reports critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, which drops only the memo entries that the new rules
 change, and reduce a pair of older rules again only if one of its
@@ -305,7 +303,7 @@ def _prepend(memo, jobs, suffix):
     return acc
 
 
-def _horner(memo, suffixes, items):
+def _horner(memo, items):
     """The bottom frame of the suffix-first strategy: the sum of c * NF(w)
     over the (w, c) of items, as a dict that may hold zeros; every word
     is packed.
@@ -313,75 +311,36 @@ def _horner(memo, suffixes, items):
     Since NF(g*p) = NF(g*NF(p)) when normal forms are unique, the words
     are grouped by prefix and each letter of a shared prefix is folded
     once onto the merged normal form of what follows it, deepest prefixes
-    first (Horner's rule in the free algebra).  A word alone below a
-    prefix is folded right to left through the suffix cache suffixes,
-    with coefficient 1, so that lone words that end alike, in this call
-    or an earlier one, share the normal forms of their suffixes; its own
-    coefficient is applied once at the end.  A single word thus takes the
-    folds, and reaches the words, that _prepend would, less those that
-    the suffix cache already holds.  Each fold g*v is the step of
-    _prepend: looked up in memo, and else yielded, to be sent back its
-    normal form.  Both tries are built and walked by loops, so a long
-    shared prefix needs no recursion."""
+    first (Horner's rule in the free algebra).  A single word thus takes
+    the folds, and reaches the words, that _prepend would.  Each fold g*v
+    is the step of _prepend: looked up in memo, and else yielded, to be
+    sent back its normal form.  The trie is built and walked by loops, so
+    a long word needs no recursion."""
     # prefix trie of the words: a node is [children, coefficient of the
-    # word that ends there or None, NF of what follows it], and a child
-    # that only one word passes through is that word's (w, c).  A node is
+    # word that ends there or None, NF of what follows it].  A node is
     # made after its parent, so nodes lists parents before children.
     root = [{}, None, None]
-    nodes = [(root, 0)]
+    nodes = [root]
     for w, c in items:
         node = root
-        for i, g in enumerate(w):
+        for g in w:
             child = node[0].get(g)
             if child is None:
-                node[0][g] = w, c
-                break
-            if type(child) is tuple:  # a second word: push the first down
-                child, (w2, c2) = [{}, None, None], child
-                if i + 1 < len(w2):
-                    child[0][w2[i + 1]] = w2, c2
-                else:
-                    child[1] = c2
-                node[0][g] = child
-                nodes.append((child, i + 1))
+                child = node[0][g] = [{}, None, None]
+                nodes.append(child)
             node = child
-        else:
-            node[1] = c
-    for node, depth in reversed(nodes):
+        node[1] = c
+    for node in reversed(nodes):
         acc = {} if node[1] is None else {"": node[1]}
         for g, child in node[0].items():
-            # each letter g of todo, last first, adds NF(g * terms) to into
-            if type(child) is list:
-                todo, terms, into, lone = g, child[2], acc, None
-            else:  # a lone word w: the suffixes of w[depth:] not cached
-                lone, s = child, suffixes
-                w = lone[0]
-                k = len(w)
-                while k > depth:
-                    nxt = s[0].get(w[k - 1])
-                    if nxt is None:
-                        break
-                    s, k = nxt, k - 1
-                todo = w[depth:k]
-            for g in reversed(todo):
-                if lone is not None:  # the next suffix: g in front of s
-                    terms, into = s[1], {}
-                for v, c in terms.items():
-                    if not c:
-                        continue
-                    w = g + v
-                    nf = memo.get(w)
-                    if nf is None:
-                        nf = yield w
-                    for u, x in nf.t.items():
-                        x = c if x is ONE else c * x
-                        y = into.get(u)
-                        into[u] = x if y is None else y + x
-                if lone is not None:  # linked once its normal form is whole
-                    s[0][g] = s = [{}, into]
-            if lone is not None:
-                c = lone[1]
-                for u, x in s[1].items():
+            for v, c in child[2].items():
+                if not c:
+                    continue
+                w = g + v
+                nf = memo.get(w)
+                if nf is None:
+                    nf = yield w
+                for u, x in nf.t.items():
                     x = c if x is ONE else c * x
                     y = acc.get(u)
                     acc[u] = x if y is None else y + x
@@ -433,10 +392,10 @@ def _leibniz(memo, suffixes, derived, images, word):
 
     over the suffixes g*v of word, right to left, from the longest suffix
     whose NF(D) the trie derived holds.  NF(v) is read from, and folded
-    into, the suffix cache suffixes, and only where D(g) is not zero.  A
-    node of either trie is [letter to its left -> node, NF] and is linked
-    only once its normal form is whole, so a BudgetExceeded leaves no
-    partial entry.  Every fold is _fold's, and the suffixes are walked by
+    into, the suffix cache suffixes, which only this frame uses, and only
+    where D(g) is not zero.  A node of either trie is [letter to its left
+    -> node, NF] and is linked only once its normal form is whole, so a
+    BudgetExceeded leaves no partial entry.  Every fold is _fold's, and the suffixes are walked by
     loops, so a long word needs no recursion."""
     k, node = len(word), derived
     while k:
@@ -519,9 +478,9 @@ class Presentation:
 
     def _forget(self, dropped):
         """Drop the packed words dropped from the memo, and with them every
-        normal form cached beside it: the suffix cache (_suffixes) and the
-        normal forms of images (_image_nfs), which hold normal forms the
-        memo gave.  Every memo drop goes through here."""
+        normal form cached beside it for _leibniz: the suffix cache
+        (_suffixes) and the normal forms of images (_image_nfs), which hold
+        normal forms the memo gave.  Every memo drop goes through here."""
         memo = self._memo
         for w in dropped:
             del memo[w]
@@ -571,7 +530,7 @@ class Presentation:
         bottoms = []
         for p in polys:
             items = [(pack(w), c) for w, c in p.t.items()]
-            bottoms.append(_horner(memo, self._suffixes, items) if suffix_first
+            bottoms.append(_horner(memo, items) if suffix_first
                            else _leftmost_frame(memo, items, "", ""))
         return list(map(self._codes.unpack_poly,
                         self._reduce_packed(bottoms, budget, suffix_first)))
@@ -622,11 +581,10 @@ class Presentation:
         and returns its sum; each word being rewritten has one above the
         bottom frame.  Leftmost, every frame is a _leftmost_frame.  Suffix
         first, a bottom frame is _horner, which folds each prefix that its
-        polynomial's words share once and each suffix that its lone words
-        share once, or _leibniz, which folds a word's suffixes onto cached
-        normal forms, and a rewritten word's frame is _prepend.  Only the
-        word of a BudgetExceeded is unpacked.  This loop alone matches and
-        memoises.
+        polynomial's words share once, or _leibniz, which folds a word's
+        suffixes onto cached normal forms, and a rewritten word's frame is
+        _prepend.  Only the word of a BudgetExceeded is unpacked.  This loop
+        alone matches and memoises.
         It scans each yielded word from its frame's start, kept on the
         starts stack: a leftmost frame for a match at i starts at
         i - (maxlen - 1), as no match lies further left, and every other

@@ -231,6 +231,30 @@ def test_d_charges_one_budget_per_call(monkeypatch):
     assert d("x^3*th + th*x^3") == d("x^3*th") + d("th*x^3")
 
 
+@pytest.mark.parametrize("kind", ["d", "normal_form"])
+@pytest.mark.parametrize("expr, budget", [
+    ("x^3*th", 14), ("x^3*th + th*x^3", 15), ("x^2*dth + th*x*x", 17),
+    ("x*th*dx + dx*th*x", 11), ("x^8*dth", 102), ("h*x*th", 3),
+    ("d2x*x^4*th*dth", 138)])
+def test_smallest_budget_of_d(kind, expr, budget, monkeypatch):
+    # the smallest step budget under which the reduced d(p), or the normal
+    # form of the unreduced d(p), succeeds on a fresh qjh_calculus: the
+    # Leibniz step and the bottom frame of normal_form are charged alike
+    def run(steps):
+        P = presets.build("qjh_calculus")
+        d, p = DifferentialOperator(P), parser.parse(expr, P)
+        monkeypatch.setenv("Z3CALC_STEP_BUDGET", str(steps))
+        if kind == "d":
+            return d(p)
+        return P.normal_form(d(p, reduce=False))
+
+    with pytest.raises(BudgetExceeded):
+        run(budget - 1)
+    got = run(budget)
+    P = presets.build("qjh_calculus")
+    assert got == DifferentialOperator(P)(parser.parse(expr, P))
+
+
 def _rewritten(P):
     """The reducible words in P's memo: the words its reductions rewrote."""
     return {w for w in P._memo if _leftmost(P._trie, w, 0, len(w))}
@@ -273,7 +297,7 @@ def test_out_of_budget_reduction_leaves_no_partial_cache_entry(kind,
     # forms in the memo and in the caches beside it, so the same call
     # under a larger budget gives what a fresh presentation gives.  d
     # fills the suffix caches of its images and of words, the normal form
-    # of a polynomial with lone words the latter
+    # of a polynomial the memo alone
     def run(P):
         p = parser.parse("x^3*th*dx + th*x^2*dth + dx*x*th^2", P)
         if kind == "d":

@@ -109,8 +109,8 @@ def test_budget_counts_words_a_merged_reduction_reaches(monkeypatch):
     # d(x^8*dth) unreduced is x^i*dx*x^(7-i)*dth for i < 8 and x^8*d2th:
     # words that share the prefixes x^i and the tails x^k*dth.  Folding
     # each shared x once onto the merged normal form of what follows it,
-    # and each tail once, rewrites 102 words g*v that the memo lacks;
-    # folding every word on its own rewrites 112
+    # a tail met again being a memo hit, rewrites 102 words g*v that the
+    # memo lacks; folding every word on its own rewrites 112
     P = presets.build("qjh_calculus")
     p = DifferentialOperator(P)(parse("x^8*dth", P), reduce=False)
     assert len(p.t) == 9
@@ -247,6 +247,18 @@ def test_long_shared_prefix_under_default_limit(default_recursion_limit):
     assert nf == presets.build("h_plane")._reduce(
         [p], rewrite.DEFAULT_BUDGET)[0]
     assert len(nf.t) == 3
+
+
+def test_branching_trie_under_default_limit(default_recursion_limit):
+    # the words x^k and x^k*th for k = 1..300: the bottom frame's trie
+    # branches at every depth and ends a word there, 601 nodes deep
+    P = presets.build("q_plane")
+    words = [("x",) * k + tail for k in range(1, 301) for tail in ((), ("th",))]
+    nf = P.normal_form(NCPolynomial({w: ONE for w in words}))
+    want = NCPolynomial()
+    for w in words:
+        want = want + presets.build("q_plane").nf_word(w)
+    assert nf == want
 
 
 def test_long_left_side_under_default_limit(default_recursion_limit):
