@@ -17,9 +17,9 @@ forms of the images of p's words, which the presentation caches.  When
 normal forms are unique it computes them by the product rule itself,
 NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))), over the suffixes of
 each word, from the normal forms of suffixes and of their images that
-the presentation also caches for this step alone; it drops all of them
-whenever rules are declared, as it drops its memo.  The checks run many
-times on one presentation reuse one operator of each kind on it.
+the presentation also caches; it drops all of them whenever rules are
+declared, as it drops its memo.  The checks run many times on one
+presentation reuse one operator of each kind on it.
 
 Partial derivatives act from the left through recursion rows: a row
 (c, prefix, axis) for leading letter g means the term c * prefix *
@@ -72,12 +72,12 @@ class DifferentialOperator:
 
     which reads and fills two caches of the presentation, NF(d(v)) per
     suffix beside the per-word entries of this image map and NF(v) in
-    the suffix cache, which only this step uses, and needs NF(v) only
-    where d(g) is not zero.  On the catalog presets it rewrites the words
-    that reducing d(w) whole would.  Elsewhere (cartan, weyl)
-    NF(g NF(p)) may differ from NF(g p), and each missed word's image is
-    reduced whole.  The presentation drops every one of these caches with
-    its memo (Presentation._forget)."""
+    the suffix cache that normal_form shares, and needs NF(v) only where
+    d(g) is not zero.  On the catalog presets it rewrites the words that
+    reducing d(w) whole would.  Elsewhere (cartan, weyl) NF(g NF(p)) may
+    differ from NF(g p), and each missed word's image is reduced whole.
+    The presentation drops every one of these caches with its memo
+    (Presentation._forget)."""
 
     def __init__(self, preset, images=None):
         self.preset = preset

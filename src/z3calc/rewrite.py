@@ -18,21 +18,25 @@ decides this runs once per rule system and process; q_plane, h_plane,
 hj_calculus and qjh_calculus pass it.  Every other presentation reduces
 leftmost, and so do critical_pairs, saturate and localize.  The
 suffix-first frame of the polynomial itself, at the bottom of the stack,
-also uses NF(g*p) = NF(g*NF(p)): it folds each letter of a prefix that
-words share once onto the merged normal form of what follows it.  The
-reduced image of a word under a twisted derivation D
+also uses NF(g*p) = NF(g*NF(p)): it takes the words in sorted order,
+which walks their prefix trie depth first without building it, folds the
+letters of a prefix that words share once onto the merged normal form of
+what follows them, and folds a word alone below a prefix through the
+normal forms of its suffixes.  Those come from the suffix cache, a trie
+of NF(v) per packed suffix v that the presentation keeps beside its
+memo, so lone words that end alike share them within a call and across
+calls.  The reduced image of a word under a twisted derivation D
 (calculus.DifferentialOperator's d) has its own bottom frame, _leibniz:
-it folds the word's suffixes right to left by NF(D(g*v)) = NF(D(g)*NF(v))
-+ t(g) * NF(g*NF(D(v))), so it reaches only words g*u with u
-irreducible.  It reads NF(v) from the suffix cache, a trie of NF(v) per
-packed suffix v that the presentation keeps beside its memo for _leibniz
-alone, and NF(D(v)) from a trie kept per image map (_image_nfs).  A
-node of either trie is linked only once its normal form is whole, and
-_forget drops both with the memo, the one place a memo entry is
-dropped.  Each memo entry g*v is still inserted after the entries that
-its normal form folds, so every entry can be checked from earlier ones
-in insertion order.  Reduction never completes a presentation behind
-the caller's back, it only reports critical pairs.
+it folds the word's suffixes right to left by
+NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v))), reading NF(v) from
+the suffix cache and NF(D(v)) from a trie kept per image map
+(_image_nfs), so it reaches only words g*u with u irreducible.  A node
+of either trie is linked only once its normal form is whole, and _forget
+drops both with the memo, the one place a memo entry is dropped.  Each
+memo entry g*v is still inserted after the entries that its normal form
+folds, so every entry can be checked from earlier ones in insertion
+order.  Reduction never completes a presentation behind the caller's
+back, it only reports critical pairs.
 saturate is the explicit completion step: its sweeps append rules to
 one presentation, which drops only the memo entries that the new rules
 change, and reduce a pair of older rules again only if one of its
@@ -303,49 +307,50 @@ def _prepend(memo, jobs, suffix):
     return acc
 
 
-def _horner(memo, items):
+def _horner(memo, suffixes, items):
     """The bottom frame of the suffix-first strategy: the sum of c * NF(w)
     over the (w, c) of items, as a dict that may hold zeros; every word
     is packed.
 
     Since NF(g*p) = NF(g*NF(p)) when normal forms are unique, the words
-    are grouped by prefix and each letter of a shared prefix is folded
-    once onto the merged normal form of what follows it, deepest prefixes
-    first (Horner's rule in the free algebra).  A single word thus takes
-    the folds, and reaches the words, that _prepend would.  Each fold g*v
-    is the step of _prepend: looked up in memo, and else yielded, to be
-    sent back its normal form.  The trie is built and walked by loops, so
-    a long word needs no recursion."""
-    # prefix trie of the words: a node is [children, coefficient of the
-    # word that ends there or None, NF of what follows it].  A node is
-    # made after its parent, so nodes lists parents before children.
-    root = [{}, None, None]
-    nodes = [root]
-    for w, c in items:
-        node = root
-        for g in w:
-            child = node[0].get(g)
-            if child is None:
-                child = node[0][g] = [{}, None, None]
-                nodes.append(child)
-            node = child
-        node[1] = c
-    for node in reversed(nodes):
-        acc = {} if node[1] is None else {"": node[1]}
-        for g, child in node[0].items():
-            for v, c in child[2].items():
-                if not c:
-                    continue
-                w = g + v
-                nf = memo.get(w)
-                if nf is None:
-                    nf = yield w
-                for u, x in nf.t.items():
-                    x = c if x is ONE else c * x
-                    y = acc.get(u)
-                    acc[u] = x if y is None else y + x
-        node[2] = acc
-    return root[2]
+    are grouped by prefix and the letters of a shared prefix are folded
+    once onto the merged normal form of what follows them, deepest
+    prefixes first (Horner's rule in the free algebra).  The words are
+    taken in sorted order, which walks their prefix trie depth first
+    without building it: the stack holds, for each open prefix of the
+    last word, its length and the sum so far of what follows it.  A word
+    alone below a prefix is folded right to left through the suffix cache
+    suffixes, with coefficient 1 (see _suffix), so that lone words that
+    end alike, in this call or an earlier one, share the normal forms of
+    their suffixes; its own coefficient is applied once at the end.  A
+    single word thus takes the folds, and reaches the words, that
+    _prepend would, less those that the suffix cache already holds.
+    Every other fold is _fold's, and the words are walked by loops, so a
+    long word or a deep prefix needs no recursion."""
+    stack = [(0, {})]
+    last = ""
+    for w, c in sorted(items) + [("", None)]:  # "": every prefix closes
+        k = 0  # the length of the prefix that w shares with last
+        for a, b in zip(last, w):
+            if a != b:
+                break
+            k += 1
+        lone = True  # the first prefix to close is last, a word alone
+        while stack[-1][0] > k:
+            n, terms = stack.pop()
+            if stack[-1][0] < k:
+                stack.append((k, {}))
+            j, acc = stack[-1]
+            if lone:
+                s = yield from _suffix(memo, suffixes, last, n, j)
+                _add(acc, s[1], terms[""])
+            else:
+                _add(acc, (yield from _fold(memo, last[j:n], terms)), ONE)
+            lone = False
+        if c is None:
+            return stack[-1][1]
+        stack.append((len(w), {"": c}))
+        last = w
 
 
 def _fold(memo, letters, terms):
@@ -381,6 +386,22 @@ def _add(acc, terms, scale):
         acc[u] = x if y is None else y + x
 
 
+def _suffix(memo, s, word, j, k):
+    """The node of the suffix cache that holds NF(word[k:]), walked to
+    from s, the node of word[j:], k <= j.  A node is [letter to its left
+    -> node, NF]; each one missing on the way is folded from the one
+    after it by _fold and linked only once its normal form is whole, so a
+    BudgetExceeded leaves no partial entry."""
+    while j > k:
+        j -= 1
+        nxt = s[0].get(word[j])
+        if nxt is None:
+            nf = yield from _fold(memo, word[j], s[1])
+            nxt = s[0][word[j]] = [{}, nf]
+        s = nxt
+    return s
+
+
 def _leibniz(memo, suffixes, derived, images, word):
     """The bottom frame of a twisted derivation D in the suffix-first
     strategy: NF(D(word)) for the packed word, as a dict that may hold
@@ -392,11 +413,11 @@ def _leibniz(memo, suffixes, derived, images, word):
 
     over the suffixes g*v of word, right to left, from the longest suffix
     whose NF(D) the trie derived holds.  NF(v) is read from, and folded
-    into, the suffix cache suffixes, which only this frame uses, and only
-    where D(g) is not zero.  A node of either trie is [letter to its left
-    -> node, NF] and is linked only once its normal form is whole, so a
-    BudgetExceeded leaves no partial entry.  Every fold is _fold's, and the suffixes are walked by
-    loops, so a long word needs no recursion."""
+    into, the suffix cache suffixes by _suffix, and only where D(g) is not
+    zero.  A node of either trie is [letter to its left -> node, NF] and
+    is linked only once its normal form is whole, so a BudgetExceeded
+    leaves no partial entry.  Every fold is _fold's, and the suffixes are
+    walked by loops, so a long word needs no recursion."""
     k, node = len(word), derived
     while k:
         nxt = node[0].get(word[k - 1])
@@ -410,13 +431,8 @@ def _leibniz(memo, suffixes, derived, images, word):
         twist, image = images[g]
         acc = {}
         if image:
-            while j > k + 1:
-                j -= 1
-                nxt = s[0].get(word[j])
-                if nxt is None:
-                    nxt = [{}, (yield from _fold(memo, word[j], s[1]))]
-                    s[0][word[j]] = nxt
-                s = nxt
+            s = yield from _suffix(memo, s, word, j, k + 1)
+            j = k + 1
             for letters, c in image:
                 _add(acc, (yield from _fold(memo, letters, s[1])), c)
         _add(acc, (yield from _fold(memo, g, node[1])), twist)
@@ -478,9 +494,9 @@ class Presentation:
 
     def _forget(self, dropped):
         """Drop the packed words dropped from the memo, and with them every
-        normal form cached beside it for _leibniz: the suffix cache
-        (_suffixes) and the normal forms of images (_image_nfs), which hold
-        normal forms the memo gave.  Every memo drop goes through here."""
+        normal form cached beside it: the suffix cache (_suffixes) and the
+        normal forms of images (_image_nfs), which hold normal forms the
+        memo gave.  Every memo drop goes through here."""
         memo = self._memo
         for w in dropped:
             del memo[w]
@@ -530,7 +546,7 @@ class Presentation:
         bottoms = []
         for p in polys:
             items = [(pack(w), c) for w, c in p.t.items()]
-            bottoms.append(_horner(memo, items) if suffix_first
+            bottoms.append(_horner(memo, self._suffixes, items) if suffix_first
                            else _leftmost_frame(memo, items, "", ""))
         return list(map(self._codes.unpack_poly,
                         self._reduce_packed(bottoms, budget, suffix_first)))
@@ -581,10 +597,11 @@ class Presentation:
         and returns its sum; each word being rewritten has one above the
         bottom frame.  Leftmost, every frame is a _leftmost_frame.  Suffix
         first, a bottom frame is _horner, which folds each prefix that its
-        polynomial's words share once, or _leibniz, which folds a word's
-        suffixes onto cached normal forms, and a rewritten word's frame is
-        _prepend.  Only the word of a BudgetExceeded is unpacked.  This loop
-        alone matches and memoises.
+        polynomial's words share once and each suffix that its lone words
+        share once, or _leibniz, which folds a word's suffixes onto cached
+        normal forms, and a rewritten word's frame is _prepend.  Only the
+        word of a BudgetExceeded is unpacked.  This loop alone matches and
+        memoises.
         It scans each yielded word from its frame's start, kept on the
         starts stack: a leftmost frame for a match at i starts at
         i - (maxlen - 1), as no match lies further left, and every other

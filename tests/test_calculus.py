@@ -297,7 +297,7 @@ def test_out_of_budget_reduction_leaves_no_partial_cache_entry(kind,
     # forms in the memo and in the caches beside it, so the same call
     # under a larger budget gives what a fresh presentation gives.  d
     # fills the suffix caches of its images and of words, the normal form
-    # of a polynomial the memo alone
+    # of a polynomial with lone words the latter
     def run(P):
         p = parser.parse("x^3*th*dx + th*x^2*dth + dx*x*th^2", P)
         if kind == "d":

@@ -99,8 +99,8 @@ def test_shared_prefixes_and_tails_match_leftmost(name, data):
     # 1 to 8 words built from a few shared prefixes and tails, some with a
     # term that cancels them (-c times a prefix times the normal form of
     # the rest), so that normal_form folds shared prefixes once onto merged
-    # normal forms that hold zeros, and tails that recur are memo hits.
-    # Every preset is fresh: a warm memo could hide a wrong merge.
+    # normal forms that hold zeros, and lone words share suffix normal
+    # forms.  Every preset is fresh: a warm memo could hide a wrong merge.
     # Folding each word on its own, which single-word reductions in
     # sequence do, charges at least as many steps.
     oracle = presets.build(name)

@@ -109,8 +109,8 @@ def test_budget_counts_words_a_merged_reduction_reaches(monkeypatch):
     # d(x^8*dth) unreduced is x^i*dx*x^(7-i)*dth for i < 8 and x^8*d2th:
     # words that share the prefixes x^i and the tails x^k*dth.  Folding
     # each shared x once onto the merged normal form of what follows it,
-    # a tail met again being a memo hit, rewrites 102 words g*v that the
-    # memo lacks; folding every word on its own rewrites 112
+    # and each tail once, rewrites 102 words g*v that the memo lacks;
+    # folding every word on its own rewrites 112
     P = presets.build("qjh_calculus")
     p = DifferentialOperator(P)(parse("x^8*dth", P), reduce=False)
     assert len(p.t) == 9
@@ -249,16 +249,30 @@ def test_long_shared_prefix_under_default_limit(default_recursion_limit):
     assert len(nf.t) == 3
 
 
-def test_branching_trie_under_default_limit(default_recursion_limit):
-    # the words x^k and x^k*th for k = 1..300: the bottom frame's trie
-    # branches at every depth and ends a word there, 601 nodes deep
+def test_words_that_branch_and_end_at_every_depth():
+    # 1 and the words x^k and x^k*th for k = 1..300: each prefix x^k is
+    # shared, branches and ends a word; NF(x^k*th) = q^k * th*x^k here
     P = presets.build("q_plane")
-    words = [("x",) * k + tail for k in range(1, 301) for tail in ((), ("th",))]
-    nf = P.normal_form(NCPolynomial({w: ONE for w in words}))
-    want = NCPolynomial()
-    for w in words:
-        want = want + presets.build("q_plane").nf_word(w)
-    assert nf == want
+    p, want = {(): ONE}, {(): ONE}
+    for k in range(1, 301):
+        p[("x",) * k] = p[("x",) * k + ("th",)] = ONE
+        want[("x",) * k], want[("th",) + ("x",) * k] = ONE, qpow(k)
+    assert P.normal_form(NCPolynomial(p)) == NCPolynomial(want)
+
+
+def test_lone_words_fold_through_the_suffix_cache():
+    # each word x^i*dx*x^(39-i)*th of d(x^40*th) leaves the others alone
+    # after the prefix x^i, and the tails end alike: once the normal form
+    # is taken, the suffix cache holds NF of every suffix of the longest
+    # tail, so each shorter one is a walk and not a fold per letter
+    P = presets.build("hj_calculus")
+    P.normal_form(DifferentialOperator(P)(parse("x^40*th", P), reduce=False))
+    tail = ("dx",) + ("x",) * 39 + ("th",)
+    node = P._suffixes
+    for g in reversed(P._codes.pack(tail)):
+        node = node[0][g]
+    assert P._codes.unpack_poly(NCPolynomial(node[1])) == presets.build(
+        "hj_calculus").nf_word(tail)
 
 
 def test_long_left_side_under_default_limit(default_recursion_limit):
