@@ -17,9 +17,9 @@ forms of the images of p's words, which the presentation caches.  When
 normal forms are unique it computes them by the product rule itself,
 NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))), over the suffixes of
 each word, from the normal forms of suffixes and of their images that
-the presentation also caches; it drops all of them whenever rules are
-declared, as it drops its memo.  The checks run many times on one
-presentation reuse one operator of each kind on it.
+the presentation also caches: its rules are fixed when it is built, so
+every cache lives as long as the presentation.  The checks run many
+times on one presentation reuse one operator of each kind on it.
 
 Partial derivatives act from the left through recursion rows: a row
 (c, prefix, axis) for leading letter g means the term c * prefix *
@@ -76,8 +76,8 @@ class DifferentialOperator:
     d(g) is not zero.  On the catalog presets it rewrites the words that
     reducing d(w) whole would.  Elsewhere (cartan, weyl) NF(g NF(p)) may
     differ from NF(g p), and each missed word's image is reduced whole.
-    The presentation drops every one of these caches with its memo
-    (Presentation._forget)."""
+    Every one of these caches lives as long as the presentation, as its
+    memo does."""
 
     def __init__(self, preset, images=None):
         self.preset = preset

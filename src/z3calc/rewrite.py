@@ -31,35 +31,34 @@ it folds the word's suffixes right to left by
 NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v))), reading NF(v) from
 the suffix cache and NF(D(v)) from a trie kept per image map
 (_image_nfs), so it reaches only words g*u with u irreducible.  A node
-of either trie is linked only once its normal form is whole, and _forget
-drops both with the memo, the one place a memo entry is dropped.  Each
-memo entry g*v is still inserted after the entries that its normal form
+of either trie is linked only once its normal form is whole.  Each memo
+entry g*v is still inserted after the entries that its normal form
 folds, so every entry can be checked from earlier ones in insertion
-order.  Reduction never completes a presentation behind the caller's
-back, it only reports critical pairs.
-saturate is the explicit completion step: its sweeps append rules to
-one presentation, which drops only the memo entries that the new rules
-change, and reduce a pair of older rules again only if one of its
-one-step reducts was dropped.
+order.  A presentation's rules are fixed when it is built, so the memo
+and both tries hold for its whole life.  Reduction never completes a
+presentation behind the caller's back, it only reports critical pairs.
+saturate is the explicit completion step: each sweep builds a fresh
+presentation from the rules so far and reduces every ambiguity on it,
+as localize builds one per pass.
 
 Inside the engine a word is packed: a str with one code point per
 letter, chr(i) for the i-th generator (see _Codes).  A rule's left side
-is packed when the rule is declared, its right side when the rule first
-fires.  There are two ways in: _reduce packs each of a list of
+is packed when the presentation is built, its right side when the rule
+first fires.  There are two ways in: _reduce packs each of a list of
 polynomials into a bottom frame, which the packed core _reduce_packed
 runs one after another under one step budget, and unpacks the normal
 forms; _image_forms does the same for the images of a list of words.
 Only _pairs calls the core directly.
 The ambiguities, their one-step reducts (_reduct), the memo, the
-frames, the tries and the words _append drops are packed; critical_pairs
-and saturate unpack only what they hand out.  A str caches its hash and
+frames and the tries are packed; critical_pairs and saturate unpack
+only what they hand out.  A str caches its hash and
 copies one code point per letter, where a tuple rehashes on every memo
 lookup and copies a pointer per letter.  Rules, BudgetExceeded.word and
 every caller keep tuples.
 
 Matching walks one trie over the rule left sides from each position of
-the word; the trie is built whenever rules are declared.  Every trie
-node carries the first-declared rule among the left sides that are
+the word; the trie is built with the presentation.  Every trie node
+carries the first-declared rule among the left sides that are
 prefixes of its path, so the deepest node the word reaches names the
 rule to apply there; a left side that has an earlier rule's left side
 as a prefix can never fire and is left out.  After a rewrite at
@@ -207,7 +206,7 @@ def _reduct(word, entry, pos, pack):
 
 
 def _lhs_trie(entries):
-    """Trie over the left sides, packed when their rules were declared,
+    """Trie over the left sides, packed when the presentation was built,
     of the [rule, packed left side, reducts] entries: letter -> [children,
     entry].
 
@@ -240,8 +239,8 @@ def _lhs_trie(entries):
 def _leftmost(trie, word, start, stop):
     """(position, entry) of the leftmost match of the trie in the packed
     word that starts in range(start, stop), or None.  It is the one scan:
-    only Presentation._reduce_packed, for each word a frame yields, and
-    _append, for each memo word it checks, call it."""
+    only Presentation._reduce_packed calls it, for each word a frame
+    yields."""
     n = len(word)
     for i in range(start, stop):
         node = trie.get(word[i])
@@ -444,67 +443,32 @@ class Presentation:
     def __init__(self, name, generators, rules, order, q="symbolic"):
         self.name = name
         self.generators = list(generators)
-        self.rules = []
+        self.rules = list(rules)
         self.order = order
         self.q = q  # "symbolic" or a Fraction
         self.gens = {g.name: g for g in self.generators}
         self._codes = _Codes(self.generators)
-        self._entries = []  # [rule, packed lhs, packed reducts or None]
-        self._memo = {}
-        self._verdict = None
-        # the calculus operators built on this presentation, by class: their
-        # images and rows depend only on the generators and q
-        self.operators = {}
-        self._append(rules)
-
-    def _append(self, rules):
-        """Declare rules after the existing ones, each left side packed
-        once, rebuild the trie and the longest left side, then drop from
-        the memo, and return, every packed word whose reduction that
-        changes: its leftmost match is now a new rule (at the old match the
-        old rule still wins, as it was declared first), or its one-step
-        reduct holds a dropped word, which the memo lists first.  While
-        normal forms are unique the memo may hold suffix-first entries,
-        which fold g*v instead of following a rule, so it is dropped whole.
-        _forget drops them, with every cache kept beside the memo."""
-        for r in rules:
+        for r in self.rules:
             if not r.lhs:
                 raise ValueError("rule %s has an empty lhs"
                                  % _echo(r.ref or "?", str))
-        pack = self._codes.pack
-        self.rules.extend(rules)
-        self._entries.extend([r, pack(r.lhs), None] for r in rules)
-        self._trie = trie = _lhs_trie(self._entries)
+        # [rule, packed lhs, packed reducts or None]
+        self._entries = [[r, self._codes.pack(r.lhs), None]
+                         for r in self.rules]
+        self._trie = _lhs_trie(self._entries)
         self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
-        memo, unique, self._verdict = self._memo, self._verdict, None
-        if unique:
-            dropped = set(memo)
-        else:
-            dropped, fresh = set(), set(rules)
-            for w in memo:
-                match = _leftmost(trie, w, 0, len(w))
-                if match is None:
-                    continue
-                i, entry = match
-                if entry[0] in fresh or dropped and any(
-                        u in dropped for u, _ in _reduct(w, entry, i, pack)):
-                    dropped.add(w)
-        self._forget(dropped)
-        return dropped
-
-    def _forget(self, dropped):
-        """Drop the packed words dropped from the memo, and with them every
-        normal form cached beside it: the suffix cache (_suffixes) and the
-        normal forms of images (_image_nfs), which hold normal forms the
-        memo gave.  Every memo drop goes through here."""
-        memo = self._memo
-        for w in dropped:
-            del memo[w]
+        # the rules are fixed from here on, so every cache below holds for
+        # the life of the presentation
+        self._memo = {}
+        self._verdict = None
         # NF(v) per packed suffix v, a trie: [letter to its left -> node, NF]
         self._suffixes = [{}, {"": ONE}]
         # a linear map's key -> (its word -> NF(image) cache, the trie of
         # NF(image) per packed suffix, its packed images); see _image_forms
         self._image_nfs = {}
+        # the calculus operators built on this presentation, by class: their
+        # images and rows depend only on the generators and q
+        self.operators = {}
 
     # -- sanity -------------------------------------------------------------
 
@@ -562,7 +526,8 @@ class Presentation:
         _leibniz bottom frame, which reads and fills the trie of NF(D(v))
         per suffix v kept beside this dict and the suffix cache of NF(v);
         else each one's image is reduced whole, as NF(g*NF(p)) = NF(g*p)
-        need not hold there.  _forget drops all of it with the memo."""
+        need not hold there.  All of it lives as long as the
+        presentation."""
         entry = self._image_nfs.get(key)
         if entry is None:
             codes = self._codes
@@ -700,21 +665,16 @@ class Presentation:
                  "joinable": nf1 == nf2}
                 for r1, r2, word, nf1, nf2 in self._pairs(_step_budget())]
 
-    def _pairs(self, budget, old=0, dropped=()):
+    def _pairs(self, budget):
         """(r1, r2, word, nf1, nf2) for each ambiguity, in _ambiguities()
         order: r1 and r2 apply to the packed word, and nf1 and nf2 are
         their packed one-step reducts (_reduct) reduced leftmost by
-        _reduce_packed, not unpacked.  A pair of two rules below index old
-        is skipped when no word of either reduct is in dropped, the packed
-        words that _append returned, as saturate's rescan needs."""
+        _reduce_packed, not unpacked."""
         rules, entries, pack = self.rules, self._entries, self._codes.pack
         memo = self._memo
         for i1, i2, word, p2 in self._ambiguities():
             red1 = _reduct(word, entries[i1], 0, pack)
             red2 = _reduct(word, entries[i2], p2, pack)
-            if i1 < old and i2 < old and not any(
-                    w in dropped for w, _ in red1 + red2):
-                continue
             # one budget per side, as a reduction of its own
             yield (rules[i1], rules[i2], word,
                    self._reduce_packed([_leftmost_frame(memo, red1, "", "")],
@@ -906,34 +866,23 @@ class Presentation:
 def saturate(pres, skip=None):
     """Append oriented critical-pair differences as derived rules.
 
-    Each sweep reduces the ambiguities both ways and turns any nonzero
-    difference into a new rule headed by its leading word; the sweep's
-    rules are appended when it ends.  Sweeps repeat until nothing
-    admissible is left.  skip filters candidate left sides: a system
-    whose completion grows without bound passes a predicate that cuts
-    off the runaway families and accepts partial saturation instead of
-    confluence.
-
-    All sweeps share one presentation and its memo, from which
-    Presentation._append drops exactly the words whose reduction the
-    sweep's rules change.  An ambiguity of two rules
-    that the previous sweep already had is skipped when none of its
-    one-step reducts was dropped, which its words tell before any
-    polynomial is built.  Its difference is then the one that sweep saw,
-    and that sweep added its leading word as a rule or refused it (the
-    word was a left side already or skip held), so it can add nothing
-    now.  The rules, their order and every normal form are those of
-    recomputing every ambiguity in every sweep.  The presentation is
-    returned with an empty memo, as a fresh one would be.
+    Each sweep builds one presentation from the rules so far, reduces
+    every ambiguity on it both ways and turns any nonzero difference into
+    a new rule headed by its leading word; the sweep's rules are appended
+    to the list when it ends.  Sweeps repeat until nothing admissible is
+    left.  skip filters candidate left sides: a system whose completion
+    grows without bound passes a predicate that cuts off the runaway
+    families and accepts partial saturation instead of confluence.  The
+    result is a fresh presentation of all the rules, with an empty memo.
     """
-    P = Presentation(pres.name, pres.generators, pres.rules, pres.order,
-                     q=pres.q)
-    key, budget, codes = pres.order.key, _step_budget(), P._codes
-    seen = {r.lhs for r in P.rules}
-    old, dropped = 0, set()
+    key, budget = pres.order.key, _step_budget()
+    rules = list(pres.rules)
+    seen = {r.lhs for r in rules}
     for _ in range(MAX_SWEEPS):
-        new = []
-        for r1, r2, word, nf1, nf2 in P._pairs(budget, old, dropped):
+        P = Presentation(pres.name, pres.generators, rules, pres.order,
+                         q=pres.q)
+        codes, new = P._codes, []
+        for r1, r2, word, nf1, nf2 in P._pairs(budget):
             d = nf1 - nf2
             if d.is_zero():
                 continue
@@ -947,12 +896,9 @@ def saturate(pres, skip=None):
                                      r2.ref)))
         if not new:
             break
-        old = len(P.rules)
-        dropped = P._append(new)
-    # the pairs' words would only hold memory, and later reductions are
-    # charged against the step budget as in a fresh presentation
-    P._forget(list(P._memo))
-    return P
+        rules += new
+    return Presentation(pres.name, pres.generators, rules, pres.order,
+                        q=pres.q)
 
 
 def localize(pres, v, vinv):

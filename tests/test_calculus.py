@@ -68,6 +68,16 @@ def test_operators_name_a_letter_they_do_not_reach():
         DifferentialOperator(W)(px)
     with pytest.raises(KeyError, match="undefined past generator 'px'"):
         PartialOperator(W)("x", px)
+    # with unique normal forms d takes the Leibniz step, which checks the
+    # letters of a word before it folds its suffixes
+    doc = presets.build("q_plane").to_json()
+    for g in doc["generators"]:
+        if g["name"] == "th":
+            del g["d_image"]
+    plane = Presentation.from_json(doc)
+    assert plane._unique_normal_forms()
+    with pytest.raises(KeyError, match="d undefined on generator 'th'"):
+        DifferentialOperator(plane)(NCPolynomial.word(("x", "th")))
 
 
 def test_d_squared_not_zero(P):
@@ -197,20 +207,6 @@ def test_d_cache_matches_reducing_the_image(name):
         d(NCPolynomial.gen("xinv"))
         with pytest.raises(KeyError, match="'xinv'"):
             DifferentialOperator(pres)(NCPolynomial.gen("xinv"))
-
-
-def test_d_cache_dropped_when_rules_are_declared():
-    P = presets.build("qjh_calculus")
-    d = DifferentialOperator(P)
-    p = parser.parse("x^2*th + th*dx", P)
-    before = d(p)
-    # a rule that sends an irreducible word of d(p) to zero
-    u = max(before.support(), key=len)
-    P._append([RewriteRule(u, NCPolynomial(), "test:drop")])
-    fresh = _fresh(P)
-    want = fresh.normal_form(DifferentialOperator(fresh)(p, reduce=False))
-    assert want != before
-    assert d(p) == want
 
 
 def test_d_charges_one_budget_per_call(monkeypatch):
@@ -608,3 +604,13 @@ def test_replay_catches_mutated_partial(monkeypatch, ref, k, factor):
         rules.append(e)
     monkeypatch.setattr(presets, "PARTIAL_RULES", rules)
     assert replay("partials")["ok"] is False or replay("weyl")["ok"] is False
+
+
+def test_replay_catches_mutated_q1_cartan_form(monkeypatch):
+    # the hand q -> 1 transcription is compared with the specialized rules
+    monkeypatch.setitem(calculus._Q1_CARTAN_RHS, "cartan:wh",
+                        [(J * J, ("h", "w"))])
+    out = replay("cartan")
+    assert out["ok"] is False
+    assert {"name": "q1_bullet_forms", "status": "fail",
+            "witness": "cartan:wh"} in out["checks"]

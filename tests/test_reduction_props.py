@@ -214,48 +214,11 @@ def test_critical_pairs_match_reference_on_toy_presentations(P):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(toy_presentations(), st.integers(2, 4))
 def test_saturate_matches_reference_on_toy_presentations(P, limit):
-    # the incremental memo drop and pair skip against a fresh presentation
-    # per sweep with every ambiguity reduced again: the same rules, in the
-    # same order
+    # saturate's packed pairs against the unpacked critical_pairs, each
+    # sweep on a fresh presentation: the same rules, in the same order
     def skip(w):
         return len(w) > limit
 
     assert _listed(saturate(P, skip=skip)) == \
         _listed(reference_saturate(P, skip))
 
-
-@pytest.mark.parametrize("name", ["toy", "q_plane", "h_plane",
-                                  "hj_calculus", "qjh_calculus"])
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.data())
-def test_append_drops_every_memo_word_it_changes(name, data):
-    # a memo warmed leftmost and suffix first (the catalog presets are
-    # confluent) keeps, after rules are appended, only entries that a
-    # fresh presentation of all the rules reduces alike
-    P = (data.draw(toy_presentations()) if name == "toy"
-         else presets.build(name))
-    letters = [g.name for g in P.generators]
-    words = data.draw(st.lists(st.lists(st.sampled_from(letters), min_size=1,
-                                        max_size=6).map(tuple),
-                               min_size=1, max_size=6))
-    for w in words:
-        if data.draw(st.booleans()):
-            P.normal_form(NCPolynomial.word(w))
-        else:
-            P._reduce([NCPolynomial.word(w)], DEFAULT_BUDGET)
-    lhss = [data.draw(st.sampled_from(_words(letters, 3)))
-            for _ in range(data.draw(st.integers(1, 2)))]
-    dropped = P._append([_oriented(data.draw, letters, P.order, lhs)
-                         for lhs in lhss])
-    assert not dropped & P._memo.keys()
-    # the memo holds packed words, the fresh presentation's results tuples
-    fresh = Presentation(P.name, P.generators, P.rules, P.order, q=P.q)
-    unpack = P._codes.unpack
-    for w, nf in P._memo.items():
-        w = unpack(w)
-        nf = NCPolynomial({unpack(u): c for u, c in nf.t.items()})
-        assert nf == fresh._reduce([NCPolynomial.word(w)],
-                                   DEFAULT_BUDGET)[0], w
-    for w in words:
-        assert P.normal_form(NCPolynomial.word(w)) == \
-            fresh.normal_form(NCPolynomial.word(w)), w
