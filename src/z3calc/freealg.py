@@ -2,9 +2,9 @@
 
 Words are tuples of generator names; an NCPolynomial is a finite map
 from words to scalars.  That holds everywhere outside the reduction
-engine of the rewrite module, which packs words into strings for its own
-use and hands tuples back.  Nothing here reduces anything: products are
-plain concatenation, and rewriting lives in the rewrite module.
+engine of the rewrite module, whose packed words and dict normal forms
+never leave it.  Nothing here reduces anything: products are plain
+concatenation, and rewriting lives in the rewrite module.
 
 Every generator carries two gradings that must not be confused:
 

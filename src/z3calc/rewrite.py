@@ -42,13 +42,14 @@ presentation from the rules so far and reduces every ambiguity on it,
 as localize builds one per pass.
 
 Inside the engine a word is packed: a str with one code point per
-letter, chr(i) for the i-th generator (see _Codes).  A rule's left side
-is packed when the presentation is built, its right side when the rule
-first fires.  There are two ways in: _reduce packs each of a list of
-polynomials into a bottom frame, which the packed core _reduce_packed
-runs one after another under one step budget, and unpacks the normal
-forms; _image_forms does the same for the images of a list of words.
-Only _pairs calls the core directly.
+letter, chr(i) for the i-th generator (see _Codes), and a normal form is
+a plain dict packed word -> nonzero scalar.  Each rule is packed, both
+sides, when the presentation is built.  There are two ways in: _reduce
+packs each of a list of polynomials into a bottom frame, which the
+packed core _reduce_packed runs one after another under one step
+budget, and unpacks the normal forms into polynomials; _image_forms does
+the same for the images of a list of words.  Only _pairs calls the core
+directly.
 The ambiguities, their one-step reducts (_reduct), the memo, the
 frames and the tries are packed; critical_pairs and saturate unpack
 only what they hand out.  A str caches its hash and
@@ -182,33 +183,25 @@ class _Codes(dict):
     def unpack(self, word):
         return tuple(map(self.names.__getitem__, word))
 
-    def unpack_poly(self, p):
-        """The polynomial p over packed words, over tuples of names."""
+    def unpack_poly(self, nf):
+        """The normal form nf, a dict packed word -> nonzero scalar, as a
+        polynomial over tuples of names."""
         name, r = self.names.__getitem__, NCPolynomial()
-        r.t = {tuple(map(name, u)): c for u, c in p.t.items()}
+        r.t = {tuple(map(name, u)): c for u, c in nf.items()}
         return r
 
 
-def _reducts(entry, pack):
-    """The right side of the rule of entry, a [rule, packed left side,
-    reducts] of the trie, as (packed word, coefficient) pairs; they are
-    packed the first time they are asked for."""
-    if entry[2] is None:
-        entry[2] = [(pack(w), c) for w, c in entry[0].rhs.t.items()]
-    return entry[2]
-
-
-def _reduct(word, entry, pos, pack):
+def _reduct(word, entry, pos):
     """The one-step reduct of the packed word by the rule of entry at pos,
     as (packed word, coefficient) pairs."""
     prefix, suffix = word[:pos], word[pos + len(entry[1]):]
-    return [(prefix + rw + suffix, c) for rw, c in _reducts(entry, pack)]
+    return [(prefix + rw + suffix, c) for rw, c in entry[2]]
 
 
 def _lhs_trie(entries):
-    """Trie over the left sides, packed when the presentation was built,
-    of the [rule, packed left side, reducts] entries: letter -> [children,
-    entry].
+    """Trie over the packed left sides of the (ref, packed left side,
+    packed reducts) entries that the presentation builds, one per rule:
+    letter -> [children, entry].
 
     entry is that of the first-declared rule whose left side is a prefix
     of the node's path, or None.
@@ -269,7 +262,7 @@ def _leftmost_frame(memo, reducts, prefix, suffix):
         nf = memo.get(w)
         if nf is None:
             nf = yield w
-        for u, x in nf.t.items():
+        for u, x in nf.items():
             x = c if x is ONE else c * x
             y = acc.get(u)
             acc[u] = x if y is None else y + x
@@ -295,7 +288,7 @@ def _prepend(memo, jobs, suffix):
                 nf = memo.get(w)
                 if nf is None:
                     nf = yield w
-                for u, x in nf.t.items():
+                for u, x in nf.items():
                     x = c if x is ONE else c * x  # ONE: w is irreducible
                     y = nxt.get(u)
                     nxt[u] = x if y is None else y + x
@@ -368,7 +361,7 @@ def _fold(memo, letters, terms):
             nf = memo.get(w)
             if nf is None:
                 nf = yield w
-            for u, x in nf.t.items():
+            for u, x in nf.items():
                 x = c if x is ONE else c * x
                 y = nxt.get(u)
                 nxt[u] = x if y is None else y + x
@@ -452,8 +445,11 @@ class Presentation:
             if not r.lhs:
                 raise ValueError("rule %s has an empty lhs"
                                  % _echo(r.ref or "?", str))
-        # [rule, packed lhs, packed reducts or None]
-        self._entries = [[r, self._codes.pack(r.lhs), None]
+        # each rule packed once: (ref, packed lhs, its right side as
+        # (packed word, coefficient) pairs)
+        pack = self._codes.pack
+        self._entries = [(r.ref, pack(r.lhs),
+                          [(pack(w), c) for w, c in r.rhs.t.items()])
                          for r in self.rules]
         self._trie = _lhs_trie(self._entries)
         self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
@@ -552,21 +548,21 @@ class Presentation:
         return nfs
 
     def _reduce_packed(self, bottoms, budget, suffix_first=False):
-        """The normal forms, over packed words, of the sums that the
-        bottom frames bottoms return, run one after another on one stack
-        under one step budget, by the leftmost, first-declared rule, or,
-        if suffix_first, by putting one letter at a time in front of the
-        normal form of the rest, which gives the same result when normal
-        forms are unique.  A frame is a generator that looks each word it
-        needs up in the memo, yields each miss, is sent its normal form,
-        and returns its sum; each word being rewritten has one above the
-        bottom frame.  Leftmost, every frame is a _leftmost_frame.  Suffix
-        first, a bottom frame is _horner, which folds each prefix that its
-        polynomial's words share once and each suffix that its lone words
-        share once, or _leibniz, which folds a word's suffixes onto cached
-        normal forms, and a rewritten word's frame is _prepend.  Only the
-        word of a BudgetExceeded is unpacked.  This loop alone matches and
-        memoises.
+        """The normal forms, as dicts packed word -> nonzero scalar, of the
+        sums that the bottom frames bottoms return, run one after another
+        on one stack under one step budget, by the leftmost,
+        first-declared rule, or, if suffix_first, by putting one letter at
+        a time in front of the normal form of the rest, which gives the
+        same result when normal forms are unique.  A frame is a generator
+        that looks each word it needs up in the memo, yields each miss, is
+        sent its normal form, and returns its sum; each word being
+        rewritten has one above the bottom frame.  Leftmost, every frame
+        is a _leftmost_frame.  Suffix first, a bottom frame is _horner,
+        which folds each prefix that its polynomial's words share once and
+        each suffix that its lone words share once, or _leibniz, which
+        folds a word's suffixes onto cached normal forms, and a rewritten
+        word's frame is _prepend.  Only the word of a BudgetExceeded is
+        unpacked.  This loop alone matches and memoises.
         It scans each yielded word from its frame's start, kept on the
         starts stack: a leftmost frame for a match at i starts at
         i - (maxlen - 1), as no match lies further left, and every other
@@ -576,7 +572,6 @@ class Presentation:
         charged for the words it reaches that rewrite; a merged fold
         reaches a subset of the words that folding each on its own would."""
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
-        codes, pack = self._codes, self._codes.pack
         left, last = budget, None  # last: ref of the last rule fired
         stack, starts, words, nfs = [], [0], [], []
         for bottom in bottoms:
@@ -587,7 +582,7 @@ class Presentation:
                     w = stack[-1].send(nf)
                 except StopIteration as done:
                     stack.pop()
-                    nf = NCPolynomial(done.value)
+                    nf = {u: c for u, c in done.value.items() if c}
                     if not stack:
                         nfs.append(nf)
                         break
@@ -597,17 +592,13 @@ class Presentation:
                 match = _leftmost(trie, w, starts[-1],
                                   1 if suffix_first else len(w))
                 if match is None:  # irreducible: its own normal form
-                    nf = memo[w] = NCPolynomial()
-                    nf.t = {w: ONE}
+                    nf = memo[w] = {w: ONE}
                     continue
                 left -= 1
                 if left < 0:
-                    raise BudgetExceeded(codes.unpack(w), max(budget, 0), last)
-                i, entry = match
-                rule, lhs, reducts = entry
-                if reducts is None:
-                    reducts = _reducts(entry, pack)
-                last = rule.ref
+                    raise BudgetExceeded(self._codes.unpack(w), max(budget, 0),
+                                         last)
+                i, (last, lhs, reducts) = match
                 suffix = w[i + len(lhs):]
                 if suffix_first:
                     stack.append(_prepend(memo, reducts, suffix))
@@ -660,23 +651,22 @@ class Presentation:
         ambiguous word, the two rule refs, both normal forms, and whether
         they agree.  No completion is attempted."""
         codes = self._codes
-        return [{"word": codes.unpack(word), "rules": (r1.ref, r2.ref),
+        return [{"word": codes.unpack(word), "rules": (ref1, ref2),
                  "nf1": codes.unpack_poly(nf1), "nf2": codes.unpack_poly(nf2),
                  "joinable": nf1 == nf2}
-                for r1, r2, word, nf1, nf2 in self._pairs(_step_budget())]
+                for ref1, ref2, word, nf1, nf2 in self._pairs(_step_budget())]
 
     def _pairs(self, budget):
-        """(r1, r2, word, nf1, nf2) for each ambiguity, in _ambiguities()
-        order: r1 and r2 apply to the packed word, and nf1 and nf2 are
-        their packed one-step reducts (_reduct) reduced leftmost by
-        _reduce_packed, not unpacked."""
-        rules, entries, pack = self.rules, self._entries, self._codes.pack
-        memo = self._memo
+        """(ref1, ref2, word, nf1, nf2) for each ambiguity, in
+        _ambiguities() order: the rules named ref1 and ref2 apply to the
+        packed word, and nf1 and nf2 are their one-step reducts (_reduct)
+        reduced leftmost by _reduce_packed, packed dicts."""
+        entries, memo = self._entries, self._memo
         for i1, i2, word, p2 in self._ambiguities():
-            red1 = _reduct(word, entries[i1], 0, pack)
-            red2 = _reduct(word, entries[i2], p2, pack)
+            e1, e2 = entries[i1], entries[i2]
+            red1, red2 = _reduct(word, e1, 0), _reduct(word, e2, p2)
             # one budget per side, as a reduction of its own
-            yield (rules[i1], rules[i2], word,
+            yield (e1[0], e2[0], word,
                    self._reduce_packed([_leftmost_frame(memo, red1, "", "")],
                                        budget)[0],
                    self._reduce_packed([_leftmost_frame(memo, red2, "", "")],
@@ -882,18 +872,16 @@ def saturate(pres, skip=None):
         P = Presentation(pres.name, pres.generators, rules, pres.order,
                          q=pres.q)
         codes, new = P._codes, []
-        for r1, r2, word, nf1, nf2 in P._pairs(budget):
-            d = nf1 - nf2
-            if d.is_zero():
+        for ref1, ref2, word, nf1, nf2 in P._pairs(budget):
+            if nf1 == nf2:
                 continue
-            d = codes.unpack_poly(d)
+            d = codes.unpack_poly(nf1) - codes.unpack_poly(nf2)
             lead = max(d.support(), key=key)
             if lead in seen or (skip is not None and skip(lead)):
                 continue
             seen.add(lead)
             new.append(_solve_for(d, lead, "the ambiguity %s of rules %s and %s"
-                                  % ("*".join(codes.unpack(word)), r1.ref,
-                                     r2.ref)))
+                                  % ("*".join(codes.unpack(word)), ref1, ref2)))
         if not new:
             break
         rules += new

@@ -14,9 +14,9 @@ from z3calc.calculus import DifferentialOperator
 from z3calc.freealg import GeneratorInfo, NCPolynomial, fa_str
 from z3calc.parser import parse
 from z3calc.rewrite import (MAX_SWEEPS, BudgetExceeded, LocalizeError,
-                            Presentation, RewriteRule, TermOrder, _solve_for,
-                            localize, saturate)
-from z3calc.scalars import J, ONE, qpow, rational
+                            Presentation, RewriteRule, TermOrder, _leftmost,
+                            _solve_for, localize, saturate)
+from z3calc.scalars import J, J2, MINUS_ONE, ONE, qpow, rational
 
 
 def test_term_order_weight_dominates():
@@ -271,7 +271,7 @@ def test_lone_words_fold_through_the_suffix_cache():
     node = P._suffixes
     for g in reversed(P._codes.pack(tail)):
         node = node[0][g]
-    assert P._codes.unpack_poly(NCPolynomial(node[1])) == presets.build(
+    assert P._codes.unpack_poly(NCPolynomial(node[1]).t) == presets.build(
         "hj_calculus").nf_word(tail)
 
 
@@ -540,6 +540,69 @@ def test_localize_refuses_one_equals_zero():
         localize(P, "v", "vinv")
     assert str(info.value) == ("the multiply-back residual of g*vinv is a "
                                "nonzero scalar: the relations make 1 = 0")
+
+
+def test_localize_that_does_not_settle():
+    # every pass changes the candidate for vinv*a, so the passes run out
+    order = TermOrder({"v": 1, "a": 1}, ["a", "v"])
+    gens = [GeneratorInfo("v", 0, 1), GeneratorInfo("a", 0, 1)]
+    P = Presentation("toy", gens, [
+        RewriteRule(("v", "a"), NCPolynomial.word(("a", "v", "a"), J2)
+                    + NCPolynomial.word(("a", "v"), rational(2)), "va"),
+        RewriteRule(("a", "a", "v"), NCPolynomial.word(("v", "a", "a"), J),
+                    "aav")], order)
+    with pytest.raises(LocalizeError) as info:
+        localize(P, "v", "vinv")
+    assert str(info.value) == "localization of v did not stabilise"
+
+
+def test_localize_whose_residual_leads_with_an_extra_rule_again():
+    # the multiply-back residual of vinv*c is solved for a word that an
+    # earlier residual already heads, so the extra rules cannot repair it
+    order = TermOrder({"v": 1, "b": 1, "c": 3}, ["b", "c", "v"])
+    gens = [GeneratorInfo(g, 0, 1) for g in ("v", "b", "c")]
+    word = NCPolynomial.word
+    P = Presentation("toy", gens, [
+        RewriteRule(("v", "b"), word(("b", "v"), -J)
+                    + NCPolynomial.unit(MINUS_ONE), "vb"),
+        RewriteRule(("v", "c"), word(("b", "b", "v"), -J)
+                    + word(("v", "b"), rational(2))
+                    + word(("c", "v"), J2), "vc"),
+        RewriteRule(("b", "v", "b"), NCPolynomial.unit(J2), "bvb"),
+        RewriteRule(("c", "c"), NCPolynomial.unit(rational(2)), "cc")], order)
+    with pytest.raises(LocalizeError) as info:
+        localize(P, "v", "vinv")
+    assert str(info.value) == ("derived rule for ('vinv', 'c') fails "
+                               "multiply-back")
+
+
+def test_memo_holds_zero_free_dicts_of_irreducible_words():
+    # a mixed load on fresh presentations, suffix first (qjh_calculus: a
+    # normal form and a reduced d) and leftmost (glhj and cartan: a normal
+    # form and the census).  Every memo value is a dict packed word ->
+    # nonzero scalar over irreducible words, and every rule entry holds
+    # the rule's right side as packed when the presentation was built
+    Q = presets.build("qjh_calculus")
+    Q.normal_form(parse("x^3*dth + th*x*d2x - 2*dx*th*x + h*x^2", Q))
+    DifferentialOperator(Q)(parse("x^2*th*dx + th*d2x", Q))
+    loaded = [Q]
+    for name, expr in (("glhj", "a*b*g*dT + g*a^2*h"),
+                       ("cartan", "x*th*xinv*dx + u*w*x")):
+        P = presets.build(name)
+        P.normal_form(parse(expr, P))
+        P.pair_census()
+        loaded.append(P)
+    for P in loaded:
+        assert P._memo, P.name
+        for nf in P._memo.values():
+            assert type(nf) is dict
+            assert not any(c.is_zero() for c in nf.values()), P.name
+            assert all(_leftmost(P._trie, u, 0, len(u)) is None for u in nf)
+        pack = P._codes.pack
+        assert len(P._entries) == len(P.rules)
+        for r, entry in zip(P.rules, P._entries):
+            assert entry == (r.ref, pack(r.lhs),
+                             [(pack(w), c) for w, c in r.rhs.t.items()])
 
 
 def test_json_round_trip_all_presets():
