@@ -12,14 +12,14 @@ for homogeneous a of effective weight w(a).  Iterating it gives
 and d^3 = 0 identically because each generator's chain of images ends
 in zero after two steps.  d, and the partials likewise, sum an
 unreduced image into one word -> scalar dict and drop the sums that
-cancelled to zero once, at the end.  The reduced d(p) sums the normal
-forms of the images of p's words, which the presentation caches.  When
-normal forms are unique it computes them by the product rule itself,
-NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))), over the suffixes of
-each word, from the normal forms of suffixes and of their images that
-the presentation also caches: its rules are fixed when it is built, so
-every cache lives as long as the presentation.  The checks run many
-times on one presentation reuse one operator of each kind on it.
+cancelled to zero once, at the end.  When normal forms are unique, the
+reduced d(p) sums the normal forms of the images of p's words, computed
+by the product rule itself,
+NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))), over the suffixes
+of each word, from the normal forms of suffixes, which the presentation
+caches, and of their images, which the operator caches; elsewhere it
+reduces the unreduced d(p).  The checks run many times on one
+presentation reuse one operator of each kind on it, and so its cache.
 
 Partial derivatives act from the left through recursion rows: a row
 (c, prefix, axis) for leading letter g means the term c * prefix *
@@ -58,26 +58,22 @@ class DifferentialOperator:
     at w[:i] + iw + w[i+1:] for each term ic*iw of that letter's image.
     Zeros are dropped once, at the end, so d(p, reduce=False) stores none.
 
-    The reduced d(p) is the sum of c * NF(d(w)) over the terms c*w of p,
-    as reduction is linear under both strategies.  NF(d(w)) is cached on
-    the presentation (Presentation._image_nfs) under the image map as it
-    was at construction, so cartan_verify's xinv image has its own
-    entries.  The words of p that miss are reduced together under one
-    step budget (Presentation._image_forms); a hit is not charged, as a
-    memo hit is not.  When normal forms are unique, a missed word w is
-    not expanded: its suffixes g*v are taken right to left by the
-    Leibniz step
+    The reduced d(p) is NF(d(p)).  When normal forms are unique it is the
+    sum of c * NF(d(w)) over the terms c*w of p, as reduction is linear,
+    and NF(d(w)) is folded over the suffixes g*v of w, right to left, by
+    the Leibniz step (Presentation._image_forms)
 
-        NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))),
+        NF(d(g v)) = NF(d(g) NF(v)) + j^w(g) NF(g NF(d(v))).
 
-    which reads and fills two caches of the presentation, NF(d(v)) per
-    suffix beside the per-word entries of this image map and NF(v) in
-    the suffix cache that normal_form shares, and needs NF(v) only where
-    d(g) is not zero.  On the catalog presets it rewrites the words that
-    reducing d(w) whole would.  Elsewhere (cartan, weyl) NF(g NF(p)) may
-    differ from NF(g p), and each missed word's image is reduced whole.
-    Every one of these caches lives as long as the presentation, as its
-    memo does."""
+    It reads and fills two caches: NF(d(v)) per suffix in a trie that the
+    operator owns, built with it for its image map, and NF(v) in the
+    suffix cache that normal_form shares, read only where d(g) is not
+    zero.  A word whose NF(d(w)) the trie holds is not charged, as a memo
+    hit is not; the others are reduced together under one step budget
+    and rewrite the words that reducing each d(w) whole would.
+    Elsewhere (cartan, weyl) NF(g NF(p)) may differ from NF(g p), and the
+    unreduced d(p) is reduced whole.  Each cache lives as long as its
+    owner, as the memo does."""
 
     def __init__(self, preset, images=None):
         self.preset = preset
@@ -89,12 +85,13 @@ class DifferentialOperator:
                 self.images[g.name] = NCPolynomial.gen(g.d_image)
         if images:
             self.images.update(images)
-        self._key = frozenset((name, frozenset(img.t.items()))
-                              for name, img in self.images.items())
         gens = preset.gens
-        # letter -> (j^weight, image): d(g*v) = d(g)*v + j^w(g) g*d(v)
-        self._twisted = {name: (jpow(gens[name].weight), img)
-                         for name, img in self.images.items() if name in gens}
+        # d(g*v) = d(g)*v + j^w(g) g*d(v): each letter's twist and image,
+        # packed with the trie of NF(d(v)) per suffix v that this operator
+        # keeps (Presentation._image_forms)
+        self._cache = preset._image_cache({
+            name: (jpow(gens[name].weight), img)
+            for name, img in self.images.items() if name in gens})
 
     def _image(self, terms):
         """The unreduced d of the sum of c * word over terms (word, c)."""
@@ -108,7 +105,7 @@ class DifferentialOperator:
                     raise KeyError("d undefined on generator %r" % name)
                 if img.t:
                     pre, post, cj = word[:i], word[i + 1:], jpow(wsum)
-                    if c is not ONE:  # ONE: a missed word of __call__
+                    if c is not ONE:  # ONE: a bare word's coefficient
                         cj = c * cj
                     for iw, ic in img.t.items():
                         w, t = pre + iw + post, cj if ic is ONE else cj * ic
@@ -118,17 +115,11 @@ class DifferentialOperator:
         return NCPolynomial(acc)  # drops the sums that cancelled
 
     def __call__(self, p, reduce=True):
-        if not reduce:
-            return self._image(p.t.items())
-        nfs = self.preset._image_forms(self._key, self._twisted, self._image,
-                                       p.t)
-        acc = {}
-        for word, c in p.t.items():
-            for w, x in nfs[word].t.items():
-                t = c if x is ONE else c * x
-                s = acc.get(w)
-                acc[w] = t if s is None else s + t
-        return NCPolynomial(acc)  # drops the sums that cancelled
+        preset = self.preset
+        if reduce and preset._unique_normal_forms():
+            return preset._image_forms(self._cache, p)
+        image = self._image(p.t.items())
+        return preset.normal_form(image) if reduce else image
 
 
 # ---------------------------------------------------------------------------

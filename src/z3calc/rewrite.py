@@ -29,13 +29,13 @@ calls.  The reduced image of a word under a twisted derivation D
 (calculus.DifferentialOperator's d) has its own bottom frame, _leibniz:
 it folds the word's suffixes right to left by
 NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v))), reading NF(v) from
-the suffix cache and NF(D(v)) from a trie kept per image map
-(_image_nfs), so it reaches only words g*u with u irreducible.  A node
+the suffix cache and NF(D(v)) from a trie that D's owner keeps
+(_image_cache), so it reaches only words g*u with u irreducible.  A node
 of either trie is linked only once its normal form is whole.  Each memo
 entry g*v is still inserted after the entries that its normal form
 folds, so every entry can be checked from earlier ones in insertion
 order.  A presentation's rules are fixed when it is built, so the memo
-and both tries hold for its whole life.  Reduction never completes a
+and every trie hold for its whole life.  Reduction never completes a
 presentation behind the caller's back, it only reports critical pairs.
 saturate is the explicit completion step: each sweep builds a fresh
 presentation from the rules so far and reduces every ambiguity on it,
@@ -48,8 +48,8 @@ sides, when the presentation is built.  There are two ways in: _reduce
 packs each of a list of polynomials into a bottom frame, which the
 packed core _reduce_packed runs one after another under one step
 budget, and unpacks the normal forms into polynomials; _image_forms does
-the same for the images of a list of words.  Only _pairs calls the core
-directly.
+the same for the images under D of one polynomial's words, and sums
+them.  Only _pairs calls the core directly.
 The ambiguities, their one-step reducts (_reduct), the memo, the
 frames and the tries are packed; critical_pairs and saturate unpack
 only what they hand out.  A str caches its hash and
@@ -394,7 +394,18 @@ def _suffix(memo, s, word, j, k):
     return s
 
 
-def _leibniz(memo, suffixes, derived, images, word):
+def _derived(node, word, k):
+    """(node, i): the node of the longest suffix word[i:] of the packed
+    word in a trie of NF(D(v)) per suffix v, walked on from word[k:]'s."""
+    while k:
+        nxt = node[0].get(word[k - 1])
+        if nxt is None:
+            break
+        node, k = nxt, k - 1
+    return node, k
+
+
+def _leibniz(memo, suffixes, images, word, node, k):
     """The bottom frame of a twisted derivation D in the suffix-first
     strategy: NF(D(word)) for the packed word, as a dict that may hold
     zeros.  images maps a letter g to (t(g), D(g)), D(g) as (packed word,
@@ -404,18 +415,14 @@ def _leibniz(memo, suffixes, derived, images, word):
         NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v)))
 
     over the suffixes g*v of word, right to left, from the longest suffix
-    whose NF(D) the trie derived holds.  NF(v) is read from, and folded
+    whose NF(D) the trie holds, walked on from node, that of word[k:], as
+    an earlier frame may have linked more.  NF(v) is read from, and folded
     into, the suffix cache suffixes by _suffix, and only where D(g) is not
     zero.  A node of either trie is [letter to its left -> node, NF] and
     is linked only once its normal form is whole, so a BudgetExceeded
     leaves no partial entry.  Every fold is _fold's, and the suffixes are
     walked by loops, so a long word needs no recursion."""
-    k, node = len(word), derived
-    while k:
-        nxt = node[0].get(word[k - 1])
-        if nxt is None:
-            break
-        node, k = nxt, k - 1
+    node, k = _derived(node, word, k)
     s, j = suffixes, len(word)  # s holds NF(word[j:])
     while k:
         k -= 1
@@ -459,9 +466,6 @@ class Presentation:
         self._verdict = None
         # NF(v) per packed suffix v, a trie: [letter to its left -> node, NF]
         self._suffixes = [{}, {"": ONE}]
-        # a linear map's key -> (its word -> NF(image) cache, the trie of
-        # NF(image) per packed suffix, its packed images); see _image_forms
-        self._image_nfs = {}
         # the calculus operators built on this presentation, by class: their
         # images and rows depend only on the generators and q
         self.operators = {}
@@ -511,41 +515,38 @@ class Presentation:
         return list(map(self._codes.unpack_poly,
                         self._reduce_packed(bottoms, budget, suffix_first)))
 
-    def _image_forms(self, key, twisted, image, words):
-        """The dict word -> NF(D(word)) that the presentation caches for
-        the linear map D named by key, now holding each of words.  D is a
-        twisted derivation: twisted maps each letter g to (t(g), D(g)), and
-        D(g*v) = D(g)*v + t(g)*g*D(v); image(terms) is the unreduced D of
-        the sum of c*w over the (w, c) of terms, and raises KeyError for a
-        letter that twisted lacks.  The words that miss are reduced in one
-        run under one step budget.  When normal forms are unique, each is a
-        _leibniz bottom frame, which reads and fills the trie of NF(D(v))
-        per suffix v kept beside this dict and the suffix cache of NF(v);
-        else each one's image is reduced whole, as NF(g*NF(p)) = NF(g*p)
-        need not hold there.  All of it lives as long as the
-        presentation."""
-        entry = self._image_nfs.get(key)
-        if entry is None:
-            codes = self._codes
-            entry = self._image_nfs[key] = ({}, [{}, {}], {
-                codes[g]: (t, [(codes.pack(w), c) for w, c in d.t.items()])
-                for g, (t, d) in twisted.items()})
-        nfs, derived, images = entry
-        missed = [w for w in words if w not in nfs]
-        if not missed:
-            return nfs
-        if self._unique_normal_forms():
-            for w in missed:
-                if not twisted.keys() >= set(w):
-                    image([(w, ONE)])  # raises, naming the letter
-            memo, pack, suffixes = self._memo, self._codes.pack, self._suffixes
-            got = map(self._codes.unpack_poly, self._reduce_packed(
-                [_leibniz(memo, suffixes, derived, images, pack(w))
-                 for w in missed], _step_budget(), True))
-        else:
-            got = self.normal_forms([image([(w, ONE)]) for w in missed])
-        nfs.update(zip(missed, got))
-        return nfs
+    def _image_cache(self, twisted):
+        """A cache for _image_forms of the twisted derivation D, whose
+        twisted maps each letter g to (t(g), D(g)): the root of a trie of
+        NF(D(v)) per packed suffix v, and twisted packed."""
+        codes, pack = self._codes, self._codes.pack
+        return [{}, {}], {codes[g]: (t, [(pack(w), c) for w, c in d.t.items()])
+                          for g, (t, d) in twisted.items()}
+
+    def _image_forms(self, cache, p):
+        """NF(D(p)), unique normal forms given, as the sum over the terms
+        c*w of p of c * NF(D(w)), taken over packed dicts; cache is D's
+        (_image_cache).  A word whose NF(D) its trie holds is a hit, not
+        charged, as a memo hit is not; each other word, its letters checked
+        first, is a _leibniz bottom frame, all under one step budget."""
+        (derived, images), codes = cache, self._codes
+        acc, coeffs, bottoms = {}, [], []
+        for w, c in p.t.items():
+            w = codes.pack(w)
+            node, k = _derived(derived, w, len(w))
+            if not k:
+                _add(acc, node[1], c)
+                continue
+            if not images.keys() >= set(w):
+                raise KeyError("d undefined on generator %r" % next(
+                    codes.names[g] for g in w if g not in images))
+            coeffs.append(c)
+            bottoms.append(_leibniz(self._memo, self._suffixes, images, w,
+                                    node, k))
+        for c, nf in zip(coeffs, self._reduce_packed(bottoms, _step_budget(),
+                                                     True)):
+            _add(acc, nf, c)
+        return codes.unpack_poly({u: x for u, x in acc.items() if x})
 
     def _reduce_packed(self, bottoms, budget, suffix_first=False):
         """The normal forms, as dicts packed word -> nonzero scalar, of the

@@ -201,12 +201,41 @@ def test_d_cache_matches_reducing_the_image(name):
         fresh = _fresh(pres)
         cold = DifferentialOperator(fresh, images=images)
         assert cold(p) == fresh.normal_form(cold(p, reduce=False)), fa_str(p)
-    assert len(pres._image_nfs) == 1
     if name == "cartan":
-        # the default operator has its own entries: xinv has no image there
+        # the default operator has its own image map: no image for xinv
         d(NCPolynomial.gen("xinv"))
         with pytest.raises(KeyError, match="'xinv'"):
             DifferentialOperator(pres)(NCPolynomial.gen("xinv"))
+
+
+def test_operators_keep_their_own_caches(monkeypatch):
+    # two operators with different image maps on one presentation, called
+    # in alternation, each reduce by its own trie of NF(d(v)); a repeat
+    # is a whole-word hit, which rewrites nothing, so a budget of 0 holds
+    fresh = presets.build("qjh_calculus")
+    gen = NCPolynomial.gen
+    ops = [DifferentialOperator(fresh), DifferentialOperator(
+        fresh, images={l: gen("d2x") for l in ("x", "th", "dx")})]
+    rng = random.Random(39)
+    for i in range(40):
+        op = ops[i % 2]
+        p = random_element(fresh, rng)
+        p = NCPolynomial({w: c for w, c in p.t.items()
+                          if all(l in op.images for l in w)})
+        got = op(p)
+        assert got == fresh.normal_form(op(p, reduce=False)), fa_str(p)
+        monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
+        assert op(p) == got, fa_str(p)
+        monkeypatch.delenv("Z3CALC_STEP_BUDGET")
+
+
+def test_words_of_one_call_share_their_suffix_nodes():
+    # x*th and h*th share the suffix th: the second frame walks on past
+    # the node that the first one linked, so both words stay in the trie
+    P = presets.build("qjh_calculus")
+    d, code = DifferentialOperator(P), P._codes
+    d(parser.parse("x*th + h*th", P))
+    assert set(d._cache[0][0][code["th"]][0]) == {code["x"], code["h"]}
 
 
 def test_d_charges_one_budget_per_call(monkeypatch):

@@ -93,3 +93,8 @@ def test_fa_str_groups_composite_coefficients():
 def test_fa_str_q_coefficients():
     p = NCPolynomial.word(("x",), Q.inv() * J)
     assert fa_str(p) == "j/q*x"
+
+
+def test_polynomial_repr():
+    assert repr(NCPolynomial.word(("x", "th"), J)) == "NCPolynomial(j*x*th)"
+    assert repr(NCPolynomial()) == "NCPolynomial(0)"

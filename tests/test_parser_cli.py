@@ -681,3 +681,15 @@ def test_cli_presets_import_huge_bad_json(tmp_path, text, message):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and message in r.stderr
+
+
+@pytest.mark.parametrize("depth, message", [
+    (100, "a preset is a JSON object"), (101, "nested deeper than 100")])
+def test_cli_presets_import_nesting_bound(tmp_path, capsys, depth, message):
+    # in process: 100 nested arrays are decoded, and from_json refuses the
+    # result; one more is refused before decoding
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    rc, out, err = main_cli(capsys, "presets", "import", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err

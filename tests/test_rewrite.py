@@ -436,15 +436,14 @@ def test_saturate_fixed_point_on_confluent_system():
 def test_saturated_presentation_holds_no_cached_normal_form(monkeypatch):
     # whatever the sweeps cache on the presentation they share, saturate
     # hands it back holding no normal form, as a fresh one would: no memo
-    # entry, no suffix and no image normal form.  The sweeps here also
-    # reduce suffix first and take a d, which fill all three
+    # entry and no suffix normal form.  The sweeps here also reduce suffix
+    # first and take a d, which fill both
     pairs, filled = Presentation._pairs, []
 
     def caching(self, *args):
         self.normal_form(parse("x^2*th*dx", self))
         DifferentialOperator(self)(parse("x*th", self))
-        filled.append(bool(self._memo and self._suffixes[0]
-                           and self._image_nfs))
+        filled.append(bool(self._memo and self._suffixes[0]))
         yield from pairs(self, *args)
 
     Q = presets.build("qjh_calculus")
@@ -452,7 +451,7 @@ def test_saturated_presentation_holds_no_cached_normal_form(monkeypatch):
     monkeypatch.setattr(Presentation, "_pairs", caching)
     S = saturate(Q)
     assert filled and all(filled)
-    assert S._memo == {} and S._image_nfs == {}
+    assert S._memo == {}
     assert S._suffixes == [{}, {"": ONE}]
 
 

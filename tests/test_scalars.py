@@ -180,3 +180,9 @@ def test_hash_consistency():
     assert hash(J * J) == hash(J2)
     d = {J2: "two"}
     assert d[J * J] == "two"
+
+
+def test_scalar_reprs():
+    assert repr(QJ(1, 2)) == "QJ(1, 2)"
+    assert repr(QJPoly((QJ(1, 0), QJ(0, 1)))) == "QJPoly((QJ(1, 0), QJ(0, 1)))"
+    assert repr((Q - ONE).inv()) == "CycloRational(1/(q - 1))"
