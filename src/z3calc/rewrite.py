@@ -269,36 +269,6 @@ def _leftmost_frame(memo, reducts, prefix, suffix):
     return acc
 
 
-def _prepend(memo, jobs, suffix):
-    """The frame of a rewritten word in the suffix-first strategy: the sum
-    of c * NF(letters + suffix) over the (letters, c) of jobs, suffix being
-    irreducible, as a dict that may hold zeros; every word is packed.  The
-    letters are put in front of the normal form one at a time, last
-    first.  Each word g*v this needs is looked up in memo, and else
-    yielded, to be sent back its normal form."""
-    acc = {}
-    for letters, coeff in jobs:
-        terms = {suffix: coeff}
-        for g in reversed(letters):
-            nxt = {}
-            for v, c in terms.items():
-                if not c:
-                    continue
-                w = g + v
-                nf = memo.get(w)
-                if nf is None:
-                    nf = yield w
-                for u, x in nf.items():
-                    x = c if x is ONE else c * x  # ONE: w is irreducible
-                    y = nxt.get(u)
-                    nxt[u] = x if y is None else y + x
-            terms = nxt
-        for u, x in terms.items():
-            y = acc.get(u)
-            acc[u] = x if y is None else y + x
-    return acc
-
-
 def _horner(memo, suffixes, items):
     """The bottom frame of the suffix-first strategy: the sum of c * NF(w)
     over the (w, c) of items, as a dict that may hold zeros; every word
@@ -315,10 +285,10 @@ def _horner(memo, suffixes, items):
     suffixes, with coefficient 1 (see _suffix), so that lone words that
     end alike, in this call or an earlier one, share the normal forms of
     their suffixes; its own coefficient is applied once at the end.  A
-    single word thus takes the folds, and reaches the words, that
-    _prepend would, less those that the suffix cache already holds.
-    Every other fold is _fold's, and the words are walked by loops, so a
-    long word or a deep prefix needs no recursion."""
+    single word thus takes the folds, and reaches the words, that _fold
+    would, less those that the suffix cache already holds.  Every fold is
+    _fold's, and the words are walked by loops, so a long word or a deep
+    prefix needs no recursion."""
     stack = [(0, {})]
     last = ""
     for w, c in sorted(items) + [("", None)]:  # "": every prefix closes
@@ -337,7 +307,7 @@ def _horner(memo, suffixes, items):
                 s = yield from _suffix(memo, suffixes, last, n, j)
                 _add(acc, s[1], terms[""])
             else:
-                _add(acc, (yield from _fold(memo, last[j:n], terms)), ONE)
+                yield from _fold(memo, ((last[j:n], ONE),), terms, acc)
             lone = False
         if c is None:
             return stack[-1][1]
@@ -345,28 +315,35 @@ def _horner(memo, suffixes, items):
         last = w
 
 
-def _fold(memo, letters, terms):
-    """NF(letters * p) as a dict that may hold zeros, p being the sum of
-    c * v over the (v, c) of terms, each v irreducible: the letters are
-    put in front one at a time, last first, as in _prepend; every word is
-    packed.  Each word g*u this needs is looked up in memo, and else
-    yielded, to be sent back its normal form.  No letters give terms
-    itself."""
-    for g in reversed(letters):
-        nxt = {}
-        for v, c in terms.items():
-            if not c:
-                continue
-            w = g + v
-            nf = memo.get(w)
-            if nf is None:
-                nf = yield w
-            for u, x in nf.items():
-                x = c if x is ONE else c * x
-                y = nxt.get(u)
-                nxt[u] = x if y is None else y + x
-        terms = nxt
-    return terms
+def _fold(memo, jobs, terms, acc):
+    """acc += the sum of coeff * NF(letters * p) over the (letters, coeff)
+    of jobs, p being the sum of c * v over the (v, c) of terms, each v
+    irreducible; returns acc, which may hold zeros.  Every word is packed.
+    It is the one suffix-first fold, and the frame of a rewritten word
+    (jobs the rule's reducts, terms the rest of the word): the letters are
+    put in front one at a time, last first, and each word g*u this needs
+    is looked up in memo, and else yielded, to be sent back its NF."""
+    for letters, coeff in jobs:
+        nxt = terms
+        for g in reversed(letters):
+            cur, nxt = nxt, {}
+            for v, c in cur.items():
+                if not c:
+                    continue
+                w = g + v
+                nf = memo.get(w)
+                if nf is None:
+                    nf = yield w
+                for u, x in nf.items():
+                    # c * x, skipping a factor ONE
+                    x = c if x is ONE else x if c is ONE else c * x
+                    y = nxt.get(u)
+                    nxt[u] = x if y is None else y + x
+        for u, x in nxt.items():
+            x = coeff if x is ONE else x if coeff is ONE else coeff * x
+            y = acc.get(u)
+            acc[u] = x if y is None else y + x
+    return acc
 
 
 def _add(acc, terms, scale):
@@ -388,7 +365,7 @@ def _suffix(memo, s, word, j, k):
         j -= 1
         nxt = s[0].get(word[j])
         if nxt is None:
-            nf = yield from _fold(memo, word[j], s[1])
+            nf = yield from _fold(memo, ((word[j], ONE),), s[1], {})
             nxt = s[0][word[j]] = [{}, nf]
         s = nxt
     return s
@@ -420,8 +397,8 @@ def _leibniz(memo, suffixes, images, word, node, k):
     into, the suffix cache suffixes by _suffix, and only where D(g) is not
     zero.  A node of either trie is [letter to its left -> node, NF] and
     is linked only once its normal form is whole, so a BudgetExceeded
-    leaves no partial entry.  Every fold is _fold's, and the suffixes are
-    walked by loops, so a long word needs no recursion."""
+    leaves no partial entry.  Every fold is _fold's, into the node's NF;
+    the suffixes are walked by a loop, so a long word needs no recursion."""
     node, k = _derived(node, word, k)
     s, j = suffixes, len(word)  # s holds NF(word[j:])
     while k:
@@ -432,9 +409,8 @@ def _leibniz(memo, suffixes, images, word, node, k):
         if image:
             s = yield from _suffix(memo, s, word, j, k + 1)
             j = k + 1
-            for letters, c in image:
-                _add(acc, (yield from _fold(memo, letters, s[1])), c)
-        _add(acc, (yield from _fold(memo, g, node[1])), twist)
+            yield from _fold(memo, image, s[1], acc)
+        yield from _fold(memo, ((g, twist),), node[1], acc)
         node[0][g] = node = [{}, acc]
     return node[1]
 
@@ -562,16 +538,17 @@ class Presentation:
         which folds each prefix that its polynomial's words share once and
         each suffix that its lone words share once, or _leibniz, which
         folds a word's suffixes onto cached normal forms, and a rewritten
-        word's frame is _prepend.  Only the word of a BudgetExceeded is
-        unpacked.  This loop alone matches and memoises.
-        It scans each yielded word from its frame's start, kept on the
-        starts stack: a leftmost frame for a match at i starts at
-        i - (maxlen - 1), as no match lies further left, and every other
-        frame at 0; suffix first, it scans position 0 only.  An irreducible
-        word is memoised as itself; any other is charged against the budget
-        and memoised with the sum its frame returns.  So a reduction is
-        charged for the words it reaches that rewrite; a merged fold
-        reaches a subset of the words that folding each on its own would."""
+        word's frame is _fold of the rule's reducts onto the rest of the
+        word.  Only the word of a BudgetExceeded is unpacked.  This loop
+        alone matches and memoises.  It scans each yielded word from its
+        frame's start, kept on the starts stack: a leftmost frame for a
+        match at i starts at i - (maxlen - 1), as no match lies further
+        left, and every other frame at 0; suffix first, it scans position 0
+        only.  An irreducible word is memoised as itself; any other is
+        charged against the budget and memoised with the sum its frame
+        returns.  So a reduction is charged for the words it reaches that
+        rewrite; a merged fold reaches a subset of the words that folding
+        each on its own would."""
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
         left, last = budget, None  # last: ref of the last rule fired
         stack, starts, words, nfs = [], [0], [], []
@@ -602,7 +579,7 @@ class Presentation:
                 i, (last, lhs, reducts) = match
                 suffix = w[i + len(lhs):]
                 if suffix_first:
-                    stack.append(_prepend(memo, reducts, suffix))
+                    stack.append(_fold(memo, reducts, {suffix: ONE}, {}))
                     starts.append(0)
                 else:
                     stack.append(_leftmost_frame(memo, reducts, w[:i], suffix))

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -58,6 +59,16 @@ def test_reduce_sym_answers():
         assert fa_str(out, P.order.key) == want, key
         checked[kind] += 1
     assert checked == {"d2": 26, "nf": 18}
+
+
+def test_readme_python_blocks_run():
+    # every python block of README.md runs as written, so its library
+    # sketch (normal_form, normal_forms, nf_word, d, part) keeps to the API
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def test_operators_name_a_letter_they_do_not_reach():

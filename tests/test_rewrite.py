@@ -17,6 +17,7 @@ from z3calc.rewrite import (MAX_SWEEPS, BudgetExceeded, LocalizeError,
                             Presentation, RewriteRule, TermOrder, _leftmost,
                             _solve_for, localize, saturate)
 from z3calc.scalars import J, J2, MINUS_ONE, ONE, qpow, rational
+from z3calc.supergroup import t_inverse
 
 
 def test_term_order_weight_dominates():
@@ -602,6 +603,81 @@ def test_memo_holds_zero_free_dicts_of_irreducible_words():
         for r, entry in zip(P.rules, P._entries):
             assert entry == (r.ref, pack(r.lhs),
                              [(pack(w), c) for w, c in r.rhs.t.items()])
+
+
+def _uncertified(P, memo):
+    """The first word of memo, in insertion order, whose entry w -> nf does
+    not follow from earlier entries, or None.  Some rule must apply
+    somewhere in w and give nf as the sum of c * value(u) over that one-step
+    reduct, where value(u) is an earlier entry, or else folds u's letters,
+    last first, through earlier entries and irreducible words; an
+    irreducible w must map to itself."""
+    unpack, earlier = P._codes.unpack, {}
+
+    def matches(w):
+        return [(r, i) for r in P.rules for i in range(len(w) - len(r.lhs) + 1)
+                if w[i:i + len(r.lhs)] == r.lhs]
+
+    def value(u):
+        if u in earlier:
+            return earlier[u]
+        out = NCPolynomial.unit()
+        for g in reversed(u):
+            nxt = NCPolynomial()
+            for v, c in out.t.items():
+                w = (g,) + v
+                if w not in earlier and matches(w):
+                    return None
+                nxt = nxt + earlier.get(w, NCPolynomial.word(w)).scale(c)
+            out = nxt
+        return out
+
+    def reduct(w, r, i):
+        total = NCPolynomial()
+        for m, c in r.rhs.t.items():
+            v = value(w[:i] + m + w[i + len(r.lhs):])
+            if v is None:
+                return None
+            total = total + v.scale(c)
+        return total
+
+    for w, nf in memo.items():
+        w, nf = unpack(w), NCPolynomial({unpack(u): c for u, c in nf.items()})
+        found = matches(w)
+        if not (any(reduct(w, r, i) == nf for r, i in found) if found
+                else nf == NCPolynomial.word(w)):
+            return w
+        earlier[w] = nf
+    return None
+
+
+def test_memo_entries_follow_from_earlier_entries():
+    # the memo is a certificate: each entry, in insertion order, is one
+    # rewrite away from normal forms that earlier entries give.  Loads:
+    # suffix first (qjh_calculus: d(d(p)) and the normal form of an
+    # unreduced d) and leftmost (glhj, and glhj_localized's sdet element)
+    Q = presets.build("qjh_calculus")
+    d = DifferentialOperator(Q)
+    d(d(parse("x^6*dth + th*x^3*dx", Q)))
+    Q.normal_form(d(parse("x^8*dth", Q), reduce=False))
+    G = presets.build("glhj")
+    G.normal_form(parse("a*b*g*dT + g*a*b*b + dT*g*a*a", G))
+    L = presets.glhj_localized()
+    L.normal_form(NCPolynomial.gen("a") * t_inverse().entry(1, 1))
+    loads = [Q, G, L]
+    for P in loads:
+        assert len(P._memo) > 60, P.name
+        assert _uncertified(P, P._memo) is None, P.name
+    # one coefficient of one rewritten entry, corrupted, is caught
+    rng = random.Random(0)
+    for _ in range(20):
+        P = rng.choice(loads)
+        w = rng.choice([w for w, nf in P._memo.items()
+                        if nf and nf != {w: ONE}])
+        u = rng.choice(list(P._memo[w]))
+        memo = dict(P._memo)
+        memo[w] = {**memo[w], u: memo[w][u] + ONE}
+        assert _uncertified(P, memo) is not None, (P.name, w)
 
 
 def test_json_round_trip_all_presets():
