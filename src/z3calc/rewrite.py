@@ -44,7 +44,10 @@ as localize builds one per pass.
 Inside the engine a word is packed: a str with one code point per
 letter, chr(i) for the i-th generator (see _Codes), and a normal form is
 a plain dict packed word -> nonzero scalar.  Each rule is packed, both
-sides, when the presentation is built.  There are two ways in: _reduce
+sides, once per rule system and process: codes, packed rules, trie and
+verdict form one record, which _SYSTEMS keeps by content once its
+verdict is asked for, and later presentations of the system share it,
+each with a memo of its own.  There are two ways in: _reduce
 packs each of a list of polynomials into a bottom frame, which the
 packed core _reduce_packed runs one after another under one step
 budget, and unpacks the normal forms into polynomials; _image_forms does
@@ -58,7 +61,7 @@ lookup and copies a pointer per letter.  Rules, BudgetExceeded.word and
 every caller keep tuples.
 
 Matching walks one trie over the rule left sides from each position of
-the word; the trie is built with the presentation.  Every trie node
+the word; the trie is built with the record.  Every trie node
 carries the first-declared rule among the left sides that are
 prefixes of its path, so the deepest node the word reaches names the
 rule to apply there; a left side that has an earlier rule's left side
@@ -90,8 +93,9 @@ DEFAULT_BUDGET = 10**6
 MAX_SWEEPS = 8
 
 
-# _unique_normal_forms of each rule system met in this process
-_VERDICTS = {}
+# content key -> [codes, entries, trie, maxlen, verdict, key] of each rule
+# system whose verdict (_unique_normal_forms) was asked for in this process
+_SYSTEMS = {}
 
 
 def _step_budget():
@@ -423,23 +427,30 @@ class Presentation:
         self.order = order
         self.q = q  # "symbolic" or a Fraction
         self.gens = {g.name: g for g in self.generators}
-        self._codes = _Codes(self.generators)
-        for r in self.rules:
-            if not r.lhs:
-                raise ValueError("rule %s has an empty lhs"
-                                 % _echo(r.ref or "?", str))
-        # each rule packed once: (ref, packed lhs, its right side as
-        # (packed word, coefficient) pairs)
-        pack = self._codes.pack
-        self._entries = [(r.ref, pack(r.lhs),
-                          [(pack(w), c) for w, c in r.rhs.t.items()])
-                         for r in self.rules]
-        self._trie = _lhs_trie(self._entries)
-        self._maxlen = max((len(r.lhs) for r in self.rules), default=1)
+        # the tables below depend on this key alone: see _SYSTEMS
+        key = (tuple(g.name for g in self.generators),
+               tuple((r.ref, r.lhs, tuple(r.rhs.t.items()))
+                     for r in self.rules),
+               tuple(sorted(order.weights.items())),
+               tuple(order.precedence), q)
+        system = _SYSTEMS.get(key)
+        if system is None:
+            for r in self.rules:
+                if not r.lhs:
+                    raise ValueError("rule %s has an empty lhs"
+                                     % _echo(r.ref or "?", str))
+            # each rule packed: (ref, lhs, rhs as (word, coefficient) pairs)
+            codes = _Codes(self.generators)
+            entries = [(r.ref, codes.pack(r.lhs),
+                        [(codes.pack(w), c) for w, c in r.rhs.t.items()])
+                       for r in self.rules]
+            maxlen = max((len(r.lhs) for r in self.rules), default=1)
+            system = [codes, entries, _lhs_trie(entries), maxlen, None, key]
+        self._system = system
+        self._codes, self._entries, self._trie, self._maxlen = system[:4]
         # the rules are fixed from here on, so every cache below holds for
         # the life of the presentation
         self._memo = {}
-        self._verdict = None
         # NF(v) per packed suffix v, a trie: [letter to its left -> node, NF]
         self._suffixes = [{}, {"": ONE}]
         # the calculus operators built on this presentation, by class: their
@@ -456,13 +467,9 @@ class Presentation:
 
     def check_homogeneity(self):
         """Rules must preserve the effective Z3 grade."""
-        bad = []
-        for r in self.rules:
-            lg = word_grade(r.lhs, self.gens)
-            for w in r.rhs.support():
-                if word_grade(w, self.gens) != lg:
-                    bad.append((r.ref, r.lhs, w))
-        return bad
+        gens = self.gens
+        return [(r.ref, r.lhs, w) for r in self.rules for w in r.rhs.support()
+                if word_grade(w, gens) != word_grade(r.lhs, gens)]
 
     # -- reduction ----------------------------------------------------------
 
@@ -593,20 +600,17 @@ class Presentation:
         gives the leftmost strategy's result.  By Bergman's diamond lemma
         (1978) it holds when the rules are oriented by the term order, a
         well-founded semigroup order, and every ambiguity is joinable.  The
-        census runs once per rule system in a process, reducing leftmost
-        on a copy that has its own memo, under DEFAULT_BUDGET,
-        and stops at the first pair that does not join; running out of
-        budget counts as not joinable."""
-        if self._verdict is None:
-            key = (tuple((r.lhs, frozenset(r.rhs.t.items()))
-                         for r in self.rules),
-                   tuple(sorted(self.order.weights.items())),
-                   tuple(self.order.precedence), self.q)
-            verdict = _VERDICTS.get(key)
-            if verdict is None:
-                verdict = _VERDICTS[key] = self._census_joins()
-            self._verdict = verdict
-        return self._verdict
+        verdict is the last field of the rule system's record, which enters
+        _SYSTEMS before the census runs, so the census runs once per system
+        in a process.  It reduces leftmost on a copy that has its own memo,
+        under DEFAULT_BUDGET, and stops at the first pair that does not
+        join; running out of budget counts as not joinable."""
+        system = self._system
+        if system[4] is None:
+            system = self._system = _SYSTEMS.setdefault(system[5], system)
+            if system[4] is None:
+                system[4] = self._census_joins()
+        return system[4]
 
     def _census_joins(self):
         if self.check_termination():
@@ -708,10 +712,9 @@ class Presentation:
 
     def specialize(self, q0):
         q0 = Fraction(q0)
-        rules = []
-        for r in self.rules:
-            rhs = NCPolynomial({w: specialize_q(c, q0) for w, c in r.rhs.t.items()})
-            rules.append(RewriteRule(r.lhs, rhs, r.ref))
+        rules = [RewriteRule(r.lhs, NCPolynomial({
+            w: specialize_q(c, q0) for w, c in r.rhs.t.items()}), r.ref)
+            for r in self.rules]
         return Presentation(self.name, self.generators, rules, self.order,
                             q=q0)
 
@@ -726,11 +729,8 @@ class Presentation:
             if g.d_image is not None:
                 d["d_image"] = g.d_image
             gens.append(d)
-        rules = []
-        for r in self.rules:
-            rules.append({"lhs": list(r.lhs),
-                          "rhs": term_list(r.rhs, self.order.key),
-                          "ref": r.ref})
+        rules = [{"lhs": list(r.lhs), "rhs": term_list(r.rhs, self.order.key),
+                  "ref": r.ref} for r in self.rules]
         return {
             "name": self.name,
             "generators": gens,

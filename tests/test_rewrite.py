@@ -202,7 +202,7 @@ def test_suffix_first_skips_folds_that_cancel(monkeypatch):
 
 def test_pairs_run_under_the_variable_and_the_census_under_default(
         monkeypatch):
-    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
     monkeypatch.setenv("Z3CALC_STEP_BUDGET", "2")
     with pytest.raises(BudgetExceeded) as info:
         presets.build("qjh_calculus").pair_census()
@@ -216,7 +216,7 @@ def test_census_out_of_budget_is_not_joinable(monkeypatch):
     word = ("x",) * 5 + ("dth",)
     want = presets.build("qjh_calculus").nf_word(word)
     monkeypatch.setattr(rewrite, "DEFAULT_BUDGET", 2)
-    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
     # reduction itself keeps room; only the census runs under 2 steps
     monkeypatch.setenv("Z3CALC_STEP_BUDGET", str(10**6))
     P = presets.build("qjh_calculus")
@@ -339,19 +339,21 @@ UNIQUE_NORMAL_FORMS = {"q_plane", "h_plane", "hj_calculus", "qjh_calculus"}
 
 
 def test_unique_normal_forms_verdicts(monkeypatch):
-    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
     L = presets.glhj_localized()  # a copy gets no earlier verdict
     built = [presets.build(name) for name in presets.PRESETS] + [
         Presentation(L.name, L.generators, L.rules, L.order, q=L.q)]
     assert {P.name for P in built if P._unique_normal_forms()} == \
         UNIQUE_NORMAL_FORMS
-    assert len(rewrite._VERDICTS) == len(built)
+    # one record per system, each decided
+    assert len(rewrite._SYSTEMS) == len(built)
+    assert all(s[4] is not None for s in rewrite._SYSTEMS.values())
 
 
 def test_census_records_the_verdict(monkeypatch):
     # the census alone records a verdict: pair_census and critical_pairs
-    # reduce the pairs without running it and leave _VERDICTS as it was
-    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    # reduce the pairs without running it and leave _SYSTEMS as it was
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
 
     def census_joins(self):
         raise AssertionError("the pairs were reduced a second time")
@@ -364,11 +366,11 @@ def test_census_records_the_verdict(monkeypatch):
     for P in [presets.build(name) for name in presets.PRESETS] + [
             Presentation(L.name, L.generators, L.rules, L.order, q=L.q)]:
         P.critical_pairs()
-    assert rewrite._VERDICTS == {}
+    assert rewrite._SYSTEMS == {}
 
 
 def test_verdict_is_not_charged_and_leaves_memo_empty(monkeypatch):
-    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
 
     def public(*args):
         raise AssertionError("the census reached a public entry point")
@@ -381,13 +383,94 @@ def test_verdict_is_not_charged_and_leaves_memo_empty(monkeypatch):
         assert P._unique_normal_forms()
     assert P._memo == {}
     # a fresh census runs under DEFAULT_BUDGET whatever the variable says
-    monkeypatch.setattr(rewrite, "_VERDICTS", {})
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
     monkeypatch.setenv("Z3CALC_STEP_BUDGET", "0")
     P = presets.build("h_plane")
     with pytest.raises(BudgetExceeded) as info:
         P.nf_word(("x", "th"))
     assert info.value.steps == 0 and info.value.rule is None
     assert P._unique_normal_forms()
+
+
+def test_second_build_shares_the_decided_record(monkeypatch):
+    # once a system's verdict is decided, a later build of it packs no
+    # rule, builds no trie and runs no census: it shares the record's
+    # tables, and its memo and suffix cache start empty
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
+    runs, census_joins = [], Presentation._census_joins
+
+    def counted(self):
+        runs.append(self.name)
+        return census_joins(self)
+
+    monkeypatch.setattr(Presentation, "_census_joins", counted)
+    P = presets.build("qjh_calculus")
+    want = P.nf_word(("x", "x", "dth"))
+    assert P._memo and P._suffixes[0]
+
+    def no_trie(entries):
+        raise AssertionError("a trie was built a second time")
+
+    monkeypatch.setattr(rewrite, "_lhs_trie", no_trie)
+    Q = presets.build("qjh_calculus")
+    assert Q._trie is P._trie and Q._entries is P._entries
+    assert Q._memo == {} and Q._suffixes == [{}, {"": ONE}]
+    assert Q.nf_word(("x", "x", "dth")) == want
+    assert runs == ["qjh_calculus"]
+
+
+def test_changed_coefficient_gets_its_own_record(monkeypatch):
+    # glhj with gl:ab's j turned into j^2: the same left sides and refs,
+    # one coefficient apart, so a record of its own and its own NF(a*b)
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
+    P = presets.build("glhj")
+    assert P.nf_word(("a", "b")) == NCPolynomial.word(("b", "a"), J)
+    rules = [RewriteRule(r.lhs, NCPolynomial.word(("b", "a"), J2), r.ref)
+             if r.ref == "gl:ab" else r for r in P.rules]
+    Q = Presentation(P.name, P.generators, rules, P.order, q=P.q)
+    assert Q._entries is not P._entries and Q._trie is not P._trie
+    assert Q.nf_word(("a", "b")) == NCPolynomial.word(("b", "a"), J2)
+    assert P.nf_word(("a", "b")) == NCPolynomial.word(("b", "a"), J)
+    assert len(rewrite._SYSTEMS) == 2
+
+
+def test_reordered_generators_get_their_own_record(monkeypatch):
+    # the order of the generators fixes the packed letters
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
+    P = presets.build("q_plane")
+    assert P._unique_normal_forms()
+    Q = Presentation(P.name, P.generators[::-1], P.rules, P.order, q=P.q)
+    assert Q._codes is not P._codes and Q._trie is not P._trie
+    assert Q._codes.pack(("x", "th")) == P._codes.pack(("th", "x"))
+    assert Q.nf_word(("x", "x", "th")) == P.nf_word(("x", "x", "th")) == \
+        NCPolynomial.word(("th", "x", "x"), qpow(2))
+    assert len(rewrite._SYSTEMS) == 2
+
+
+def test_saturate_keeps_no_record(monkeypatch):
+    # neither saturate's sweeps nor its result is asked for a verdict
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
+    S = saturate(presets.build("glhj"), skip=presets._gl_runaway)
+    assert len(S.rules) > len(presets.build("glhj").rules)
+    assert rewrite._SYSTEMS == {}
+
+
+def test_presentations_of_one_system_pack_other_letters_apart(monkeypatch):
+    # two presentations that share a record, and so its codes, each pack
+    # a letter outside the alphabet: each gets a code point of its own
+    monkeypatch.setattr(rewrite, "_SYSTEMS", {})
+    P = presets.build("q_plane")
+    assert P._unique_normal_forms()
+    Q = presets.build("q_plane")
+    assert Q._codes is P._codes
+    assert P.nf_word(("x", "th", "zz", "x")) == \
+        NCPolynomial.word(("th", "x", "zz", "x"), qpow(1))
+    assert Q.nf_word(("yy", "x", "th")) == \
+        NCPolynomial.word(("yy", "th", "x"), qpow(1))
+    assert P._codes.pack(("zz",)) != P._codes.pack(("yy",))
+    for R in (P, Q):
+        assert R.nf_word(("zz", "x", "th", "yy", "x", "th")) == \
+            NCPolynomial.word(("zz", "th", "x", "yy", "th", "x"), qpow(2))
 
 
 def test_critical_pairs_joinable_on_confluent_preset():

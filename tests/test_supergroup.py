@@ -4,6 +4,7 @@ import pytest
 
 from z3calc import presets, supergroup
 from z3calc.freealg import NCPolynomial, apply_hom, fa_str
+from z3calc.rewrite import Presentation, RewriteRule
 from z3calc.scalars import J
 
 
@@ -47,6 +48,27 @@ def test_each_relation_group_is_necessary():
         if item["name"].startswith("necessity_"):
             assert item["status"] == "pass", item
             assert "breaks" in item.get("witness", "")
+
+
+def test_redundant_relation_fails_its_necessity_probe(monkeypatch):
+    # a*b*b*b -> 0 follows from gl:ab and gl:b3, so deleting it breaks no
+    # check: its necessity item fails, with no witness to name
+    extra = RewriteRule(("a", "b", "b", "b"), NCPolynomial.zero(), "gl:abbb")
+
+    def with_extra(factory):
+        def build():
+            P = factory()
+            return Presentation(P.name, P.generators, P.rules + [extra],
+                                P.order, q=P.q)
+        return build
+
+    for name in ("coaction_plane", "coaction_dual"):
+        monkeypatch.setattr(supergroup._presets, name,
+                            with_extra(getattr(presets, name)))
+    out = supergroup.verify_comodule()
+    item = next(i for i in out["items"] if i["name"] == "necessity_abbb")
+    assert item == {"name": "necessity_abbb", "status": "fail"}
+    assert out["ok"] is False
 
 
 def test_comodule_without_mutations():
