@@ -26,8 +26,8 @@ normal forms of its suffixes.  Those come from the suffix cache, a trie
 of NF(v) per packed suffix v that the presentation keeps beside its
 memo, so lone words that end alike share them within a call and across
 calls.  The reduced image of a word under a twisted derivation D
-(calculus.DifferentialOperator's d) has its own bottom frame, _leibniz:
-it folds the word's suffixes right to left by
+(calculus.DifferentialOperator's d) comes from its own bottom frame,
+_leibniz: it folds each word's suffixes right to left by
 NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v))), reading NF(v) from
 the suffix cache and NF(D(v)) from a trie that D's owner keeps
 (_image_cache), so it reaches only words g*u with u irreducible.  A node
@@ -47,15 +47,15 @@ a plain dict packed word -> nonzero scalar.  Each rule is packed, both
 sides, once per rule system and process: codes, packed rules, trie and
 verdict form one record, which _SYSTEMS keeps by content once its
 verdict is asked for, and later presentations of the system share it,
-each with a memo of its own.  There are two ways in: _reduce
-packs each of a list of polynomials into a bottom frame, which the
-packed core _reduce_packed runs one after another under one step
-budget, and unpacks the normal forms into polynomials; _image_forms does
-the same for the images under D of one polynomial's words, and sums
-them.  Only _pairs calls the core directly.
-The ambiguities, their one-step reducts (_reduct), the memo, the
-frames and the tries are packed; critical_pairs and saturate unpack
-only what they hand out.  A str caches its hash and
+each with a memo of its own.  The packed core _reduce_packed runs one
+bottom frame under one step budget, and there are three ways in:
+_reduce packs a polynomial into a bottom frame and unpacks its normal
+form into a polynomial; _image_forms does the same for the images under
+D of a polynomial's words, summed in one _leibniz frame; and _pairs
+reduces each side of an ambiguity from a frame over the rule's packed
+reducts between the prefix and suffix of the word.  The ambiguities,
+the memo, the frames and the tries are packed; critical_pairs and
+saturate unpack only what they hand out.  A str caches its hash and
 copies one code point per letter, where a tuple rehashes on every memo
 lookup and copies a pointer per letter.  Rules, BudgetExceeded.word and
 every caller keep tuples.
@@ -193,13 +193,6 @@ class _Codes(dict):
         name, r = self.names.__getitem__, NCPolynomial()
         r.t = {tuple(map(name, u)): c for u, c in nf.items()}
         return r
-
-
-def _reduct(word, entry, pos):
-    """The one-step reduct of the packed word by the rule of entry at pos,
-    as (packed word, coefficient) pairs."""
-    prefix, suffix = word[:pos], word[pos + len(entry[1]):]
-    return [(prefix + rw + suffix, c) for rw, c in entry[2]]
 
 
 def _lhs_trie(entries):
@@ -386,37 +379,41 @@ def _derived(node, word, k):
     return node, k
 
 
-def _leibniz(memo, suffixes, images, word, node, k):
+def _leibniz(memo, suffixes, images, jobs, acc):
     """The bottom frame of a twisted derivation D in the suffix-first
-    strategy: NF(D(word)) for the packed word, as a dict that may hold
-    zeros.  images maps a letter g to (t(g), D(g)), D(g) as (packed word,
-    coefficient) pairs, and D(g*v) = D(g)*v + t(g)*g*D(v).  Since
-    NF(g*p) = NF(g*NF(p)) when normal forms are unique,
+    strategy: acc += the sum of c * NF(D(word)) over the (c, word, node, k)
+    of jobs, each word packed; returns acc, which may hold zeros.  images
+    maps a letter g to (t(g), D(g)), D(g) as (packed word, coefficient)
+    pairs, and D(g*v) = D(g)*v + t(g)*g*D(v).  Since NF(g*p) = NF(g*NF(p))
+    when normal forms are unique,
 
         NF(D(g*v)) = NF(D(g)*NF(v)) + t(g) * NF(g*NF(D(v)))
 
-    over the suffixes g*v of word, right to left, from the longest suffix
-    whose NF(D) the trie holds, walked on from node, that of word[k:], as
-    an earlier frame may have linked more.  NF(v) is read from, and folded
-    into, the suffix cache suffixes by _suffix, and only where D(g) is not
-    zero.  A node of either trie is [letter to its left -> node, NF] and
-    is linked only once its normal form is whole, so a BudgetExceeded
-    leaves no partial entry.  Every fold is _fold's, into the node's NF;
-    the suffixes are walked by a loop, so a long word needs no recursion."""
-    node, k = _derived(node, word, k)
-    s, j = suffixes, len(word)  # s holds NF(word[j:])
-    while k:
-        k -= 1
-        g = word[k]
-        twist, image = images[g]
-        acc = {}
-        if image:
-            s = yield from _suffix(memo, s, word, j, k + 1)
-            j = k + 1
-            yield from _fold(memo, image, s[1], acc)
-        yield from _fold(memo, ((g, twist),), node[1], acc)
-        node[0][g] = node = [{}, acc]
-    return node[1]
+    over the suffixes g*v of each word, right to left, from the longest
+    suffix whose NF(D) the trie holds, walked on from node, that of
+    word[k:], as an earlier job may have linked more.  NF(v) is read from,
+    and folded into, the suffix cache suffixes by _suffix, and only where
+    D(g) is not zero.  A node of either trie is [letter to its left ->
+    node, NF] and is linked only once its normal form is whole, so a
+    BudgetExceeded leaves no partial entry.  Every fold is _fold's, into
+    the node's NF; the jobs and the suffixes are walked by loops, so a long
+    word needs no recursion."""
+    for c, word, node, k in jobs:
+        node, k = _derived(node, word, k)
+        s, j = suffixes, len(word)  # s holds NF(word[j:])
+        while k:
+            k -= 1
+            g = word[k]
+            twist, image = images[g]
+            nf = {}
+            if image:
+                s = yield from _suffix(memo, s, word, j, k + 1)
+                j = k + 1
+                yield from _fold(memo, image, s[1], nf)
+            yield from _fold(memo, ((g, twist),), node[1], nf)
+            node[0][g] = node = [{}, nf]
+        _add(acc, node[1], c)
+    return acc
 
 
 class Presentation:
@@ -477,26 +474,17 @@ class Presentation:
         """The normal form of the polynomial p, suffix first when every
         word has one normal form (see _unique_normal_forms), else by the
         leftmost, first-declared rule."""
-        return self.normal_forms([p])[0]
+        return self._reduce(p, _step_budget(), self._unique_normal_forms())
 
-    def normal_forms(self, polys):
-        """The normal form of each of polys, as normal_form gives it, from
-        one reduction charged one step budget."""
-        return self._reduce(polys, _step_budget(), self._unique_normal_forms())
-
-    def _reduce(self, polys, budget, suffix_first=False):
-        """The normal forms of the polynomials polys, over tuples of
-        names: each is packed into a bottom frame (_horner suffix first,
-        else a _leftmost_frame) for _reduce_packed, and each result
-        unpacked."""
-        pack, memo = self._codes.pack, self._memo
-        bottoms = []
-        for p in polys:
-            items = [(pack(w), c) for w, c in p.t.items()]
-            bottoms.append(_horner(memo, self._suffixes, items) if suffix_first
-                           else _leftmost_frame(memo, items, "", ""))
-        return list(map(self._codes.unpack_poly,
-                        self._reduce_packed(bottoms, budget, suffix_first)))
+    def _reduce(self, p, budget, suffix_first=False):
+        """The normal form of the polynomial p, over tuples of names: p is
+        packed into a bottom frame (_horner suffix first, else a
+        _leftmost_frame) for _reduce_packed, and the result unpacked."""
+        items = [(self._codes.pack(w), c) for w, c in p.t.items()]
+        bottom = (_horner(self._memo, self._suffixes, items) if suffix_first
+                  else _leftmost_frame(self._memo, items, "", ""))
+        return self._codes.unpack_poly(
+            self._reduce_packed(bottom, budget, suffix_first))
 
     def _image_cache(self, twisted):
         """A cache for _image_forms of the twisted derivation D, whose
@@ -511,9 +499,10 @@ class Presentation:
         c*w of p of c * NF(D(w)), taken over packed dicts; cache is D's
         (_image_cache).  A word whose NF(D) its trie holds is a hit, not
         charged, as a memo hit is not; each other word, its letters checked
-        first, is a _leibniz bottom frame, all under one step budget."""
+        first, is a job of one _leibniz bottom frame, which adds its
+        NF(D) into the same sum under one step budget."""
         (derived, images), codes = cache, self._codes
-        acc, coeffs, bottoms = {}, [], []
+        acc, jobs = {}, []
         for w, c in p.t.items():
             w = codes.pack(w)
             node, k = _derived(derived, w, len(w))
@@ -523,32 +512,28 @@ class Presentation:
             if not images.keys() >= set(w):
                 raise KeyError("d undefined on generator %r" % next(
                     codes.names[g] for g in w if g not in images))
-            coeffs.append(c)
-            bottoms.append(_leibniz(self._memo, self._suffixes, images, w,
-                                    node, k))
-        for c, nf in zip(coeffs, self._reduce_packed(bottoms, _step_budget(),
-                                                     True)):
-            _add(acc, nf, c)
-        return codes.unpack_poly({u: x for u, x in acc.items() if x})
+            jobs.append((c, w, node, k))
+        bottom = _leibniz(self._memo, self._suffixes, images, jobs, acc)
+        return codes.unpack_poly(self._reduce_packed(bottom, _step_budget(),
+                                                     True))
 
-    def _reduce_packed(self, bottoms, budget, suffix_first=False):
-        """The normal forms, as dicts packed word -> nonzero scalar, of the
-        sums that the bottom frames bottoms return, run one after another
-        on one stack under one step budget, by the leftmost,
-        first-declared rule, or, if suffix_first, by putting one letter at
-        a time in front of the normal form of the rest, which gives the
-        same result when normal forms are unique.  A frame is a generator
-        that looks each word it needs up in the memo, yields each miss, is
-        sent its normal form, and returns its sum; each word being
-        rewritten has one above the bottom frame.  Leftmost, every frame
-        is a _leftmost_frame.  Suffix first, a bottom frame is _horner,
+    def _reduce_packed(self, bottom, budget, suffix_first=False):
+        """The normal form, as a dict packed word -> nonzero scalar, of the
+        sum that the bottom frame returns, under the step budget, by the
+        leftmost, first-declared rule, or, if suffix_first, by putting one
+        letter at a time in front of the normal form of the rest, which
+        gives the same result when normal forms are unique.  A frame is a
+        generator that looks each word it needs up in the memo, yields each
+        miss, is sent its normal form, and returns its sum; each word being
+        rewritten has one above the bottom frame.  Leftmost, every frame is
+        a _leftmost_frame.  Suffix first, the bottom frame is _horner,
         which folds each prefix that its polynomial's words share once and
         each suffix that its lone words share once, or _leibniz, which
-        folds a word's suffixes onto cached normal forms, and a rewritten
-        word's frame is _fold of the rule's reducts onto the rest of the
-        word.  Only the word of a BudgetExceeded is unpacked.  This loop
-        alone matches and memoises.  It scans each yielded word from its
-        frame's start, kept on the starts stack: a leftmost frame for a
+        folds each of its words' suffixes onto cached normal forms, and a
+        rewritten word's frame is _fold of the rule's reducts onto the rest
+        of the word.  Only the word of a BudgetExceeded is unpacked.  This
+        loop alone matches and memoises.  It scans each yielded word from
+        its frame's start, kept on the starts stack: a leftmost frame for a
         match at i starts at i - (maxlen - 1), as no match lies further
         left, and every other frame at 0; suffix first, it scans position 0
         only.  An irreducible word is memoised as itself; any other is
@@ -558,42 +543,37 @@ class Presentation:
         each on its own would."""
         trie, memo, maxlen = self._trie, self._memo, self._maxlen
         left, last = budget, None  # last: ref of the last rule fired
-        stack, starts, words, nfs = [], [0], [], []
-        for bottom in bottoms:
-            stack.append(bottom)
+        stack, starts, words, nf = [bottom], [0], [], None
+        while True:
+            try:
+                w = stack[-1].send(nf)
+            except StopIteration as done:
+                stack.pop()
+                nf = {u: c for u, c in done.value.items() if c}
+                if not stack:
+                    return nf
+                starts.pop()
+                memo[words.pop()] = nf
+                continue
+            match = _leftmost(trie, w, starts[-1],
+                              1 if suffix_first else len(w))
+            if match is None:  # irreducible: its own normal form
+                nf = memo[w] = {w: ONE}
+                continue
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(self._codes.unpack(w), max(budget, 0),
+                                     last)
+            i, (last, lhs, reducts) = match
+            suffix = w[i + len(lhs):]
+            if suffix_first:
+                stack.append(_fold(memo, reducts, {suffix: ONE}, {}))
+                starts.append(0)
+            else:
+                stack.append(_leftmost_frame(memo, reducts, w[:i], suffix))
+                starts.append(max(0, i - maxlen + 1))
+            words.append(w)
             nf = None
-            while True:
-                try:
-                    w = stack[-1].send(nf)
-                except StopIteration as done:
-                    stack.pop()
-                    nf = {u: c for u, c in done.value.items() if c}
-                    if not stack:
-                        nfs.append(nf)
-                        break
-                    starts.pop()
-                    memo[words.pop()] = nf
-                    continue
-                match = _leftmost(trie, w, starts[-1],
-                                  1 if suffix_first else len(w))
-                if match is None:  # irreducible: its own normal form
-                    nf = memo[w] = {w: ONE}
-                    continue
-                left -= 1
-                if left < 0:
-                    raise BudgetExceeded(self._codes.unpack(w), max(budget, 0),
-                                         last)
-                i, (last, lhs, reducts) = match
-                suffix = w[i + len(lhs):]
-                if suffix_first:
-                    stack.append(_fold(memo, reducts, {suffix: ONE}, {}))
-                    starts.append(0)
-                else:
-                    stack.append(_leftmost_frame(memo, reducts, w[:i], suffix))
-                    starts.append(max(0, i - maxlen + 1))
-                words.append(w)
-                nf = None
-        return nfs
 
     def _unique_normal_forms(self):
         """Whether every word has one normal form, so that any strategy
@@ -641,18 +621,18 @@ class Presentation:
     def _pairs(self, budget):
         """(ref1, ref2, word, nf1, nf2) for each ambiguity, in
         _ambiguities() order: the rules named ref1 and ref2 apply to the
-        packed word, and nf1 and nf2 are their one-step reducts (_reduct)
+        packed word, and nf1 and nf2 are the word rewritten once by each,
         reduced leftmost by _reduce_packed, packed dicts."""
         entries, memo = self._entries, self._memo
         for i1, i2, word, p2 in self._ambiguities():
-            e1, e2 = entries[i1], entries[i2]
-            red1, red2 = _reduct(word, e1, 0), _reduct(word, e2, p2)
+            ref1, lhs1, red1 = entries[i1]
+            ref2, lhs2, red2 = entries[i2]
             # one budget per side, as a reduction of its own
-            yield (e1[0], e2[0], word,
-                   self._reduce_packed([_leftmost_frame(memo, red1, "", "")],
-                                       budget)[0],
-                   self._reduce_packed([_leftmost_frame(memo, red2, "", "")],
-                                       budget)[0])
+            yield (ref1, ref2, word,
+                   self._reduce_packed(_leftmost_frame(
+                       memo, red1, "", word[len(lhs1):]), budget),
+                   self._reduce_packed(_leftmost_frame(
+                       memo, red2, word[:p2], word[p2 + len(lhs2):]), budget))
 
     def _ambiguities(self):
         """(i1, i2, word, p2) for each ambiguity, word packed: rules[i1]
@@ -929,7 +909,7 @@ def localize(pres, v, vinv):
                for lhs, rhs in candidates.items()],
             order, q=pres.q)
         new = {lhs: (NCPolynomial.word(lhs[::-1])
-                     - trial._reduce([wrapped], budget)[0]).scale(cinv)
+                     - trial._reduce(wrapped, budget)).scale(cinv)
                for lhs, g, left, wrapped, cinv in targets}
         if new != candidates:
             candidates = new
@@ -940,8 +920,8 @@ def localize(pres, v, vinv):
         for lhs, g, left, _, _ in targets:
             x = candidates[lhs]
             prod = NCPolynomial.gen(v) * x if left else x * NCPolynomial.gen(v)
-            res = (trial._reduce([prod], budget)[0]
-                   - trial._reduce([NCPolynomial.gen(g)], budget)[0])
+            res = (trial._reduce(prod, budget)
+                   - trial._reduce(NCPolynomial.gen(g), budget))
             if not res.is_zero():
                 bad.append((lhs, res))
         if not bad:

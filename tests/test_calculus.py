@@ -63,7 +63,7 @@ def test_reduce_sym_answers():
 
 def test_readme_python_blocks_run():
     # every python block of README.md runs as written, so its library
-    # sketch (normal_form, normal_forms, nf_word, d, part) keeps to the API
+    # sketch (normal_form, nf_word, d, part) keeps to the API
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
     assert blocks
@@ -317,8 +317,8 @@ def test_d_rewrites_the_words_reducing_each_image_rewrites(name):
                 rng.choice(coeffs) for _ in range(rng.randint(1, 3))})
             missed = [w for w in p.t if w not in seen]
             seen.update(missed)
-            want = ref.normal_forms([dref(NCPolynomial.word(w), reduce=False)
-                                     for w in missed])
+            want = [ref.normal_form(dref(NCPolynomial.word(w), reduce=False))
+                    for w in missed]
             got = d(p)
             assert _rewritten(P) == _rewritten(ref), fa_str(p)
             assert all(d(NCPolynomial.word(w)) == nf

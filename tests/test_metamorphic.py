@@ -4,7 +4,9 @@ must agree, so these need no reference output.
 Specialization: with q bound to q0 by Presentation.specialize(q0), the
 normal form and d commute with q -> q0.  Conjugation: j -> j^2 is a field
 automorphism of Q(j), so conjugating every coefficient of the rules and
-of the element conjugates the normal form.
+of the element conjugates the normal form.  Grading: where every rule
+keeps a weight on the letters, scaling each word w by lam^wt(w) scales
+the normal form the same way, and on the calculi d too.
 
 On the confluent presets every strategy gives the one normal form, so
 both relations hold whatever steps the two runs take.  cartan, weyl and
@@ -12,7 +14,9 @@ the other presets reduce leftmost, by the first-declared rule; there the
 relations hold only because both runs take the same steps: each step
 depends on the words alone, and a coefficient is zero in one run exactly
 when it is zero in the other, or, after q -> q0, where it only drops a
-term that contributes nothing.
+term that contributes nothing.  weyl and cartan keep neither the
+weights of their term order nor the grading of the calculi, so the
+grading relation leaves them out.
 """
 
 import functools
@@ -146,3 +150,55 @@ def test_normal_form_commutes_with_conjugation(name, seed):
     P, C = _preset(name), _conjugated(name)
     p = _element(P, random.Random(seed), [g.name for g in P.generators])
     assert _conj_poly(P.normal_form(p)) == C.normal_form(_conj_poly(p))
+
+
+# th, dth and d2th weigh 2 and every other letter 1: the calculi's rules
+# keep this grading, and so does d, which sends x -> dx -> d2x and
+# th -> dth -> d2th; the weights of their term order give dth and d2th 5
+CALCULI = ["qjh_calculus", "hj_calculus"]
+GRADED = ["q_plane", "h_plane", "glhj", "dual_plane", "coaction_plane",
+          "coaction_dual"] + CALCULI
+LAMS = [Fraction(2), Fraction(-3), Fraction(1, 2)]
+
+
+def _weights(name):
+    weights = _preset(name).order.weights
+    if name in CALCULI:
+        return {g: 2 if g in ("th", "dth", "d2th") else 1 for g in weights}
+    return weights
+
+
+def _scaled(p, weights, lam):
+    """sigma_lam(p): each word w of p scaled by lam^wt(w)."""
+    return NCPolynomial({w: c * rational(lam ** sum(weights[g] for g in w))
+                         for w, c in p.t.items()})
+
+
+@pytest.mark.parametrize("name", GRADED)
+def test_rules_keep_the_grading(name):
+    weights = _weights(name)
+    assert all(sum(weights[g] for g in w) == sum(weights[g] for g in r.lhs)
+               for r in _preset(name).rules for w in r.rhs.t)
+
+
+@pytest.mark.parametrize("name", GRADED)
+@pytest.mark.parametrize("lam", LAMS, ids=str)
+@quick
+@given(seeds)
+def test_normal_form_commutes_with_grading(name, lam, seed):
+    P, weights = _preset(name), _weights(name)
+    p = _element(P, random.Random(seed), [g.name for g in P.generators])
+    assert _scaled(P.normal_form(p), weights, lam) == \
+        P.normal_form(_scaled(p, weights, lam))
+
+
+@pytest.mark.parametrize("name", CALCULI)
+@pytest.mark.parametrize("lam", LAMS, ids=str)
+@quick
+@given(seeds)
+def test_d_commutes_with_grading(name, lam, seed):
+    P, weights = _preset(name), _weights(name)
+    letters = [g.name for g in P.generators if g.d_image is not None]
+    p = _element(P, random.Random(seed), letters)
+    d = DifferentialOperator(P)
+    assert _scaled(d(p), weights, lam) == d(_scaled(p, weights, lam))

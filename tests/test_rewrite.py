@@ -142,38 +142,6 @@ def test_leftmost_budget_counts_rewriting_misses(monkeypatch):
     assert P.nf_word(word) == nf
 
 
-def test_normal_forms_charge_one_budget(monkeypatch):
-    # in a fresh qjh_calculus, x^2*dth*x alone rewrites 7 words the memo
-    # lacks and x^3*th alone 5; reducing both in one call rewrites 11
-    def nfs(*exprs):
-        P = presets.build("qjh_calculus")
-        return P.normal_forms([parse(e, P) for e in exprs])
-
-    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "7")
-    nfs("x^2*dth*x")
-    nfs("x^3*th")
-    with pytest.raises(BudgetExceeded) as info:
-        nfs("x^2*dth*x", "x^3*th")
-    assert info.value.steps == 7
-    monkeypatch.setenv("Z3CALC_STEP_BUDGET", "11")
-    assert nfs("x^2*dth*x", "x^3*th") == nfs("x^2*dth*x") + nfs("x^3*th")
-
-
-@pytest.mark.parametrize("name, exprs", [
-    ("qjh_calculus", ["x^3*th", "th*x^3", "x^2*dth + th*x*x", "dx*x*th",
-                      "x^3*th"]),
-    ("glhj", ["a*b*g*dT", "g*a*b", "b*a*dT + dT*g*a", "a*b*g*dT"])])
-def test_normal_forms_match_normal_form(name, exprs):
-    # suffix first (qjh_calculus) and leftmost (glhj): each polynomial,
-    # repeats included, reduces as normal_form reduces it alone
-    P = presets.build(name)
-    assert P._unique_normal_forms() == (name == "qjh_calculus")
-    polys = [parse(e, P) for e in exprs]
-    assert P.normal_forms(polys) == [presets.build(name).normal_form(p)
-                                     for p in polys]
-    assert P.normal_forms([]) == []
-
-
 def test_suffix_first_skips_folds_that_cancel(monkeypatch):
     # c*c*b -> c*b*c - b*c*c + 2*a has no ambiguity, so it reduces suffix
     # first.  Both words reach the reduct -b*c*c in front of c*b, whose two
@@ -196,7 +164,7 @@ def test_suffix_first_skips_folds_that_cancel(monkeypatch):
         monkeypatch.setenv("Z3CALC_STEP_BUDGET", str(steps))
         P = toy()
         assert P.normal_form(p) == \
-            toy()._reduce([p], rewrite.DEFAULT_BUDGET)[0]
+            toy()._reduce(p, rewrite.DEFAULT_BUDGET)
         assert P._codes.pack(tuple("bcbcc")) not in P._memo
 
 
@@ -246,7 +214,7 @@ def test_long_shared_prefix_under_default_limit(default_recursion_limit):
     p = parse("x^1100*th + x^1100*h + x^1099*th*x", P)
     nf = P.normal_form(p)
     assert nf == presets.build("h_plane")._reduce(
-        [p], rewrite.DEFAULT_BUDGET)[0]
+        p, rewrite.DEFAULT_BUDGET)
     assert len(nf.t) == 3
 
 
@@ -318,7 +286,7 @@ def test_letter_outside_the_alphabet_is_irreducible():
     P = presets.build("q_plane")
     word = NCPolynomial.word(("zz", "x"))
     assert P.normal_form(word) == word
-    assert P._reduce([word], rewrite.DEFAULT_BUDGET)[0] == word
+    assert P._reduce(word, rewrite.DEFAULT_BUDGET) == word
     assert P.nf_word(("x", "th", "zz", "x", "th")) == \
         NCPolynomial.word(("th", "x", "zz", "th", "x"), qpow(2))
 
@@ -763,6 +731,57 @@ def test_memo_entries_follow_from_earlier_entries():
         assert _uncertified(P, memo) is not None, (P.name, w)
 
 
+def _trie_nodes(root):
+    """(v, node) for each node of a suffix trie, root first: v is the
+    packed suffix, and a node is [letter to its left -> node, NF]."""
+    todo = [("", root)]
+    while todo:
+        v, node = todo.pop()
+        yield v, node
+        todo.extend((g + v, child) for g, child in node[0].items())
+
+
+def _unreferenced(P, root, want):
+    """The first packed suffix v of the trie root whose node does not hold
+    want(v), a polynomial over tuples of names, or None."""
+    unpack = P._codes.unpack
+    for v, node in _trie_nodes(root):
+        nf = NCPolynomial({unpack(u): c for u, c in node[1].items() if c})
+        if nf != want(unpack(v)):
+            return v
+    return None
+
+
+def test_suffix_tries_hold_reference_normal_forms():
+    # the suffix cache and d's trie are memos too: the node of suffix v
+    # holds NF(v), or NF(d(v)), as the memo-free reference_nf gives it.
+    # Loads: lone words, each folded through the suffix cache, and
+    # d(d(p)), whose inner d leaves several words that the trie misses
+    P = presets.build("qjh_calculus")
+    d = DifferentialOperator(P)
+    P.normal_form(parse("x^3*th*dx + h*x*th*dth + dth*x^2", P))
+    d(d(parse("x^4*dth + th*x^2*dx + dx*x*th", P)))
+
+    def nf_of_d(v):
+        return sum((reference_nf(P, w).scale(c) for w, c
+                    in d(NCPolynomial.word(v), reduce=False).t.items()),
+                   NCPolynomial())
+
+    tries = [(P._suffixes, lambda v: reference_nf(P, v)),
+             (d._cache[0], nf_of_d)]
+    for root, want in tries:
+        assert len(list(_trie_nodes(root))) > 20
+        assert _unreferenced(P, root, want) is None
+    # one coefficient of one node, corrupted, is caught
+    rng = random.Random(0)
+    for root, want in tries:
+        v, node = rng.choice([(v, node) for v, node in _trie_nodes(root)
+                              if any(node[1].values())])
+        u = rng.choice([u for u, c in node[1].items() if c])
+        node[1] = {**node[1], u: node[1][u] + ONE}
+        assert _unreferenced(P, root, want) == v
+
+
 def test_json_round_trip_all_presets():
     built = [presets.build(name) for name in presets.PRESETS]
     for P in built + [presets.glhj_localized()]:
@@ -924,8 +943,8 @@ def _rewrite_at(word, rule, pos):
 def reference_pairs(P):
     """The ambiguities in the order of the nested loops over rule pairs."""
     def entry(word, r1, r2, p2):
-        nf1 = P._reduce([_rewrite_at(word, r1, 0)], 10**6)[0]
-        nf2 = P._reduce([_rewrite_at(word, r2, p2)], 10**6)[0]
+        nf1 = P._reduce(_rewrite_at(word, r1, 0), 10**6)
+        nf2 = P._reduce(_rewrite_at(word, r2, p2), 10**6)
         return {"word": word, "rules": (r1.ref, r2.ref), "nf1": nf1,
                 "nf2": nf2, "joinable": nf1 == nf2}
 
